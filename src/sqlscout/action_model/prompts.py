@@ -29,6 +29,10 @@ ACTION_ASSETS: dict[ActionKind, str] = {
 KEYWORD_ASSET = "keyword_extract.txt"
 BASELINE_ASSET = "baseline.txt"
 
+# a schema slice as a cache key: None for the full catalog, else
+# ((table, (column, ...)), ...) in selection order
+SchemaKey = tuple[tuple[str, tuple[str, ...]], ...] | None
+
 
 class PromptLibrary:
     """Loads templates from the packaged assets, or an override directory first."""
@@ -84,6 +88,7 @@ def build_action_prompt(
     retrieved_values: dict[tuple[str, str], list[str]] | None = None,
     execution_feedback: tuple[str, str] | None = None,
     library: PromptLibrary | None = None,
+    schema_cache: dict[SchemaKey, str] | None = None,
 ) -> str:
     """Instantiate the template for `action` against the current state.
 
@@ -92,6 +97,10 @@ def build_action_prompt(
     sees the full catalog (it produces the subset); later actions see the
     selected slice. The revision prompt additionally requires
     execution_feedback = (executed sql, execution result text).
+
+    `schema_cache`, if given, keeps the rendered schema text per slice (keyed
+    as `SchemaKey`). It is only valid for one catalog and one
+    `retrieved_values` map; the prompt is the same with or without it.
     """
     if action is ActionKind.TERMINATE:
         raise ContractViolation("termination is structural; it has no prompt")
@@ -113,8 +122,8 @@ def build_action_prompt(
     slots = {"QUESTION": question, "HINT": hint}
     if action is not ActionKind.REPHRASE:
         selected = None if action is ActionKind.SCHEMA_SELECT else state.selected_schema
-        slots["SCHEMA_CONTEXT"] = render_schema_context(
-            catalog, selected=selected, retrieved_values=retrieved_values
+        slots["SCHEMA_CONTEXT"] = _schema_text(
+            catalog, selected, retrieved_values, schema_cache
         )
     if action is ActionKind.SQL_REVISE:
         if state.sql is None:
@@ -125,6 +134,24 @@ def build_action_prompt(
         slots["EXECUTED_SQL"] = executed_sql
         slots["EXECUTION_RESULT"] = result_text
     return fill(template, slots)
+
+
+def _schema_text(
+    catalog: DatabaseCatalog,
+    selected: dict[str, list[str]] | None,
+    retrieved_values: dict[tuple[str, str], list[str]] | None,
+    cache: dict[SchemaKey, str] | None,
+) -> str:
+    """The rendered slice; with a cache, each distinct slice renders once."""
+    cache = {} if cache is None else cache
+    key = None if selected is None else tuple(
+        (table, tuple(columns)) for table, columns in selected.items()
+    )
+    if key not in cache:
+        cache[key] = render_schema_context(
+            catalog, selected=selected, retrieved_values=retrieved_values
+        )
+    return cache[key]
 
 
 def build_keyword_prompt(q: NLQuestion, library: PromptLibrary | None = None) -> str:

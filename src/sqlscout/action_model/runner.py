@@ -18,7 +18,7 @@ from ..llm_client import ChatModel, CompletionRequest, complete
 from ..sql_exec import ExecutionResult
 from .artifacts import ActionArtifact, RevisedSql, Terminated
 from .parser import parse_action_response, parse_keyword_list, parse_revised_sql_payload
-from .prompts import PromptLibrary, build_action_prompt, build_keyword_prompt
+from .prompts import PromptLibrary, SchemaKey, build_action_prompt, build_keyword_prompt
 
 log = logging.getLogger(__name__)
 
@@ -35,11 +35,13 @@ def run_action(
     executor: SqlExecutor | None = None,
     retrieved_values: dict[tuple[str, str], list[str]] | None = None,
     library: PromptLibrary | None = None,
+    schema_cache: dict[SchemaKey, str] | None = None,
 ) -> list[tuple[ActionArtifact, str]]:
     """All sampled (artifact, raw response) pairs for one action at this state.
 
     Samples that fail to parse are dropped; an empty list means the action
     produced nothing usable. Transport errors propagate to the caller.
+    `schema_cache` is handed to every `build_action_prompt` call.
     """
     if action is ActionKind.TERMINATE:
         return [(Terminated(), "")]
@@ -51,13 +53,14 @@ def run_action(
             for chain in range(cfg.n_expansion)
             for pair in _run_revision_chain(
                 chain, q, state, catalog, cfg, model, executor,
-                retrieved_values, library,
+                retrieved_values, library, schema_cache,
             )
         ]
 
     prompt = build_action_prompt(
         action, q, state, catalog,
         retrieved_values=retrieved_values, library=library,
+        schema_cache=schema_cache,
     )
     request = CompletionRequest(
         prompt=prompt,
@@ -87,6 +90,7 @@ def _run_revision_chain(
     executor: SqlExecutor,
     retrieved_values: dict[tuple[str, str], list[str]] | None,
     library: PromptLibrary | None,
+    schema_cache: dict[SchemaKey, str] | None,
 ) -> list[tuple[ActionArtifact, str]]:
     """One revise-until-valid chain; the chain index separates its samples."""
     if state.sql is None:
@@ -103,7 +107,7 @@ def _run_revision_chain(
             ActionKind.SQL_REVISE, q, state, catalog,
             retrieved_values=retrieved_values,
             execution_feedback=(from_sql, from_result),
-            library=library,
+            library=library, schema_cache=schema_cache,
         )
         raw = model.sample(prompt, cfg.t_expansion, cfg.max_tokens,
                            sample_index=chain, tag=ActionKind.SQL_REVISE.value)

@@ -27,7 +27,7 @@ from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..action_model.prompts import PromptLibrary
 from ..mcts import SearchDeps, run_search, serialize_tree
 from ..reward_select import select_final
-from ..sql_exec import execute_sql, results_equal
+from ..sql_exec import execute_sql, memoize_executor, results_equal
 from ..value_index import ValueIndex, load_index
 from .baseline import baseline_generate
 from .dataset import BenchmarkItem
@@ -114,6 +114,14 @@ def run_one_item(
 
     Never raises for model/SQL-level problems: any failure is folded into
     the record as EX=0 with the cause, so one bad item cannot sink a run.
+
+    Every SQL string but the gold query runs at most once per item: the
+    search, final selection and the chosen query share one memoized
+    executor, which lives for this item only and is never shared across
+    items or `--workers` threads. The gold query runs once, outside the
+    memo, so its result is never the very object a chosen query of the same
+    text gets; `results_equal` counts a truncated result equal only to
+    itself.
     """
     started = time.time()
     record = {
@@ -134,6 +142,7 @@ def run_one_item(
     try:
         catalog = env.catalog(item.db_id)
         executor = env.executor(item.db_id, cfg)
+        memo = memoize_executor(executor)
         item_cfg = dataclasses.replace(
             cfg, rng_seed=item_seed(cfg.rng_seed, item.question_id)
         )
@@ -142,14 +151,14 @@ def run_one_item(
             deps = SearchDeps(
                 model=model,
                 catalog=catalog,
-                executor=executor,
+                executor=memo,
                 embedder=env.embedder,
                 value_index=env.value_index(item.db_id),
                 library=env.library,
             )
             trajectories = run_search(item.question, deps, item_cfg)
             if trajectories:
-                outcome = select_final(trajectories, executor)
+                outcome = select_final(trajectories, memo)
                 chosen = outcome.sql
                 record["low_confidence"] = outcome.low_confidence
                 record["class_size"] = outcome.class_size
@@ -186,7 +195,7 @@ def run_one_item(
         if gold_result.kind != "rows":
             record["broken_gold"] = True
         elif chosen:
-            record["ex"] = int(results_equal(executor(chosen), gold_result))
+            record["ex"] = int(results_equal(memo(chosen), gold_result))
     except Exception as exc:  # per-item isolation: record and move on
         log.exception("item %s failed", item.question_id)
         record["error"] = f"{type(exc).__name__}: {exc}"

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .action_model import PromptLibrary, apply_artifact, fingerprint, run_action
+from .action_model.prompts import SchemaKey
 from .core.actions import valid_next_actions
 from .core.catalog import DatabaseCatalog
 from .core.types import ActionKind, EdgeKey, NLQuestion, SearchConfig, SearchNode
-from .errors import ContractViolation, TransportError
+from .errors import ContractViolation, ProtocolError, TransportError
 from .llm_client import ChatModel, Embedder
 from .reward_select import compute_reward
-from .sql_exec import ExecutionResult
+from .sql_exec import ExecutionResult, memoize_executor
 from .value_index import ValueIndex, as_retrieved_map, retrieve_values
 from .action_model.runner import extract_keywords
 
@@ -46,14 +47,29 @@ class SearchDeps:
 
 @dataclass
 class RolloutContext:
-    """Per-question search context: wiring plus memoized SQL execution."""
+    """Per-question search context: wiring plus two per-question memos.
+
+    `execute` runs each distinct SQL string once; it is `deps.executor`
+    itself when that is already a `memoize_executor` memo, as in
+    `run_one_item`, so the two share one cache. `schema_cache` holds the
+    rendered schema text per slice (None for the full catalog, else the
+    selected (table, columns) items in order), so every prompt built from
+    the same slice renders it once; it is valid because the catalog and
+    `retrieved_map` stay fixed for the context's life. Both memos live and
+    die with this context, one question; they are never shared across
+    questions or `--workers` threads.
+    """
 
     deps: SearchDeps
     q: NLQuestion
     cfg: SearchConfig
     retrieved_map: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     keywords: list[str] = field(default_factory=list)
-    _exec_cache: dict[str, ExecutionResult] = field(default_factory=dict)
+    schema_cache: dict[SchemaKey, str] = field(default_factory=dict)
+    execute: Callable[[str], ExecutionResult] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.execute = memoize_executor(self.deps.executor)
 
     @property
     def model(self) -> ChatModel:
@@ -66,11 +82,6 @@ class RolloutContext:
     @property
     def library(self) -> PromptLibrary | None:
         return self.deps.library
-
-    def execute(self, sql: str) -> ExecutionResult:
-        if sql not in self._exec_cache:
-            self._exec_cache[sql] = self.deps.executor(sql)
-        return self._exec_cache[sql]
 
 
 @dataclass(frozen=True)
@@ -137,7 +148,8 @@ def expand_node(node: SearchNode, ctx: RolloutContext, cfg: SearchConfig,
                 rng: random.Random) -> list[SearchNode]:
     """Create children for every legal action; duplicate artifacts collapse.
 
-    A transport failure on one action drops that action for this expansion.
+    A transport or protocol failure on one action drops that action for this
+    expansion.
     A node no action can extend is marked dead (terminal with reward 0).
     """
     del rng  # expansion order is canonical; randomness enters at selection
@@ -149,10 +161,11 @@ def expand_node(node: SearchNode, ctx: RolloutContext, cfg: SearchConfig,
             pairs = run_action(
                 action, ctx.q, node.state, ctx.catalog, cfg, ctx.model,
                 executor=ctx.execute, retrieved_values=ctx.retrieved_map,
-                library=ctx.library,
+                library=ctx.library, schema_cache=ctx.schema_cache,
             )
-        except TransportError as exc:
-            log.warning("%s expansion failed: %s", action.value, exc)
+        except (TransportError, ProtocolError) as exc:
+            log.warning("%s expansion failed: %s: %s", action.value,
+                        type(exc).__name__, exc)
             continue
         for artifact, raw in pairs:
             key = (action, fingerprint(artifact))
@@ -237,10 +250,19 @@ def run_search(q: NLQuestion, deps: SearchDeps, cfg: SearchConfig) -> list[Traje
 
 def prepare_context(q: NLQuestion, deps: SearchDeps,
                     cfg: SearchConfig) -> RolloutContext:
-    """Run the once-per-question steps: keywords and value retrieval."""
+    """Run the once-per-question steps: keywords and value retrieval.
+
+    A keyword call lost to a transport or protocol error leaves the search
+    without keywords and retrieved values, with a warning.
+    """
     ctx = RolloutContext(deps=deps, q=q, cfg=cfg)
     if deps.value_index is not None:
-        ctx.keywords = extract_keywords(q, deps.model, library=deps.library)
+        try:
+            ctx.keywords = extract_keywords(q, deps.model, library=deps.library)
+        except (TransportError, ProtocolError) as exc:
+            log.warning("keyword extraction failed, retrieving no values: %s: %s",
+                        type(exc).__name__, exc)
+            return ctx
         retrieved = retrieve_values(deps.value_index, ctx.keywords,
                                     deps.embedder, cfg)
         ctx.retrieved_map = as_retrieved_map(retrieved)

@@ -16,8 +16,8 @@ from typing import Callable, Protocol, Sequence
 from .action_model import build_action_prompt
 from .action_model.parser import parse_sql_payload
 from .core.types import ActionKind, SearchNode
-from .errors import ContractViolation, ParseError, TransportError
-from .sql_exec import ExecutionResult, results_equal
+from .errors import ContractViolation, ParseError, ProtocolError, TransportError
+from .sql_exec import ExecutionResult, memoize_executor, results_equal
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,8 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     `ctx` is the per-question search context (question, config, model,
     catalog, memoized execute). A final SQL that fails to execute scores 0
     outright. Samples that fail to parse count as mismatches; samples lost to
-    transport errors shrink the denominator, and zero obtainable samples
-    scores 0 with a warning.
+    transport or protocol errors shrink the denominator, and zero obtainable
+    samples scores 0 with a warning.
     """
     state = terminal.state
     if not state.sql:
@@ -52,8 +52,8 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
         try:
             raw = ctx.model.sample(prompt, cfg.t_reward, cfg.max_tokens,
                                    sample_index=i, tag="reward")
-        except TransportError as exc:
-            log.warning("reward sample %d lost to transport error: %s", i, exc)
+        except (TransportError, ProtocolError) as exc:
+            log.warning("reward sample %d lost: %s: %s", i, type(exc).__name__, exc)
             continue
         obtained += 1
         try:
@@ -86,6 +86,7 @@ def _producer_prompt(ctx, terminal: SearchNode) -> str:
         return build_action_prompt(
             ActionKind.SQL_GENERATE, ctx.q, base_state, ctx.catalog,
             retrieved_values=ctx.retrieved_map, library=ctx.library,
+            schema_cache=ctx.schema_cache,
         )
     feedback = producer.state.revision_context
     if feedback is None:
@@ -93,7 +94,7 @@ def _producer_prompt(ctx, terminal: SearchNode) -> str:
     return build_action_prompt(
         ActionKind.SQL_REVISE, ctx.q, base_state, ctx.catalog,
         retrieved_values=ctx.retrieved_map, execution_feedback=feedback,
-        library=ctx.library,
+        library=ctx.library, schema_cache=ctx.schema_cache,
     )
 
 
@@ -133,13 +134,7 @@ def select_final(
     """
     if not trajectories:
         raise ContractViolation("final selection requires at least one trajectory")
-    exec_cache: dict[str, ExecutionResult] = {}
-
-    def run(sql: str) -> ExecutionResult:
-        if sql not in exec_cache:
-            exec_cache[sql] = executor(sql)
-        return exec_cache[sql]
-
+    run = memoize_executor(executor)
     rows_candidates: list[tuple[str, float, ExecutionResult]] = []
     failed_candidates: list[tuple[str, float, ExecutionResult]] = []
     for traj in trajectories:

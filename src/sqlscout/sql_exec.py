@@ -1,9 +1,9 @@
 """Sandboxed SQL execution, result comparison, and the execution-accuracy metric.
 
-Queries run on read-only SQLite connections under a wall-clock timeout. A
-failed or timed-out query is a value (Error/Timeout), not an exception: the
-search consumes failures as revision feedback and the reward treats them as
-non-matching.
+Queries run on read-only SQLite connections under a wall-clock timeout, with
+an authorizer that admits nothing but reads. A failed or timed-out query is a
+value (Error/Timeout), not an exception: the search consumes failures as
+revision feedback and the reward treats them as non-matching.
 """
 
 from __future__ import annotations
@@ -12,11 +12,19 @@ import sqlite3
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import ContractViolation, IngestionError
 
 ROW_CAP = 10_000
 _NULL = ("\x00null",)  # canonical stand-in for NULL cells; unequal to any text
+# authorizer actions a read needs; ATTACH, VACUUM, PRAGMA and writes are denied
+_READ_ACTIONS = frozenset({
+    sqlite3.SQLITE_SELECT,
+    sqlite3.SQLITE_READ,
+    sqlite3.SQLITE_FUNCTION,
+    getattr(sqlite3, "SQLITE_RECURSIVE", 33),  # the module names it from 3.11
+})
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,9 @@ def execute_sql(
     """Run one statement read-only with a wall-clock timeout.
 
     The timeout interrupts the query from a timer thread; the connection is
-    per-call, so an interrupted query cannot poison later executions.
+    per-call, so an interrupted query cannot poison later executions. An
+    authorizer denies every action but reading, so a statement such as
+    ATTACH or VACUUM INTO returns an error and touches no file.
     """
     path = Path(db_path)
     if not path.exists():
@@ -142,6 +152,7 @@ def execute_sql(
     try:
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("PRAGMA query_only = ON")
+        conn.set_authorizer(_authorize_read)
         cursor = conn.execute(sql)
         raw = cursor.fetchmany(row_cap + 1)
         truncated = len(raw) > row_cap
@@ -156,6 +167,36 @@ def execute_sql(
     finally:
         timer.cancel()
         conn.close()
+
+
+def _authorize_read(action: int, *_: object) -> int:
+    return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
+
+
+class _MemoizedExecutor:
+    def __init__(self, executor: Callable[[str], ExecutionResult]):
+        self._executor = executor
+        self._cache: dict[str, ExecutionResult] = {}
+
+    def __call__(self, sql: str) -> ExecutionResult:
+        if sql not in self._cache:
+            self._cache[sql] = self._executor(sql)
+        return self._cache[sql]
+
+
+def memoize_executor(
+    executor: Callable[[str], ExecutionResult],
+) -> Callable[[str], ExecutionResult]:
+    """Wrap `executor` so each distinct SQL string runs once.
+
+    Repeats return the very same result object, so a truncated result still
+    equals itself under `results_equal`. An executor this function already
+    wrapped is returned as is, so callers that memoize defensively share one
+    cache instead of stacking another.
+    """
+    if isinstance(executor, _MemoizedExecutor):
+        return executor
+    return _MemoizedExecutor(executor)
 
 
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:

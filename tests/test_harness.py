@@ -6,8 +6,9 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import NLQuestion, SearchConfig
-from sqlscout.errors import IngestionError, TransportError
+from sqlscout.errors import IngestionError, ProtocolError, TransportError
 from sqlscout.harness import (
     BenchmarkItem,
     RunEnvironment,
@@ -33,6 +34,8 @@ from sqlscout.harness.runner import (
     TRACES_DIR,
 )
 from sqlscout.llm_client import ScriptedModel
+from sqlscout.mcts import SearchDeps, audit_tree, run_search
+from sqlscout.value_index import build_value_index, save_index
 
 from conftest import (
     BASELINE_MARK,
@@ -339,6 +342,48 @@ def test_run_one_item_transport_down_falls_back(bird_dataset):
     record = run_one_item(item, bench_env(db_root, DownModel()), bench_cfg())
     assert record["ex"] == 0
     assert record["error"]
+
+
+def test_run_one_item_survives_protocol_errors(bird_dataset, tmp_path):
+    # a server answering `content: null` once, at the keyword call, at call
+    # 40 and at the first reward call, costs those samples, not the question
+    dataset, db_root = bird_dataset
+    index_dir = tmp_path / "indexes"
+    catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
+                           db_id="restaurants")
+    save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
+
+    class FlakyModel:
+        def __init__(self):
+            self.inner = scripted_benchmark_model()
+            self.calls = 0
+            self.failed: list[str] = []
+
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            self.calls += 1
+            if (tag == "keywords" or self.calls == 40
+                    or (tag == "reward" and "reward" not in self.failed)):
+                self.failed.append(tag)
+                raise ProtocolError("chat response content is not text")
+            return self.inner.sample(prompt, temperature, max_tokens,
+                                     sample_index, tag=tag)
+
+    item = load_dataset(dataset)[0]
+    model = FlakyModel()
+    env = RunEnvironment(model=model, db_root=db_root, index_dir=index_dir)
+    record = run_one_item(item, env, SearchConfig(sql_timeout_secs=5.0))
+    assert record["error"] is None
+    assert record["ex"] == 1
+    assert model.failed[0] == "keywords" and "reward" in model.failed
+    assert len(model.failed) == 3 and model.calls > 40
+
+    model = FlakyModel()
+    deps = SearchDeps(model=model, catalog=env.catalog(item.db_id),
+                      executor=env.executor(item.db_id, SearchConfig()),
+                      value_index=env.value_index(item.db_id))
+    trajectories = run_search(item.question, deps, SearchConfig(sql_timeout_secs=5.0))
+    assert trajectories
+    audit_tree(trajectories[0].nodes[0])
 
 
 def test_run_benchmark_end_to_end(bird_dataset, tmp_path):

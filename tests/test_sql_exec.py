@@ -14,6 +14,7 @@ from sqlscout.sql_exec import (
     error_result,
     execute_sql,
     execution_accuracy,
+    memoize_executor,
     results_equal,
     rows_result,
     timeout_result,
@@ -181,6 +182,44 @@ def test_execute_rejects_writes(restaurant_db):
         assert res.kind == "error", sql
     after = hashlib.sha256(restaurant_db.read_bytes()).hexdigest()
     assert before == after  # database file untouched
+
+
+def test_execute_creates_no_file(restaurant_db, tmp_path):
+    # ATTACH and VACUUM INTO open a file of their own, outside the read-only
+    # connection; only the authorizer keeps them from creating it
+    for sql in ("ATTACH DATABASE '{p}' AS sneak", "VACUUM INTO '{p}'"):
+        target = tmp_path / "created.sqlite"
+        res = execute_sql(sql.format(p=target), restaurant_db)
+        assert res.kind == "error", sql
+        assert not target.exists(), sql
+
+
+def test_execute_admits_recursive_and_nested_reads(restaurant_db):
+    counted = execute_sql(
+        "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
+        "WHERE i < 5) SELECT SUM(i) FROM n", restaurant_db)
+    assert counted.rows == frozenset({(15,)})
+    nested = execute_sql(
+        "SELECT label FROM generalinfo WHERE id_restaurant IN "
+        "(SELECT id_restaurant FROM location WHERE street_name = 'shattuck ave')",
+        restaurant_db)
+    assert nested.rows == frozenset({("thai garden",)})
+
+
+def test_memoize_executor_runs_each_sql_once(restaurant_db):
+    ran = []
+
+    def executor(sql):
+        ran.append(sql)
+        return execute_sql(sql, restaurant_db, row_cap=1)
+
+    memo = memoize_executor(executor)
+    assert memoize_executor(memo) is memo
+    first = memo("SELECT label FROM generalinfo")
+    assert memo("SELECT label FROM generalinfo") is first
+    memo("SELECT 1")
+    assert ran == ["SELECT label FROM generalinfo", "SELECT 1"]
+    assert first.truncated and results_equal(first, memo("SELECT label FROM generalinfo"))
 
 
 def test_execute_multi_statement_rejected(restaurant_db):
