@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -46,7 +47,8 @@ class RunEnvironment:
 
     Databases live at `<db_root>/<db_id>/<db_id>.sqlite` (flat
     `<db_root>/<db_id>.sqlite` accepted too); value indexes at
-    `<index_dir>/<db_id>.jsonl`. Catalogs and indexes are cached per db_id.
+    `<index_dir>/<db_id>.jsonl`. Catalogs and indexes are cached per db_id
+    and loaded once, also when `--workers` threads ask for one together.
     """
 
     model: ChatModel
@@ -57,6 +59,9 @@ class RunEnvironment:
     endpoint: EndpointConfig | None = None
     _catalogs: dict[str, DatabaseCatalog] = field(default_factory=dict, repr=False)
     _indexes: dict[str, ValueIndex | None] = field(default_factory=dict, repr=False)
+    _load_locks: dict[str, threading.Lock] = field(default_factory=dict, repr=False)
+    _load_locks_guard: threading.Lock = field(
+        default_factory=threading.Lock, repr=False)
 
     def db_path(self, db_id: str) -> Path:
         root = Path(self.db_root)
@@ -65,27 +70,38 @@ class RunEnvironment:
                 return candidate
         raise IngestionError(f"no database file for {db_id!r} under {root}")
 
+    def _load_once(self, cache: dict, db_id: str, load):
+        """cache[db_id], loading it at most once; other askers wait for that load."""
+        if db_id not in cache:
+            with self._load_locks_guard:
+                lock = self._load_locks.setdefault(db_id, threading.Lock())
+            with lock:
+                if db_id not in cache:
+                    cache[db_id] = load(db_id)
+        return cache[db_id]
+
     def catalog(self, db_id: str) -> DatabaseCatalog:
-        if db_id not in self._catalogs:
-            path = self.db_path(db_id)
-            catalog = load_catalog(path, db_id=db_id)
-            descriptions = path.parent / "database_description"
-            if descriptions.is_dir():
-                attach_descriptions(catalog, descriptions)
-            self._catalogs[db_id] = catalog
-        return self._catalogs[db_id]
+        return self._load_once(self._catalogs, db_id, self._load_catalog)
+
+    def _load_catalog(self, db_id: str) -> DatabaseCatalog:
+        path = self.db_path(db_id)
+        catalog = load_catalog(path, db_id=db_id)
+        descriptions = path.parent / "database_description"
+        if descriptions.is_dir():
+            attach_descriptions(catalog, descriptions)
+        return catalog
 
     def value_index(self, db_id: str) -> ValueIndex | None:
-        if db_id not in self._indexes:
-            loaded = None
-            if self.index_dir is not None:
-                path = Path(self.index_dir) / f"{db_id}.jsonl"
-                if path.exists():
-                    loaded = load_index(path)
-                else:
-                    log.warning("no value index for %s at %s", db_id, path)
-            self._indexes[db_id] = loaded
-        return self._indexes[db_id]
+        return self._load_once(self._indexes, db_id, self._load_value_index)
+
+    def _load_value_index(self, db_id: str) -> ValueIndex | None:
+        if self.index_dir is None:
+            return None
+        path = Path(self.index_dir) / f"{db_id}.jsonl"
+        if not path.exists():
+            log.warning("no value index for %s at %s", db_id, path)
+            return None
+        return load_index(path)
 
     def executor(self, db_id: str, cfg: SearchConfig):
         return partial(

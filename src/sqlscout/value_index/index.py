@@ -7,8 +7,11 @@ bucket, so lookup gathers near-duplicates without scanning every value.
 
 from __future__ import annotations
 
+import binascii
+import gc
 import json
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,11 +19,11 @@ import numpy as np
 
 from ..core.catalog import DatabaseCatalog
 from ..errors import ContractViolation, IngestionError
-from .minhash import MinHashParams, permutation_salts, signature
+from .minhash import MinHashParams, permutation_salts, signatures
 
 DISTINCT_VALUE_CAP = 10_000
 _FORMAT = "sqlscout-value-index"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,19 @@ class ValueIndex:
             self._fill_buckets()
 
     def _fill_buckets(self) -> None:
-        for rid in range(len(self.records)):
-            for key in band_keys(self.signatures[rid], self.params):
-                self.buckets.setdefault(key, []).append(rid)
+        rows = self.params.rows_per_band
+        with _collector_paused():
+            for band in range(self.params.bands):
+                block = np.ascontiguousarray(
+                    self.signatures[:, band * rows : (band + 1) * rows])
+                # one key per record: the bytes band_keys takes from its signature
+                keys = block.view(np.dtype((np.void, block.itemsize * rows))).ravel()
+                for rid, key in enumerate(keys.tolist()):
+                    ids = self.buckets.get((band, key))
+                    if ids is None:
+                        self.buckets[(band, key)] = [rid]
+                    else:
+                        ids.append(rid)
 
     def candidate_ids(self, sig: np.ndarray) -> list[int]:
         """Record ids sharing at least one LSH band with the signature."""
@@ -60,6 +73,24 @@ class ValueIndex:
         for key in band_keys(sig, self.params):
             seen.update(self.buckets.get(key, ()))
         return sorted(seen)
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector around bulk construction.
+
+    Filling buckets or reading records allocates one container per bucket or
+    record, and none of them can form a cycle. With the collector on, its
+    full passes re-walk the growing index and about double the time.
+    """
+    if not gc.isenabled():  # paused by the caller (or another thread)
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def band_keys(sig: np.ndarray, params: MinHashParams) -> list[tuple[int, bytes]]:
@@ -89,7 +120,6 @@ def build_value_index(
     conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
     records: list[ValueRecord] = []
-    sigs: list[np.ndarray] = []
     try:
         for table, column in catalog.text_columns():
             try:
@@ -107,24 +137,24 @@ def build_value_index(
                 if not value:
                     continue
                 records.append(ValueRecord(table=table, column=column, value=value))
-                sigs.append(signature(value.lower(), salts, params.shingle_size))
     finally:
         conn.close()
-    signatures = (
-        np.stack(sigs) if sigs
-        else np.empty((0, params.num_permutations), dtype=np.uint64)
-    )
     return ValueIndex(
         db_id=catalog.db_id,
         params=params,
         records=records,
-        signatures=signatures,
+        signatures=signatures(
+            [rec.value.lower() for rec in records], salts, params.shingle_size
+        ),
         salts=salts,
     )
 
 
 def save_index(index: ValueIndex, path: str | Path) -> None:
-    """Write the index as line-delimited JSON: one header line, one line per record."""
+    """Write the index as line-delimited JSON: one header line, one line per record.
+
+    A record's "s" is the base64 of its signature as little-endian uint64s.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {
@@ -138,13 +168,16 @@ def save_index(index: ValueIndex, path: str | Path) -> None:
         "seed": index.params.seed,
         "n_records": len(index.records),
     }
+    sig_bytes = index.signatures.astype("<u8", copy=False).tobytes()
+    width = 8 * index.params.num_permutations
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for rid, rec in enumerate(index.records):
+            sig = sig_bytes[rid * width : (rid + 1) * width]
             line = {
                 "c": rec.column,
-                "s": [int(x) for x in index.signatures[rid]],
+                "s": binascii.b2a_base64(sig, newline=False).decode("ascii"),
                 "t": rec.table,
                 "v": rec.value,
             }
@@ -161,7 +194,11 @@ def load_index(path: str | Path) -> ValueIndex:
         if header.get("format") != _FORMAT:
             raise IngestionError(f"not a value-index file: {path}")
         if header.get("version") != _VERSION:
-            raise IngestionError(f"unsupported index version in {path}")
+            raise IngestionError(
+                f"value index {path} has format version {header.get('version')}, "
+                f"but this sqlscout reads version {_VERSION}; rerun "
+                "`sqlscout index build` to rebuild it"
+            )
         params = MinHashParams(
             num_permutations=header["num_permutations"],
             bands=header["bands"],
@@ -169,24 +206,33 @@ def load_index(path: str | Path) -> ValueIndex:
             shingle_size=header["shingle_size"],
             seed=header["seed"],
         )
+        width = 8 * params.num_permutations
         records: list[ValueRecord] = []
-        sigs: list[list[int]] = []
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            records.append(ValueRecord(table=obj["t"], column=obj["c"], value=obj["v"]))
-            sigs.append(obj["s"])
+        sigs: list[bytes] = []
+        with _collector_paused():
+            for line in fh:
+                if not line.strip():
+                    continue
+                try:  # JSON, base64 (binascii.Error) and field errors
+                    obj = json.loads(line)
+                    record = ValueRecord(
+                        table=obj["t"], column=obj["c"], value=obj["v"])
+                    sig = binascii.a2b_base64(obj["s"])
+                except (ValueError, KeyError, TypeError, ContractViolation) as exc:
+                    raise IngestionError(
+                        f"malformed record in {path}: {exc!r}") from exc
+                if len(sig) != width:
+                    raise IngestionError(f"bad signature length in {path}")
+                records.append(record)
+                sigs.append(sig)
     if len(records) != header.get("n_records"):
         raise IngestionError(f"truncated index file: {path}")
-    signatures = (
-        np.asarray(sigs, dtype=np.uint64) if sigs
-        else np.empty((0, params.num_permutations), dtype=np.uint64)
-    )
+    signatures = np.frombuffer(b"".join(sigs), dtype="<u8")
     return ValueIndex(
         db_id=header.get("db_id", ""),
         params=params,
         records=records,
-        signatures=signatures,
+        signatures=signatures.astype(np.uint64, copy=False).reshape(
+            len(records), params.num_permutations),
         salts=permutation_salts(params),
     )

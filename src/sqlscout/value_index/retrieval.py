@@ -16,9 +16,8 @@ import numpy as np
 
 from ..core.types import SearchConfig
 from ..llm_client import Embedder
-from . import kernels
 from .index import ValueIndex, ValueRecord
-from .minhash import signature
+from .minhash import signatures
 
 log = logging.getLogger(__name__)
 
@@ -36,12 +35,18 @@ def edit_similarity(a: str, b: str) -> float:
     longest = max(len(a), len(b))
     if longest == 0:
         return 1.0
-    dist = kernels.levenshtein_u32(_codepoints(a), _codepoints(b))
-    return 1.0 - dist / longest
+    return 1.0 - levenshtein(a, b) / longest
 
 
-def _codepoints(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance in code points (two-row dynamic program)."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
 
 def retrieve_values(
@@ -58,11 +63,10 @@ def retrieve_values(
     to the edit gate alone with semantic_sim reported as 0.
     """
     best: dict[ValueRecord, tuple[float, float]] = {}  # record -> (sem, edit)
-    for keyword in keywords:
-        kw = keyword.strip()
-        if not kw:
-            continue
-        sig = signature(kw.lower(), index.salts, index.params.shingle_size)
+    kws = [kw for kw in (keyword.strip() for keyword in keywords) if kw]
+    sigs = signatures([kw.lower() for kw in kws], index.salts,
+                      index.params.shingle_size)
+    for kw, sig in zip(kws, sigs):
         candidates = [index.records[rid] for rid in index.candidate_ids(sig)]
         if not candidates:
             continue

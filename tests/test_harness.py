@@ -2,6 +2,9 @@
 
 import json
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from click.testing import CliRunner
@@ -26,6 +29,7 @@ from sqlscout.harness import (
     subsample_sds,
     summarize,
 )
+from sqlscout.harness import runner as runner_module
 from sqlscout.harness.cli import main as cli_main
 from sqlscout.harness.runner import (
     PREDICTIONS_NAME,
@@ -277,6 +281,37 @@ def bench_cfg(**kw) -> SearchConfig:
     kw.setdefault("n_rollout", 6)
     kw.setdefault("sql_timeout_secs", 5.0)
     return SearchConfig(**kw)
+
+
+@pytest.mark.parametrize("loader", ["load_index", "load_catalog"])
+def test_environment_loads_each_database_once_under_threads(
+        bird_dataset, tmp_path, monkeypatch, loader):
+    _, db_root = bird_dataset
+    index_dir = tmp_path / "indexes"
+    index_dir.mkdir()
+    (index_dir / "restaurants.jsonl").write_text("", encoding="utf-8")
+    loads = []
+
+    def slow_load(*args, **kwargs):
+        loads.append(args)
+        time.sleep(0.2)
+        return object()
+
+    monkeypatch.setattr(runner_module, loader, slow_load)
+    env = RunEnvironment(model=ScriptedModel(), db_root=db_root,
+                         index_dir=index_dir)
+    get = env.value_index if loader == "load_index" else env.catalog
+    start = threading.Barrier(4)
+
+    def ask(_):
+        start.wait(timeout=10)
+        return get("restaurants")
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(ask, i) for i in range(4)]
+        got = [f.result(timeout=10) for f in futures]
+    assert len(loads) == 1
+    assert all(g is got[0] for g in got)
 
 
 def test_run_one_item_mcts(bird_dataset):

@@ -9,6 +9,8 @@ import pytest
 
 from sqlscout.errors import ContractViolation, IngestionError
 from sqlscout.sql_exec import (
+    CELL_BYTE_CAP,
+    RESULT_BYTE_CAP,
     ExecutionResult,
     canonical_cell,
     error_result,
@@ -192,6 +194,25 @@ def test_execute_creates_no_file(restaurant_db, tmp_path):
         res = execute_sql(sql.format(p=target), restaurant_db)
         assert res.kind == "error", sql
         assert not target.exists(), sql
+
+
+@pytest.mark.skipif(not hasattr(sqlite3.Connection, "setlimit"),
+                    reason="SQLite's length limit is settable from Python 3.11")
+def test_execute_bounds_cell_size(restaurant_db):
+    res = execute_sql("SELECT randomblob(1000000)", restaurant_db)
+    assert res.kind == "error"
+    assert "too big" in res.error
+    fits = execute_sql(f"SELECT length(randomblob({CELL_BYTE_CAP}))", restaurant_db)
+    assert fits.rows == frozenset({(CELL_BYTE_CAP,)})
+
+
+def test_execute_truncates_at_result_byte_cap(restaurant_db):
+    res = execute_sql(
+        "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
+        "WHERE i < 100) SELECT i, randomblob(200000) FROM n", restaurant_db)
+    assert res.kind == "rows" and res.truncated
+    assert 0 < len(res.rows) < 100
+    assert sum(len(blob) for _, blob in res.rows) <= RESULT_BYTE_CAP
 
 
 def test_execute_admits_recursive_and_nested_reads(restaurant_db):

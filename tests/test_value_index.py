@@ -1,5 +1,7 @@
 """Value index: signature fidelity, persistence, and retrieval gating."""
 
+import base64
+import hashlib
 import json
 import random
 import sqlite3
@@ -18,15 +20,18 @@ from sqlscout.value_index import (
     load_index,
     save_index,
 )
+from sqlscout.value_index import minhash
 from sqlscout.value_index.minhash import (
     estimate_jaccard,
     permutation_salts,
     shingle_set,
     signature,
+    signatures,
 )
 from sqlscout.value_index.retrieval import (
     as_retrieved_map,
     edit_similarity,
+    levenshtein,
     retrieve_values,
 )
 
@@ -57,6 +62,32 @@ def oracle_levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+_U64 = (1 << 64) - 1
+
+
+def oracle_signature(text: str, salts: np.ndarray, k: int = 3) -> list[int]:
+    """Per-shingle FNV-1a and avalanche mix in Python integers."""
+    hashes = []
+    for shingle in oracle_shingles(text, k):
+        h = 0xCBF29CE484222325
+        for byte in shingle.encode("utf-8"):
+            h = ((h ^ byte) * 0x100000001B3) & _U64
+        hashes.append(h)
+    sig = []
+    for salt in salts.tolist():
+        best = _U64
+        for h in hashes:
+            x = h ^ salt
+            x ^= x >> 33
+            x = (x * 0xFF51AFD7ED558CCD) & _U64
+            x ^= x >> 33
+            x = (x * 0xC4CEB9FE1A85EC53) & _U64
+            x ^= x >> 33
+            best = min(best, x)
+        sig.append(best)
+    return sig
+
+
 def test_shingle_set_matches_oracle():
     for text in ("albany", "a", "ab", "abc", "san pablo ave", ""):
         got = {s.decode("utf-8") for s in shingle_set(text)}
@@ -72,6 +103,28 @@ def test_signature_shape_and_determinism():
     assert sig1.dtype == np.uint64
     np.testing.assert_array_equal(sig1, sig2)
     assert not np.array_equal(sig1, signature("different text", salts))
+
+
+def test_signatures_match_reference_loop():
+    salts = permutation_salts(MinHashParams())
+    texts = ["", "a", "ab", "abc", "san pablo ave", "İstanbul", "i̇", "straße",
+             "😀😀😀", "𝔘nion 🍜", "中文市場", "aaaaaa", "x" * 40]
+    got = signatures(texts, salts)
+    assert got.shape == (len(texts), 128) and got.dtype == np.uint64
+    for text, row in zip(texts, got):
+        assert row.tolist() == oracle_signature(text, salts), text
+        np.testing.assert_array_equal(signature(text, salts), row)
+
+
+def test_signatures_do_not_depend_on_block_size(monkeypatch):
+    salts = permutation_salts(MinHashParams())
+    rng = random.Random(5)
+    texts = ["".join(rng.choice("abcdé😀 ") for _ in range(rng.randint(1, 30)))
+             for _ in range(200)]
+    whole = signatures(texts, salts)
+    monkeypatch.setattr(minhash, "_BLOCK", 7)
+    np.testing.assert_array_equal(signatures(texts, salts), whole)
+    assert signatures([], salts).shape == (0, 128)
 
 
 def test_salts_depend_on_seed():
@@ -137,6 +190,21 @@ def test_edit_similarity_unicode_codepoints():
     assert edit_similarity("café", "cafe") == pytest.approx(0.75)
 
 
+def test_levenshtein_matches_oracle():
+    rng = np.random.default_rng(13)
+    alphabet = "abcdeİ😀"
+    for _ in range(200):
+        a = "".join(alphabet[i] for i in rng.integers(0, 7, rng.integers(0, 15)))
+        b = "".join(alphabet[i] for i in rng.integers(0, 7, rng.integers(0, 15)))
+        assert levenshtein(a, b) == oracle_levenshtein(a, b), (a, b)
+
+
+def test_levenshtein_empty_sides():
+    assert levenshtein("", "") == 0
+    assert levenshtein("", "abc") == 3
+    assert levenshtein("abc", "") == 3
+
+
 def test_distant_strings_fall_below_default_gate():
     sim = edit_similarity("America", "United States")
     expected = 1.0 - oracle_levenshtein("america", "united states") / 13
@@ -199,6 +267,45 @@ def test_save_load_roundtrip(restaurant_catalog, tmp_path):
 def test_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.jsonl"
     path.write_text(json.dumps({"format": "something-else"}) + "\n")
+    with pytest.raises(IngestionError):
+        load_index(path)
+
+
+def test_index_file_stores_signatures_as_base64(restaurant_index, tmp_path):
+    path = tmp_path / "restaurants.jsonl"
+    save_index(restaurant_index, path)
+    header, first = path.read_text(encoding="utf-8").splitlines()[:2]
+    assert json.loads(header)["version"] == 2
+    raw = base64.b64decode(json.loads(first)["s"], validate=True)
+    assert len(raw) == 1024
+    np.testing.assert_array_equal(np.frombuffer(raw, dtype="<u8"),
+                                  restaurant_index.signatures[0])
+
+
+def test_load_rejects_version_1_with_rebuild_hint(tmp_path):
+    path = tmp_path / "old.jsonl"
+    header = {"format": "sqlscout-value-index", "version": 1, "db_id": "x",
+              "num_permutations": 128, "bands": 16, "rows_per_band": 8,
+              "shingle_size": 3, "seed": 0, "n_records": 1}
+    record = {"c": "name", "s": list(range(128)), "t": "t", "v": "kept"}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(IngestionError, match="rerun `sqlscout index build`"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rec: json.dumps({**rec, "s": rec["s"][:-8]}),  # short signature
+    lambda rec: json.dumps({**rec, "s": "not base64!"}),
+    lambda rec: json.dumps({k: v for k, v in rec.items() if k != "t"}),
+    lambda rec: json.dumps({**rec, "v": ""}),
+    lambda rec: "{not json",
+])
+def test_load_rejects_malformed_records(restaurant_index, tmp_path, corrupt):
+    path = tmp_path / "bad.jsonl"
+    save_index(restaurant_index, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = corrupt(json.loads(lines[1]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(IngestionError):
         load_index(path)
 
@@ -319,3 +426,87 @@ def test_lowercased_hashing_verbatim_storage(tmp_path):
     out = retrieve_values(index, ["san pablo ave"], None, cfg_with())
     assert out and out[0].record.value == "San Pablo Ave"
     assert out[0].edit_sim == 1.0
+
+
+# ---- golden outputs: signatures, buckets and retrieval stay bit-identical ----
+
+_GOLDEN_TOKENS = [
+    "san", "pablo", "ave", "thai", "café", "straße", "İzmir", "İ", "ẞ",
+    "中文", "市場", "€", "😀", "𝔘nion", "ΣΟΦΙΑ", "Ωmega", "naïve", "x", "ab",
+    "Q", "é", "🍜",
+]
+_GOLDEN_KEYWORDS = [
+    "café", "İzmir", "san pablo", "😀", "ΣΟΦΙΑ", "straße 12", "x", "中文",
+    "thai ave", "🍜 naïve",
+]
+
+
+def _golden_values(rng: random.Random, count: int) -> list[str]:
+    values: set[str] = set()
+    while len(values) < count:
+        if rng.random() < 0.1:  # shorter than the shingle size
+            value = "".join(rng.choice("aé中😀İ") for _ in range(rng.randint(1, 2)))
+        else:
+            words = rng.choices(_GOLDEN_TOKENS, k=rng.randint(1, 4))
+            value = rng.choice([" ", "", "-"]).join(words)
+            if rng.random() < 0.3:
+                value += f" {rng.randint(0, 99)}"
+        values.add(value)
+    return sorted(values)
+
+
+@pytest.fixture
+def golden_index(tmp_path):
+    """About 2,000 seeded values with 1- to 4-byte UTF-8 characters."""
+    rng = random.Random(20241018)
+    values = _golden_values(rng, 2000)
+    db = tmp_path / "golden.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE place (name TEXT, kind TEXT)")
+    conn.executemany("INSERT INTO place VALUES (?, ?)",
+                     [(v, values[-1 - i][:5]) for i, v in enumerate(values[:1200])])
+    conn.execute("CREATE TABLE note (body TEXT)")
+    conn.executemany("INSERT INTO note VALUES (?)", [(v,) for v in values[1200:]])
+    conn.commit()
+    conn.close()
+    return build_value_index(load_catalog(db))
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_digests(index, embedder) -> dict[str, str]:
+    outs = []
+    for mode, emb in (("and", None), ("or", None), ("and", embedder),
+                      ("or", embedder)):
+        out = retrieve_values(index, _GOLDEN_KEYWORDS, emb,
+                              cfg_with(retrieval_mode=mode, top_m_per_column=50))
+        outs.append([(r.record.table, r.record.column, r.record.value,
+                      r.edit_sim, r.semantic_sim) for r in out])
+    return {
+        "signatures": _sha(index.signatures.astype("<u8").tobytes()),
+        "buckets": _sha(repr(sorted(index.buckets.items())).encode()),
+        "retrieval": _sha(repr(outs).encode()),
+    }
+
+
+def test_golden_restaurant_index(restaurant_index, hash_embedder):
+    assert _golden_digests(restaurant_index, hash_embedder) == {
+        "signatures": "58e4bb70dbfb7cde473db233ebfdcfb94562829691a6586f35b7495d7a6348a0",
+        "buckets": "011fcdc0ad3e75cb428db7f4c3a322c54d30895aa9a5e7f39692ae7aa746628c",
+        "retrieval": "453a39b98df6359822c48cf564842ecf4b8b70a0520a145ccfff84370b3fe687",
+    }
+
+
+def test_golden_unicode_index(golden_index, hash_embedder):
+    texts = [r.value.lower() for r in golden_index.records if r.column != "kind"]
+    assert len(texts) == 2000
+    assert any(len(r.value.lower()) != len(r.value) for r in golden_index.records)
+    assert any(len(t) < 3 for t in texts)
+    assert max(len(s) for t in texts for s in shingle_set(t)) == 12
+    assert _golden_digests(golden_index, hash_embedder) == {
+        "signatures": "f9868c602ca23d8debfc4894f564f95f51e14bcadc745ac192472a2008b13b2f",
+        "buckets": "d4054e4f4b1892af797b2bef3a98442a6d39defcb4a27ba24bbae2f09390915e",
+        "retrieval": "4954187918a7fd721e1acb6725f79171163de2438ab1e9879185b1b8da670721",
+    }
