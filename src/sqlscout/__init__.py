@@ -19,8 +19,8 @@ from .errors import (
     TransportError,
 )
 from .mcts import SearchDeps, Trajectory, run_search
-from .reward_select import compute_reward, select_final, select_final_sql
-from .sql_exec import ExecutionResult, execute_sql, execution_accuracy, results_equal
+from .reward_select import compute_reward, select_final
+from .sql_exec import ExecutionResult, execute_sql, results_equal
 
 __version__ = "0.1.0"
 
@@ -42,9 +42,7 @@ __all__ = [
     "__version__",
     "compute_reward",
     "execute_sql",
-    "execution_accuracy",
     "results_equal",
     "run_search",
     "select_final",
-    "select_final_sql",
 ]

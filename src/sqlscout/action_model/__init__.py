@@ -21,12 +21,11 @@ from .prompts import (
     ACTION_ASSETS,
     BASELINE_ASSET,
     KEYWORD_ASSET,
-    PromptLibrary,
     build_action_prompt,
     build_baseline_prompt,
     build_keyword_prompt,
 )
-from .runner import SqlExecutor, extract_keywords, run_action
+from .runner import extract_keywords, run_action
 
 __all__ = [
     "ACTION_ASSETS",
@@ -35,11 +34,9 @@ __all__ = [
     "FunctionNotes",
     "GeneratedSql",
     "KEYWORD_ASSET",
-    "PromptLibrary",
     "RephrasedQuestion",
     "RevisedSql",
     "SchemaSubset",
-    "SqlExecutor",
     "Terminated",
     "ValueNotes",
     "apply_artifact",

@@ -137,16 +137,6 @@ def parse_sql_payload(raw: str) -> tuple[str, str]:
     return sql.strip(), rationale if isinstance(rationale, str) else ""
 
 
-def parse_generated_sql(raw: str) -> GeneratedSql:
-    sql, rationale = parse_sql_payload(raw)
-    return GeneratedSql(sql=sql, rationale=rationale)
-
-
-def parse_revised_sql_payload(raw: str) -> tuple[str, str]:
-    """(sql, rationale) for one revision round; round accounting is the runner's."""
-    return parse_sql_payload(raw)
-
-
 def _parse_notes(raw: str, cls):
     text = raw.strip()
     if not text:
@@ -168,10 +158,9 @@ def parse_action_response(
     if action is ActionKind.FUNCTION_IDENT:
         return _parse_notes(raw, FunctionNotes)
     if action is ActionKind.SQL_GENERATE:
-        return parse_generated_sql(raw)
+        return GeneratedSql(*parse_sql_payload(raw))
     if action is ActionKind.SQL_REVISE:
-        sql, rationale = parse_sql_payload(raw)
-        return RevisedSql(sql=sql, rationale=rationale)
+        return RevisedSql(*parse_sql_payload(raw))
     if action is ActionKind.TERMINATE:
         return Terminated()
     raise ContractViolation(f"unknown action {action!r}")

@@ -4,13 +4,13 @@ Templates live as plain-text assets with {QUESTION}, {HINT} and
 {SCHEMA_CONTEXT} placeholders (the revision template also takes
 {EXECUTED_SQL} and {EXECUTION_RESULT}). They are substituted literally, never
 through str.format, because the templates themselves contain JSON braces.
-An override directory can shadow individual assets for prompt experiments.
+The templates are packaged with the module and fixed; each is read once.
 """
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
-from pathlib import Path
 
 from ..core.actions import valid_next_actions
 from ..core.catalog import DatabaseCatalog
@@ -34,43 +34,10 @@ BASELINE_ASSET = "baseline.txt"
 SchemaKey = tuple[tuple[str, tuple[str, ...]], ...] | None
 
 
-class PromptLibrary:
-    """Loads templates from the packaged assets, or an override directory first."""
-
-    def __init__(self, override_dir: str | Path | None = None):
-        self.override_dir = Path(override_dir) if override_dir else None
-        self._cache: dict[str, str] = {}
-
-    def load(self, name: str) -> str:
-        if name not in self._cache:
-            self._cache[name] = self._read(name)
-        return self._cache[name]
-
-    def _read(self, name: str) -> str:
-        if self.override_dir is not None:
-            candidate = self.override_dir / name
-            if candidate.exists():
-                return candidate.read_text(encoding="utf-8")
-        return (
-            resources.files(__package__).joinpath("assets", name)
-            .read_text(encoding="utf-8")
-        )
-
-    def template_for(self, action: ActionKind) -> str:
-        if action not in ACTION_ASSETS:
-            raise ContractViolation(f"{action.value} has no prompt template")
-        return self.load(ACTION_ASSETS[action])
-
-    @property
-    def keyword_template(self) -> str:
-        return self.load(KEYWORD_ASSET)
-
-    @property
-    def baseline_template(self) -> str:
-        return self.load(BASELINE_ASSET)
-
-
-_DEFAULT_LIBRARY = PromptLibrary()
+@functools.cache
+def load_template(name: str) -> str:
+    asset = resources.files(__package__).joinpath("assets", name)
+    return asset.read_text(encoding="utf-8")
 
 
 def fill(template: str, slots: dict[str, str]) -> str:
@@ -87,7 +54,6 @@ def build_action_prompt(
     catalog: DatabaseCatalog,
     retrieved_values: dict[tuple[str, str], list[str]] | None = None,
     execution_feedback: tuple[str, str] | None = None,
-    library: PromptLibrary | None = None,
     schema_cache: dict[SchemaKey, str] | None = None,
 ) -> str:
     """Instantiate the template for `action` against the current state.
@@ -108,8 +74,7 @@ def build_action_prompt(
         raise ContractViolation(
             f"{action.value} is not a legal action for this state"
         )
-    library = library or _DEFAULT_LIBRARY
-    template = library.template_for(action)
+    template = load_template(ACTION_ASSETS[action])
 
     question = state.rephrased_question or q.question
     hint_parts = [q.hint] if q.hint else []
@@ -154,20 +119,11 @@ def _schema_text(
     return cache[key]
 
 
-def build_keyword_prompt(q: NLQuestion, library: PromptLibrary | None = None) -> str:
-    library = library or _DEFAULT_LIBRARY
-    return fill(library.keyword_template, {"QUESTION": q.question, "HINT": q.hint})
+def build_keyword_prompt(q: NLQuestion) -> str:
+    return fill(load_template(KEYWORD_ASSET), {"QUESTION": q.question, "HINT": q.hint})
 
 
-def build_baseline_prompt(
-    q: NLQuestion,
-    catalog: DatabaseCatalog,
-    retrieved_values: dict[tuple[str, str], list[str]] | None = None,
-    library: PromptLibrary | None = None,
-) -> str:
-    library = library or _DEFAULT_LIBRARY
-    context = render_schema_context(catalog, retrieved_values=retrieved_values)
-    return fill(
-        library.baseline_template,
-        {"QUESTION": q.question, "HINT": q.hint, "SCHEMA_CONTEXT": context},
-    )
+def build_baseline_prompt(q: NLQuestion, catalog: DatabaseCatalog) -> str:
+    context = render_schema_context(catalog)
+    return fill(load_template(BASELINE_ASSET),
+                {"QUESTION": q.question, "HINT": q.hint, "SCHEMA_CONTEXT": context})

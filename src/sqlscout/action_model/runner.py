@@ -3,76 +3,56 @@
 Plain actions draw N_expansion samples from one prompt. Revision is a loop
 per sample chain: execute the current SQL, and while it fails, feed the query
 and its failure back through the revision prompt, at most N_revision rounds.
-Termination is structural and calls no model.
+Termination is structural and calls no model. Actions read their inputs from
+the per-question search context `ctx` (`mcts.RolloutContext`, duck-typed).
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable
 
-from ..core.catalog import DatabaseCatalog
-from ..core.types import ActionKind, NLQuestion, NodeState, SearchConfig
+from ..core.types import ActionKind, NLQuestion, NodeState
 from ..errors import ContractViolation, ParseError
-from ..llm_client import ChatModel, CompletionRequest, complete
-from ..sql_exec import ExecutionResult
+from ..llm_client import ChatModel
 from .artifacts import ActionArtifact, RevisedSql, Terminated
-from .parser import parse_action_response, parse_keyword_list, parse_revised_sql_payload
-from .prompts import PromptLibrary, SchemaKey, build_action_prompt, build_keyword_prompt
+from .parser import parse_action_response, parse_keyword_list, parse_sql_payload
+from .prompts import build_action_prompt, build_keyword_prompt
 
 log = logging.getLogger(__name__)
 
-SqlExecutor = Callable[[str], ExecutionResult]
+KEYWORD_MAX_TOKENS = 1024
 
 
-def run_action(
-    action: ActionKind,
-    q: NLQuestion,
-    state: NodeState,
-    catalog: DatabaseCatalog,
-    cfg: SearchConfig,
-    model: ChatModel,
-    executor: SqlExecutor | None = None,
-    retrieved_values: dict[tuple[str, str], list[str]] | None = None,
-    library: PromptLibrary | None = None,
-    schema_cache: dict[SchemaKey, str] | None = None,
-) -> list[tuple[ActionArtifact, str]]:
+def run_action(action: ActionKind, state: NodeState,
+               ctx) -> list[tuple[ActionArtifact, str]]:
     """All sampled (artifact, raw response) pairs for one action at this state.
 
-    Samples that fail to parse are dropped; an empty list means the action
-    produced nothing usable. Transport errors propagate to the caller.
-    `schema_cache` is handed to every `build_action_prompt` call.
+    Samples 0 to cfg.n_expansion - 1 are drawn from one prompt; those that
+    fail to parse are dropped, and an empty list means the action produced
+    nothing usable. Transport errors propagate to the caller.
     """
     if action is ActionKind.TERMINATE:
         return [(Terminated(), "")]
     if action is ActionKind.SQL_REVISE:
-        if executor is None:
+        if ctx.execute is None:
             raise ContractViolation("revision requires a SQL executor")
         return [
             pair
-            for chain in range(cfg.n_expansion)
-            for pair in _run_revision_chain(
-                chain, q, state, catalog, cfg, model, executor,
-                retrieved_values, library, schema_cache,
-            )
+            for chain in range(ctx.cfg.n_expansion)
+            for pair in _run_revision_chain(chain, state, ctx)
         ]
 
+    cfg = ctx.cfg
     prompt = build_action_prompt(
-        action, q, state, catalog,
-        retrieved_values=retrieved_values, library=library,
-        schema_cache=schema_cache,
-    )
-    request = CompletionRequest(
-        prompt=prompt,
-        temperature=cfg.t_expansion,
-        n_samples=cfg.n_expansion,
-        max_tokens=cfg.max_tokens,
-        tag=action.value,
+        action, ctx.q, state, ctx.catalog,
+        retrieved_values=ctx.retrieved_map, schema_cache=ctx.schema_cache,
     )
     out: list[tuple[ActionArtifact, str]] = []
-    for raw in complete(model, request):
+    for i in range(cfg.n_expansion):
+        raw = ctx.model.sample(prompt, cfg.t_expansion, cfg.max_tokens,
+                               sample_index=i, tag=action.value)
         try:
-            artifact = parse_action_response(action, raw, catalog=catalog)
+            artifact = parse_action_response(action, raw, catalog=ctx.catalog)
         except ParseError as exc:
             log.debug("%s sample failed to parse: %s", action.value, exc)
             continue
@@ -80,23 +60,14 @@ def run_action(
     return out
 
 
-def _run_revision_chain(
-    chain: int,
-    q: NLQuestion,
-    state: NodeState,
-    catalog: DatabaseCatalog,
-    cfg: SearchConfig,
-    model: ChatModel,
-    executor: SqlExecutor,
-    retrieved_values: dict[tuple[str, str], list[str]] | None,
-    library: PromptLibrary | None,
-    schema_cache: dict[SchemaKey, str] | None,
-) -> list[tuple[ActionArtifact, str]]:
+def _run_revision_chain(chain: int, state: NodeState,
+                        ctx) -> list[tuple[ActionArtifact, str]]:
     """One revise-until-valid chain; the chain index separates its samples."""
     if state.sql is None:
         raise ContractViolation("revision requires a SQL query in the state")
+    cfg = ctx.cfg
     current = state.sql
-    result = executor(current)
+    result = ctx.execute(current)
     rounds = 0
     last_raw: str | None = None
     rationale = ""
@@ -104,21 +75,21 @@ def _run_revision_chain(
     while not result.is_rows and rounds < cfg.n_revision:
         from_sql, from_result = current, result.brief()
         prompt = build_action_prompt(
-            ActionKind.SQL_REVISE, q, state, catalog,
-            retrieved_values=retrieved_values,
+            ActionKind.SQL_REVISE, ctx.q, state, ctx.catalog,
+            retrieved_values=ctx.retrieved_map,
             execution_feedback=(from_sql, from_result),
-            library=library, schema_cache=schema_cache,
+            schema_cache=ctx.schema_cache,
         )
-        raw = model.sample(prompt, cfg.t_expansion, cfg.max_tokens,
-                           sample_index=chain, tag=ActionKind.SQL_REVISE.value)
+        raw = ctx.model.sample(prompt, cfg.t_expansion, cfg.max_tokens,
+                               sample_index=chain, tag=ActionKind.SQL_REVISE.value)
         rounds += 1
         try:
-            current, rationale = parse_revised_sql_payload(raw)
+            current, rationale = parse_sql_payload(raw)
         except ParseError as exc:
             log.debug("revision round %d failed to parse: %s", rounds, exc)
             continue
         last_raw = raw
-        result = executor(current)
+        result = ctx.execute(current)
     if last_raw is None and rounds > 0:
         return []  # every round came back unparseable
     artifact = RevisedSql(
@@ -131,13 +102,8 @@ def _run_revision_chain(
     return [(artifact, last_raw or "")]
 
 
-def extract_keywords(
-    q: NLQuestion,
-    model: ChatModel,
-    library: PromptLibrary | None = None,
-    max_tokens: int = 1024,
-) -> list[str]:
+def extract_keywords(q: NLQuestion, model: ChatModel) -> list[str]:
     """Keywords and keyphrases for value retrieval; one deterministic completion."""
-    prompt = build_keyword_prompt(q, library=library)
-    raw = model.sample(prompt, 0.0, max_tokens, sample_index=0, tag="keywords")
+    raw = model.sample(build_keyword_prompt(q), 0.0, KEYWORD_MAX_TOKENS,
+                       sample_index=0, tag="keywords")
     return parse_keyword_list(raw)

@@ -5,29 +5,22 @@ from __future__ import annotations
 import logging
 
 from ..action_model.parser import parse_baseline_sql
-from ..action_model.prompts import PromptLibrary, build_baseline_prompt
+from ..action_model.prompts import build_baseline_prompt
 from ..core.catalog import DatabaseCatalog
 from ..core.types import NLQuestion
 from ..errors import ParseError
 from ..llm_client import ChatModel
-from ..value_index.retrieval import RetrievedValue
 
 log = logging.getLogger(__name__)
 
+BASELINE_MAX_TOKENS = 2048
 
-def baseline_generate(
-    question: NLQuestion,
-    catalog: DatabaseCatalog,
-    model: ChatModel,
-    retrieved_values: dict[tuple[str, str], list[RetrievedValue]] | None = None,
-    library: PromptLibrary | None = None,
-    max_tokens: int = 2048,
-) -> str:
+
+def baseline_generate(question: NLQuestion, catalog: DatabaseCatalog,
+                      model: ChatModel) -> str:
     """One temperature-0 call; unparseable output degrades to an empty query."""
-    prompt = build_baseline_prompt(
-        question, catalog, retrieved_values=retrieved_values, library=library
-    )
-    raw = model.sample(prompt, 0.0, max_tokens, 0, tag="baseline")
+    raw = model.sample(build_baseline_prompt(question, catalog), 0.0,
+                       BASELINE_MAX_TOKENS, 0, tag="baseline")
     try:
         return parse_baseline_sql(raw)
     except ParseError as exc:

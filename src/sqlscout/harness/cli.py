@@ -17,6 +17,7 @@ from ..llm_client import (
     ResponseCache,
 )
 from ..core.catalog import load_catalog
+from ..errors import IngestionError
 from ..value_index import MinHashParams, build_value_index, save_index
 from .config import load_config
 from .dataset import (
@@ -31,6 +32,8 @@ from .runner import (
     SUMMARY_NAME,
     TRACES_DIR,
     RunEnvironment,
+    database_path,
+    find_databases,
     load_report_records,
     run_benchmark,
     summarize,
@@ -57,7 +60,8 @@ def index() -> None:
 
 @index.command("build")
 @click.option("--db-root", type=click.Path(exists=True, file_okay=False),
-              required=True, help="Directory holding <db_id>/<db_id>.sqlite.")
+              required=True,
+              help="Directory holding <db_id>/<db_id>.sqlite or <db_id>.sqlite.")
 @click.option("--db", "db_ids", multiple=True,
               help="Database id to index (repeatable); default: all found.")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True,
@@ -67,19 +71,16 @@ def index() -> None:
 def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) -> None:
     """Scan text columns of each database into a searchable value index."""
     root = Path(db_root)
-    targets = list(db_ids) or sorted(
-        p.parent.name for p in root.glob("*/*.sqlite") if p.parent.name == p.stem
-    )
+    targets = list(db_ids) or find_databases(root)
     if not targets:
         raise click.ClickException(f"no databases found under {root}")
     params = MinHashParams(seed=seed)
     out = Path(out_dir)
     for db_id in targets:
-        path = root / db_id / f"{db_id}.sqlite"
-        if not path.exists():
-            path = root / f"{db_id}.sqlite"
-        if not path.exists():
-            raise click.ClickException(f"no database file for {db_id!r}")
+        try:
+            path = database_path(root, db_id)
+        except IngestionError as exc:
+            raise click.ClickException(str(exc)) from exc
         catalog = load_catalog(path, db_id=db_id, value_examples=False)
         built = build_value_index(catalog, params=params)
         target = out / f"{db_id}.jsonl"

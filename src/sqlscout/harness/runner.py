@@ -25,7 +25,6 @@ from ..core.catalog import DatabaseCatalog, attach_descriptions, load_catalog
 from ..core.types import SearchConfig
 from ..errors import IngestionError
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
-from ..action_model.prompts import PromptLibrary
 from ..mcts import SearchDeps, run_search, serialize_tree
 from ..reward_select import select_final
 from ..sql_exec import execute_sql, memoize_executor, results_equal
@@ -39,6 +38,22 @@ REPORT_NAME = "report.jsonl"
 SUMMARY_NAME = "summary.json"
 PREDICTIONS_NAME = "predictions.txt"
 TRACES_DIR = "traces"
+
+
+def database_path(db_root: Path, db_id: str) -> Path:
+    """`<db_root>/<db_id>/<db_id>.sqlite`, else the flat `<db_root>/<db_id>.sqlite`."""
+    root = Path(db_root)
+    for candidate in (root / db_id / f"{db_id}.sqlite", root / f"{db_id}.sqlite"):
+        if candidate.exists():
+            return candidate
+    raise IngestionError(f"no database file for {db_id!r} under {root}")
+
+
+def find_databases(db_root: Path) -> list[str]:
+    """Sorted ids of every database under `db_root`, in either layout."""
+    root = Path(db_root)
+    nested = {p.stem for p in root.glob("*/*.sqlite") if p.parent.name == p.stem}
+    return sorted(nested | {p.stem for p in root.glob("*.sqlite")})
 
 
 @dataclass
@@ -55,7 +70,6 @@ class RunEnvironment:
     db_root: Path
     index_dir: Path | None = None
     embedder: Embedder | None = None
-    library: PromptLibrary | None = None
     endpoint: EndpointConfig | None = None
     _catalogs: dict[str, DatabaseCatalog] = field(default_factory=dict, repr=False)
     _indexes: dict[str, ValueIndex | None] = field(default_factory=dict, repr=False)
@@ -64,11 +78,7 @@ class RunEnvironment:
         default_factory=threading.Lock, repr=False)
 
     def db_path(self, db_id: str) -> Path:
-        root = Path(self.db_root)
-        for candidate in (root / db_id / f"{db_id}.sqlite", root / f"{db_id}.sqlite"):
-            if candidate.exists():
-                return candidate
-        raise IngestionError(f"no database file for {db_id!r} under {root}")
+        return database_path(self.db_root, db_id)
 
     def _load_once(self, cache: dict, db_id: str, load):
         """cache[db_id], loading it at most once; other askers wait for that load."""
@@ -170,7 +180,6 @@ def run_one_item(
                 executor=memo,
                 embedder=env.embedder,
                 value_index=env.value_index(item.db_id),
-                library=env.library,
             )
             trajectories = run_search(item.question, deps, item_cfg)
             if trajectories:
@@ -196,13 +205,9 @@ def run_one_item(
             else:
                 log.warning("search yielded no trajectories for %s; "
                             "using single-shot generation", item.question_id)
-                chosen = baseline_generate(
-                    item.question, catalog, model, library=env.library
-                )
+                chosen = baseline_generate(item.question, catalog, model)
         elif mode == "baseline":
-            chosen = baseline_generate(
-                item.question, catalog, model, library=env.library
-            )
+            chosen = baseline_generate(item.question, catalog, model)
         else:
             raise IngestionError(f"unknown run mode: {mode!r}")
 
@@ -274,23 +279,22 @@ def run_benchmark(
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
         return run_one_item(item, env, cfg, mode=mode, trace_path=trace)
 
-    with open(report_path, "a", encoding="utf-8") as journal:
-        if workers <= 1:
-            for item in pending:
-                record = process(item)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        with open(report_path, "a", encoding="utf-8") as journal:
+            records = map(process, pending) if pool is None else (
+                future.result() for future in
+                as_completed([pool.submit(process, item) for item in pending])
+            )
+            for record in records:
                 done[record["question_id"]] = record
                 journal.write(json.dumps(record, sort_keys=True,
                                          ensure_ascii=False) + "\n")
                 journal.flush()
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(process, item): item for item in pending}
-                for future in as_completed(futures):
-                    record = future.result()
-                    done[record["question_id"]] = record
-                    journal.write(json.dumps(record, sort_keys=True,
-                                             ensure_ascii=False) + "\n")
-                    journal.flush()
+    finally:
+        if pool is not None:
+            # after an interrupt, queued items must not run
+            pool.shutdown(cancel_futures=True)
 
     summary = summarize(items, done, cfg, mode=mode, endpoint=env.endpoint)
     (out / SUMMARY_NAME).write_text(

@@ -1,9 +1,9 @@
 """Chat and embedding clients for any OpenAI-compatible endpoint.
 
 The search engine only needs one primitive: draw the i-th sample for a prompt
-at a temperature. Everything else (batch completion, on-disk response cache,
-scripted models for tests) is built on that surface, so caching and scripting
-compose with the real client without the engine knowing which one it holds.
+at a temperature. Everything else (on-disk response cache, scripted models
+for tests) is built on that surface, so caching and scripting compose with
+the real client without the engine knowing which one it holds.
 """
 
 from __future__ import annotations
@@ -27,36 +27,12 @@ BACKOFF_SECS = (1.0, 2.0, 4.0)
 HTTP_TIMEOUT_SECS = 120.0
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
-    prompt: str
-    temperature: float
-    n_samples: int = 1
-    max_tokens: int = 2048
-    tag: str = ""
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ContractViolation("n_samples must be >= 1")
-        if self.temperature < 0:
-            raise ContractViolation("temperature must be >= 0")
-
-
 @runtime_checkable
 class ChatModel(Protocol):
     def sample(self, prompt: str, temperature: float, max_tokens: int,
                sample_index: int, tag: str = "") -> str:
         """Return the sample_index-th completion for the prompt."""
         ...
-
-
-def complete(model: ChatModel, request: CompletionRequest) -> list[str]:
-    """Draw request.n_samples independent completions."""
-    return [
-        model.sample(request.prompt, request.temperature, request.max_tokens,
-                     i, tag=request.tag)
-        for i in range(request.n_samples)
-    ]
 
 
 class Embedder(Protocol):

@@ -16,8 +16,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .action_model import PromptLibrary, apply_artifact, fingerprint, run_action
+from .action_model import apply_artifact, fingerprint, run_action
 from .action_model.prompts import SchemaKey
+from .action_model.runner import extract_keywords
 from .core.actions import valid_next_actions
 from .core.catalog import DatabaseCatalog
 from .core.types import ActionKind, EdgeKey, NLQuestion, SearchConfig, SearchNode
@@ -26,7 +27,6 @@ from .llm_client import ChatModel, Embedder
 from .reward_select import compute_reward
 from .sql_exec import ExecutionResult, memoize_executor
 from .value_index import ValueIndex, as_retrieved_map, retrieve_values
-from .action_model.runner import extract_keywords
 
 log = logging.getLogger(__name__)
 
@@ -40,48 +40,33 @@ class SearchDeps:
     executor: Callable[[str], ExecutionResult]
     embedder: Embedder | None = None
     value_index: ValueIndex | None = None
-    library: PromptLibrary | None = None
     # override hook for tests and alternative rewards; defaults to compute_reward
     reward_fn: Callable[["RolloutContext", SearchNode], float] | None = None
 
 
 @dataclass
 class RolloutContext:
-    """Per-question search context: wiring plus two per-question memos.
+    """Per-question search context: the inputs of every action's prompt.
 
-    `execute` runs each distinct SQL string once; it is `deps.executor`
-    itself when that is already a `memoize_executor` memo, as in
-    `run_one_item`, so the two share one cache. `schema_cache` holds the
-    rendered schema text per slice (None for the full catalog, else the
-    selected (table, columns) items in order), so every prompt built from
-    the same slice renders it once; it is valid because the catalog and
-    `retrieved_map` stay fixed for the context's life. Both memos live and
-    die with this context, one question; they are never shared across
-    questions or `--workers` threads.
+    `prepare_context` builds it. `execute` runs each distinct SQL string
+    once; it is the search's executor itself when that is already a
+    `memoize_executor` memo, as in `run_one_item`, so the two share one
+    cache. `schema_cache` holds the rendered schema text per slice (None for
+    the full catalog, else the selected (table, columns) items in order), so
+    every prompt built from the same slice renders it once; it is valid
+    because the catalog and `retrieved_map` stay fixed for the context's
+    life. Both memos live and die with this context, one question; they are
+    never shared across questions or `--workers` threads.
     """
 
-    deps: SearchDeps
     q: NLQuestion
     cfg: SearchConfig
+    model: ChatModel
+    catalog: DatabaseCatalog
+    execute: Callable[[str], ExecutionResult]
     retrieved_map: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     keywords: list[str] = field(default_factory=list)
     schema_cache: dict[SchemaKey, str] = field(default_factory=dict)
-    execute: Callable[[str], ExecutionResult] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.execute = memoize_executor(self.deps.executor)
-
-    @property
-    def model(self) -> ChatModel:
-        return self.deps.model
-
-    @property
-    def catalog(self) -> DatabaseCatalog:
-        return self.deps.catalog
-
-    @property
-    def library(self) -> PromptLibrary | None:
-        return self.deps.library
 
 
 @dataclass(frozen=True)
@@ -144,25 +129,20 @@ def select_path(root: SearchNode, cfg: SearchConfig, rng: random.Random) -> Sear
         node = rng.choice(best)
 
 
-def expand_node(node: SearchNode, ctx: RolloutContext, cfg: SearchConfig,
-                rng: random.Random) -> list[SearchNode]:
+def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
     """Create children for every legal action; duplicate artifacts collapse.
 
-    A transport or protocol failure on one action drops that action for this
-    expansion.
-    A node no action can extend is marked dead (terminal with reward 0).
+    Actions run in canonical order; randomness enters only at selection. A
+    transport or protocol failure on one action drops that action for this
+    expansion. A node no action can extend is marked dead (terminal with
+    reward 0).
     """
-    del rng  # expansion order is canonical; randomness enters at selection
     if node.is_terminal:
         raise ContractViolation("cannot expand a terminal node")
     created: list[SearchNode] = []
     for action in valid_next_actions(node.state.history()):
         try:
-            pairs = run_action(
-                action, ctx.q, node.state, ctx.catalog, cfg, ctx.model,
-                executor=ctx.execute, retrieved_values=ctx.retrieved_map,
-                library=ctx.library, schema_cache=ctx.schema_cache,
-            )
+            pairs = run_action(action, node.state, ctx)
         except (TransportError, ProtocolError) as exc:
             log.warning("%s expansion failed: %s: %s", action.value,
                         type(exc).__name__, exc)
@@ -187,14 +167,14 @@ def expand_node(node: SearchNode, ctx: RolloutContext, cfg: SearchConfig,
     return created
 
 
-def simulate(node: SearchNode, ctx: RolloutContext, cfg: SearchConfig,
+def simulate(node: SearchNode, ctx: RolloutContext,
              rng: random.Random) -> SearchNode:
     """Descend random unexplored children until a terminal (or dead) node."""
     while True:
         if node.is_terminal or node.dead:
             return node
         if not node.expanded:
-            expand_node(node, ctx, cfg, rng)
+            expand_node(node, ctx)
             if node.dead:
                 return node
         unvisited = [c for c in node.children.values() if c.visit_count == 0]
@@ -229,7 +209,7 @@ def run_search(q: NLQuestion, deps: SearchDeps, cfg: SearchConfig) -> list[Traje
     seen_terminals: set[int] = set()
     for rollout in range(cfg.n_rollout):
         node = select_path(root, cfg, rng)
-        terminal = simulate(node, ctx, cfg, rng)
+        terminal = simulate(node, ctx, rng)
         if terminal.dead:
             backpropagate(terminal, 0.0)
             continue
@@ -255,10 +235,11 @@ def prepare_context(q: NLQuestion, deps: SearchDeps,
     A keyword call lost to a transport or protocol error leaves the search
     without keywords and retrieved values, with a warning.
     """
-    ctx = RolloutContext(deps=deps, q=q, cfg=cfg)
+    ctx = RolloutContext(q=q, cfg=cfg, model=deps.model, catalog=deps.catalog,
+                         execute=memoize_executor(deps.executor))
     if deps.value_index is not None:
         try:
-            ctx.keywords = extract_keywords(q, deps.model, library=deps.library)
+            ctx.keywords = extract_keywords(q, deps.model)
         except (TransportError, ProtocolError) as exc:
             log.warning("keyword extraction failed, retrieving no values: %s: %s",
                         type(exc).__name__, exc)

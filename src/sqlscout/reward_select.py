@@ -81,20 +81,15 @@ def _producer_prompt(ctx, terminal: SearchNode) -> str:
             producer = node
     if producer is None or producer.parent is None:
         raise ContractViolation("terminal path contains no SQL-producing action")
-    base_state = producer.parent.state
-    if producer.producing_action is ActionKind.SQL_GENERATE:
-        return build_action_prompt(
-            ActionKind.SQL_GENERATE, ctx.q, base_state, ctx.catalog,
-            retrieved_values=ctx.retrieved_map, library=ctx.library,
-            schema_cache=ctx.schema_cache,
-        )
-    feedback = producer.state.revision_context
-    if feedback is None:
-        raise ContractViolation("revision node lacks its execution feedback")
+    feedback = None
+    if producer.producing_action is ActionKind.SQL_REVISE:
+        feedback = producer.state.revision_context
+        if feedback is None:
+            raise ContractViolation("revision node lacks its execution feedback")
     return build_action_prompt(
-        ActionKind.SQL_REVISE, ctx.q, base_state, ctx.catalog,
+        producer.producing_action, ctx.q, producer.parent.state, ctx.catalog,
         retrieved_values=ctx.retrieved_map, execution_feedback=feedback,
-        library=ctx.library, schema_cache=ctx.schema_cache,
+        schema_cache=ctx.schema_cache,
     )
 
 
@@ -176,10 +171,3 @@ def select_final(
                key=lambda c: (-c.class_size, -c.reward, len(c.sql), c.sql))
     return SelectionOutcome(sql=best.sql, class_size=best.class_size,
                             low_confidence=False, candidates=candidates)
-
-
-def select_final_sql(
-    trajectories: Sequence[_TrajectoryLike],
-    executor: Callable[[str], ExecutionResult],
-) -> str:
-    return select_final(trajectories, executor).sql

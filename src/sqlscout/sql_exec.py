@@ -1,6 +1,6 @@
-"""Sandboxed SQL execution, result comparison, and the execution-accuracy metric.
+"""Sandboxed SQL execution and result comparison.
 
-Queries run on read-only SQLite connections under a wall-clock timeout, with
+Queries run on read-only SQLite connections under a wall-clock deadline, with
 an authorizer that admits nothing but reads. A failed or timed-out query is a
 value (Error/Timeout), not an exception: the search consumes failures as
 revision feedback and the reward treats them as non-matching.
@@ -9,8 +9,8 @@ revision feedback and the reward treats them as non-matching.
 from __future__ import annotations
 
 import sqlite3
-import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -24,6 +24,8 @@ RESULT_BYTE_CAP = 8 << 20
 # database bytes a query reads through a memory map instead of read() calls;
 # scans of a 17 MB database run about a fifth faster
 MMAP_BYTES = 1 << 28
+# SQLite virtual-machine steps between two checks of the deadline
+DEADLINE_CHECK_STEPS = 1000
 _NULL = ("\x00null",)  # canonical stand-in for NULL cells; unequal to any text
 # authorizer actions a read needs; ATTACH, VACUUM, PRAGMA and writes are denied
 _READ_ACTIONS = frozenset({
@@ -133,14 +135,15 @@ def execute_sql(
 ) -> ExecutionResult:
     """Run one statement read-only with a wall-clock timeout.
 
-    The timeout interrupts the query from a timer thread; the connection is
-    per-call, so an interrupted query cannot poison later executions. An
-    authorizer denies every action but reading, so a statement such as
-    ATTACH or VACUUM INTO returns an error and touches no file. A string or
-    blob longer than CELL_BYTE_CAP is an error (on Python 3.11+, which can set
-    SQLite's length limit), and a result is truncated at `row_cap` rows or
-    once its text and blob cells pass RESULT_BYTE_CAP (text counted in
-    characters).
+    SQLite's progress handler checks the deadline every DEADLINE_CHECK_STEPS
+    virtual-machine steps and aborts the query once it has passed, so no
+    thread is started; the connection is per-call, so an aborted query cannot
+    poison later executions. An authorizer denies every action but reading,
+    so a statement such as ATTACH or VACUUM INTO returns an error and touches
+    no file. A string or blob longer than CELL_BYTE_CAP is an error (on
+    Python 3.11+, which can set SQLite's length limit), and a result is
+    truncated at `row_cap` rows or once its text and blob cells pass
+    RESULT_BYTE_CAP (text counted in characters).
     """
     path = Path(db_path)
     if not path.exists():
@@ -148,18 +151,12 @@ def execute_sql(
     if not sql or not sql.strip():
         return error_result("empty SQL")
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
-                               check_same_thread=False)
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     except sqlite3.Error as exc:
         raise IngestionError(f"cannot open {path}: {exc}") from exc
-    timed_out = threading.Event()
-
-    def _interrupt():
-        timed_out.set()
-        conn.interrupt()
-
-    timer = threading.Timer(timeout_secs, _interrupt)
-    timer.start()
+    deadline = time.monotonic() + timeout_secs
+    conn.set_progress_handler(lambda: time.monotonic() > deadline,
+                              DEADLINE_CHECK_STEPS)
     try:
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("PRAGMA query_only = ON")
@@ -178,14 +175,13 @@ def execute_sql(
             raw.append(row)
         return rows_result(raw, truncated=truncated, multiset=multiset)
     except sqlite3.OperationalError as exc:
-        if timed_out.is_set() or "interrupted" in str(exc).lower():
+        if "interrupted" in str(exc).lower():
             return timeout_result()
         return error_result(str(exc))
     except (sqlite3.Error, sqlite3.Warning) as exc:
         # sqlite3.Warning covers multi-statement strings on older Pythons
         return error_result(str(exc))
     finally:
-        timer.cancel()
         conn.close()
 
 
@@ -231,48 +227,3 @@ def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
     if a.truncated or b.truncated:
         return a is b
     return a.rows == b.rows
-
-
-@dataclass
-class AccuracyReport:
-    accuracy: float
-    item_scores: list[int]
-    broken_gold: list[int] = field(default_factory=list)
-    by_difficulty: dict[str, float] = field(default_factory=dict)
-
-
-def execution_accuracy(
-    predicted: list[str],
-    gold: list[str],
-    db_paths: list[str | Path],
-    timeout_secs: float = 30.0,
-    difficulties: list[str] | None = None,
-    multiset: bool = False,
-) -> AccuracyReport:
-    """Fraction of items whose predicted and gold queries return equal results.
-
-    Items whose gold query itself fails score 0 and are listed in
-    broken_gold. With `difficulties`, a per-label breakdown is included.
-    """
-    if not (len(predicted) == len(gold) == len(db_paths)):
-        raise ContractViolation("predicted, gold, and db_paths must align")
-    if difficulties is not None and len(difficulties) != len(gold):
-        raise ContractViolation("difficulties must align with items")
-    scores: list[int] = []
-    broken: list[int] = []
-    for i, (p, g, db) in enumerate(zip(predicted, gold, db_paths)):
-        gold_result = execute_sql(g, db, timeout_secs, multiset=multiset)
-        if not gold_result.is_rows:
-            broken.append(i)
-            scores.append(0)
-            continue
-        pred_result = execute_sql(p, db, timeout_secs, multiset=multiset)
-        scores.append(int(results_equal(pred_result, gold_result)))
-    by_difficulty: dict[str, float] = {}
-    if difficulties is not None and scores:
-        for label in sorted(set(difficulties)):
-            picked = [s for s, d in zip(scores, difficulties) if d == label]
-            by_difficulty[label] = sum(picked) / len(picked)
-    accuracy = sum(scores) / len(scores) if scores else 0.0
-    return AccuracyReport(accuracy=accuracy, item_scores=scores,
-                          broken_gold=broken, by_difficulty=by_difficulty)

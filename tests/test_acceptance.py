@@ -18,15 +18,15 @@ from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
 from sqlscout.llm_client import ScriptedModel
 from sqlscout.mcts import (
-    RolloutContext,
     SearchDeps,
     audit_tree,
     expand_node,
+    prepare_context,
     run_search,
     select_path,
     uct_value,
 )
-from sqlscout.reward_select import compute_reward, select_final_sql
+from sqlscout.reward_select import compute_reward, select_final
 from sqlscout.sql_exec import execute_sql, results_equal, rows_result
 from sqlscout.value_index.minhash import (
     MinHashParams,
@@ -185,7 +185,7 @@ def test_criterion_03_search_converges_across_seeds(accept_db, accept_catalog):
                 visits[action] = visits.get(action, 0) + child.visit_count
             rephrase_visits = visits.pop(A.REPHRASE, 0)
             strictly_max = all(rephrase_visits > v for v in visits.values())
-            chosen = select_final_sql(trajectories, deps.executor)
+            chosen = select_final(trajectories, deps.executor).sql
             if strictly_max and chosen == GOLD_SQL:
                 successes += 1
         elapsed = time.monotonic() - started
@@ -221,19 +221,19 @@ def test_criterion_04_reward_is_exact_match_fraction(accept_db, accept_catalog):
             ]
             model = ScriptedModel()
             model.add(A5_MARK, responses)
-            ctx = RolloutContext(
-                deps=SearchDeps(model=model, catalog=accept_catalog,
-                                executor=executor),
-                q=question,
-                cfg=SearchConfig(n_reward=5, sql_timeout_secs=5.0),
+            ctx = prepare_context(
+                question,
+                SearchDeps(model=model, catalog=accept_catalog,
+                           executor=executor),
+                SearchConfig(n_reward=5, sql_timeout_secs=5.0),
             )
             assert compute_reward(ctx, terminal_with_sql(GOLD_SQL)) == m / 5
 
-        ctx = RolloutContext(
-            deps=SearchDeps(model=ScriptedModel(), catalog=accept_catalog,
-                            executor=executor),
-            q=question,
-            cfg=SearchConfig(n_reward=5, sql_timeout_secs=5.0),
+        ctx = prepare_context(
+            question,
+            SearchDeps(model=ScriptedModel(), catalog=accept_catalog,
+                       executor=executor),
+            SearchConfig(n_reward=5, sql_timeout_secs=5.0),
         )
         assert compute_reward(ctx, terminal_with_sql(BROKEN_SQL)) == 0.0
 
@@ -243,15 +243,15 @@ def test_criterion_04_reward_is_exact_match_fraction(accept_db, accept_catalog):
 def test_criterion_05_identical_samples_collapse(accept_db, accept_catalog):
     with criterion(5, "three identical expansion samples yield one child"):
         model = scripted_pipeline_model()
-        ctx = RolloutContext(
-            deps=SearchDeps(model=model, catalog=accept_catalog,
-                            executor=lambda sql: execute_sql(
-                                sql, accept_db, timeout_secs=5.0)),
-            q=NLQuestion(question=QUESTION, hint=HINT, db_id="restaurants"),
-            cfg=SearchConfig(n_expansion=3, sql_timeout_secs=5.0),
+        ctx = prepare_context(
+            NLQuestion(question=QUESTION, hint=HINT, db_id="restaurants"),
+            SearchDeps(model=model, catalog=accept_catalog,
+                       executor=lambda sql: execute_sql(
+                           sql, accept_db, timeout_secs=5.0)),
+            SearchConfig(n_expansion=3, sql_timeout_secs=5.0),
         )
         root = SearchNode.root()
-        expand_node(root, ctx, ctx.cfg, random.Random(0))
+        expand_node(root, ctx)
         generate_prompts = [c for c in model.calls if A5_MARK in c[0]]
         assert len(generate_prompts) == 3  # three samples were drawn
         a5_children = [c for (a, _), c in root.children.items()

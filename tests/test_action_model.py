@@ -1,5 +1,6 @@
 """Prompt assets, prompt assembly, response parsing, and action execution."""
 
+import dataclasses
 import hashlib
 import re
 from importlib import resources
@@ -34,6 +35,7 @@ from sqlscout.action_model.runner import extract_keywords, run_action
 from sqlscout.core.types import ActionKind, NLQuestion, NodeState, SearchConfig
 from sqlscout.errors import ContractViolation, ParseError
 from sqlscout.llm_client import ScriptedModel
+from sqlscout.mcts import SearchDeps, prepare_context
 from sqlscout.sql_exec import error_result, rows_result
 
 from conftest import GOLD_SQL, sql_json
@@ -275,12 +277,12 @@ def test_parse_sql_payload_variants():
 
 
 def test_parse_revision_round_uses_same_payload_shape():
-    from sqlscout.action_model.parser import parse_revised_sql_payload
-
     raw = '{"chain_of_thought_reasoning": "fix", "sql_query": "SELECT 3",}'
-    sql, rationale = parse_revised_sql_payload(raw)
+    sql, rationale = parse_sql_payload(raw)
     assert sql == "SELECT 3"
     assert rationale == "fix"
+    revised = parse_action_response(A6, raw)
+    assert (revised.sql, revised.rationale) == (sql, rationale)
 
 
 def test_parse_notes_trim_and_require_content():
@@ -363,22 +365,30 @@ def test_apply_artifact_transitions():
 
 # ---- action execution ----
 
+def action_ctx(q, catalog, cfg, model, executor=None):
+    deps = SearchDeps(model=model, catalog=catalog, executor=executor)
+    return prepare_context(q, deps, cfg)
+
+
 def test_run_action_samples_and_drops_bad_parses(restaurant_catalog,
                                                  restaurant_question):
     model = ScriptedModel()
     model.add("punishble", [sql_json("SELECT 1"), "garbage", sql_json("SELECT 1")])
     cfg = SearchConfig(n_expansion=3)
-    out = run_action(A5, restaurant_question, NodeState(), restaurant_catalog,
-                     cfg, model)
+    ctx = action_ctx(restaurant_question, restaurant_catalog, cfg, model)
+    out = run_action(A5, NodeState(), ctx)
     assert len(out) == 2
     assert all(isinstance(a, GeneratedSql) for a, _ in out)
+    # samples 0, 1, 2 of one prompt at the expansion temperature
+    assert len({c[0] for c in model.calls}) == 1
+    assert [c[1:] for c in model.calls] == [(0.8, i, "A5") for i in range(3)]
 
 
 def test_run_action_terminate_calls_no_model(restaurant_catalog,
                                              restaurant_question):
     model = ScriptedModel()  # would raise on any call
-    out = run_action(A7, restaurant_question, NodeState(), restaurant_catalog,
-                     SearchConfig(), model)
+    ctx = action_ctx(restaurant_question, restaurant_catalog, SearchConfig(), model)
+    out = run_action(A7, NodeState(), ctx)
     assert len(out) == 1
     assert isinstance(out[0][0], Terminated)
     assert model.calls == []
@@ -388,9 +398,10 @@ def test_revision_requires_executor(restaurant_catalog, restaurant_question):
     state = NodeState()
     state.sql = "SELECT 1"
     state.reasoning_log.append((A5, ""))
+    ctx = action_ctx(restaurant_question, restaurant_catalog, SearchConfig(),
+                     ScriptedModel())
     with pytest.raises(ContractViolation):
-        run_action(A6, restaurant_question, state, restaurant_catalog,
-                   SearchConfig(), ScriptedModel())
+        run_action(A6, state, dataclasses.replace(ctx, execute=None))
 
 
 def a5_state(sql: str) -> NodeState:
@@ -400,14 +411,18 @@ def a5_state(sql: str) -> NodeState:
     return state
 
 
+def revise(q, catalog, executor, model, sql: str, **cfg_kw):
+    cfg = SearchConfig(sql_timeout_secs=5.0, **cfg_kw)
+    return run_action(A6, a5_state(sql),
+                      action_ctx(q, catalog, cfg, model, executor))
+
+
 def test_revision_clean_entry_uses_zero_rounds(restaurant_catalog,
                                                restaurant_question,
                                                restaurant_executor):
     model = ScriptedModel()  # no rules: any call would fail the test
-    cfg = SearchConfig(n_expansion=2, n_revision=3, sql_timeout_secs=5.0)
-    out = run_action(A6, restaurant_question, a5_state(GOLD_SQL),
-                     restaurant_catalog, cfg, model,
-                     executor=restaurant_executor)
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 model, GOLD_SQL, n_expansion=2, n_revision=3)
     assert len(out) == 2  # one artifact per chain
     for artifact, _ in out:
         assert artifact.rounds_used == 0
@@ -419,10 +434,8 @@ def test_revision_repairs_in_one_round(restaurant_catalog, restaurant_question,
                                        restaurant_executor):
     model = ScriptedModel()
     model.add("correcting a SQL query", sql_json(GOLD_SQL))
-    cfg = SearchConfig(n_expansion=1, n_revision=3, sql_timeout_secs=5.0)
-    out = run_action(A6, restaurant_question, a5_state("SELEC broken"),
-                     restaurant_catalog, cfg, model,
-                     executor=restaurant_executor)
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 model, "SELEC broken", n_expansion=1, n_revision=3)
     assert len(out) == 1
     artifact = out[0][0]
     assert artifact.sql == GOLD_SQL
@@ -439,10 +452,8 @@ def test_revision_multi_round_feedback_chains(restaurant_catalog,
     model.add(lambda p: "correcting a SQL query" in p and "no_such_col" in p,
               sql_json(GOLD_SQL))
     model.add("correcting a SQL query", sql_json(half_fixed))
-    cfg = SearchConfig(n_expansion=1, n_revision=5, sql_timeout_secs=5.0)
-    out = run_action(A6, restaurant_question, a5_state("SELEC broken"),
-                     restaurant_catalog, cfg, model,
-                     executor=restaurant_executor)
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 model, "SELEC broken", n_expansion=1, n_revision=5)
     assert len(out) == 1
     artifact = out[0][0]
     assert artifact.sql == GOLD_SQL
@@ -455,10 +466,8 @@ def test_revision_round_budget_is_hard(restaurant_catalog, restaurant_question,
                                        restaurant_executor):
     model = ScriptedModel()
     model.add("correcting a SQL query", sql_json("STILL broken"))
-    cfg = SearchConfig(n_expansion=1, n_revision=4, sql_timeout_secs=5.0)
-    out = run_action(A6, restaurant_question, a5_state("SELEC broken"),
-                     restaurant_catalog, cfg, model,
-                     executor=restaurant_executor)
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 model, "SELEC broken", n_expansion=1, n_revision=4)
     assert len(model.calls) == 4  # exactly n_revision, never more
     assert len(out) == 1
     assert out[0][0].rounds_used == 4
@@ -469,10 +478,8 @@ def test_revision_all_unparseable_yields_nothing(restaurant_catalog,
                                                  restaurant_executor):
     model = ScriptedModel()
     model.add("correcting a SQL query", "not json at all")
-    cfg = SearchConfig(n_expansion=2, n_revision=2, sql_timeout_secs=5.0)
-    out = run_action(A6, restaurant_question, a5_state("SELEC broken"),
-                     restaurant_catalog, cfg, model,
-                     executor=restaurant_executor)
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 model, "SELEC broken", n_expansion=2, n_revision=2)
     assert out == []
 
 

@@ -47,6 +47,7 @@ from conftest import (
     GOLD_SQL,
     QUESTION,
     make_bird_dataset,
+    make_restaurant_db,
     scripted_benchmark_model,
 )
 
@@ -362,6 +363,19 @@ def test_run_one_item_broken_gold(bird_dataset):
                           mode="baseline")
     assert record["broken_gold"] is True
     assert record["ex"] == 0
+    # a broken gold item scores 0 in the overall and per-difficulty split
+    items = [broken] + load_dataset(dataset)[1:]
+    records = {i.question_id: run_one_item(i, bench_env(db_root), bench_cfg(),
+                                           mode="baseline") for i in items[1:]}
+    records[broken.question_id] = record
+    summary = summarize(items, records, bench_cfg(), mode="baseline")
+    assert summary["broken_gold"] == 1
+    assert summary["ex_overall"] == 0.75
+    assert summary["ex_by_difficulty"] == {
+        "challenging": {"n": 1, "correct": 1, "ex": 1.0},
+        "moderate": {"n": 1, "correct": 1, "ex": 1.0},
+        "simple": {"n": 2, "correct": 1, "ex": 0.5},
+    }
 
 
 def test_run_one_item_transport_down_falls_back(bird_dataset):
@@ -429,7 +443,11 @@ def test_run_benchmark_end_to_end(bird_dataset, tmp_path):
                             mode="mcts")
     assert summary["ex_overall"] == 1.0
     assert summary["completed"] == 4
-    assert summary["ex_by_difficulty"]["simple"] == {"n": 2, "correct": 2, "ex": 1.0}
+    assert summary["ex_by_difficulty"] == {
+        "challenging": {"n": 1, "correct": 1, "ex": 1.0},
+        "moderate": {"n": 1, "correct": 1, "ex": 1.0},
+        "simple": {"n": 2, "correct": 2, "ex": 1.0},
+    }
     assert summary["config"]["n_rollout"] == 6
     assert (out / REPORT_NAME).exists()
     assert (out / SUMMARY_NAME).exists()
@@ -505,6 +523,42 @@ def test_run_benchmark_workers_match_serial(bird_dataset, tmp_path):
         (threaded / SUMMARY_NAME).read_bytes()
 
 
+def test_run_benchmark_interrupt_under_workers_drops_the_queue(bird_dataset,
+                                                               tmp_path):
+    _, db_root = bird_dataset
+    items = [BenchmarkItem(question_id=str(i), gold_sql="SELECT 1",
+                           question=NLQuestion(question=f"q {i}?",
+                                               db_id="restaurants"))
+             for i in range(40)]
+
+    class InterruptedModel:
+        """Ctrl-C on the third call; later calls are slow, so a worker
+        that takes a queued item is still busy when the run ends."""
+
+        def __init__(self):
+            self.calls = 0
+            self.lock = threading.Lock()
+
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            with self.lock:
+                self.calls += 1
+                calls = self.calls
+            if calls == 3:
+                raise KeyboardInterrupt
+            if calls > 3:
+                time.sleep(0.1)
+            return "<sql>SELECT 1</sql>"
+
+    model = InterruptedModel()
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark(items, bench_env(db_root, model), bench_cfg(), out,
+                      mode="baseline", workers=2)
+    # the items in flight finish; the queued ones never start
+    assert model.calls <= 3 + 2 * 2
+    assert len(load_report_records(out / REPORT_NAME)) < model.calls
+
+
 def test_run_benchmark_traces(bird_dataset, tmp_path):
     dataset, db_root = bird_dataset
     items = load_dataset(dataset)[:1]
@@ -558,6 +612,20 @@ def test_cli_index_build(bird_dataset, tmp_path, cli_env):
     assert result.exit_code == 0, result.output
     assert (out_dir / "restaurants.jsonl").exists()
     assert "restaurants:" in result.output
+
+
+def test_cli_index_build_finds_both_layouts(tmp_path, cli_env):
+    db_root = tmp_path / "databases"
+    (db_root / "nested").mkdir(parents=True)
+    make_restaurant_db(db_root / "nested" / "nested.sqlite")
+    make_restaurant_db(db_root / "flat.sqlite")
+    out_dir = tmp_path / "indexes"
+    result = cli_env.invoke(cli_main, [
+        "index", "build", "--db-root", str(db_root), "--out-dir", str(out_dir),
+    ])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in out_dir.iterdir()) == ["flat.jsonl",
+                                                        "nested.jsonl"]
 
 
 def test_cli_run_and_report(bird_dataset, tmp_path, cli_env):

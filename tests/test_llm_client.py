@@ -15,14 +15,12 @@ from sqlscout.errors import (
 from sqlscout.llm_client import (
     CachedEmbedder,
     CachedModel,
-    CompletionRequest,
     CountingModel,
     EndpointConfig,
     HashEmbedder,
     OpenAIChatClient,
     ResponseCache,
     ScriptedModel,
-    complete,
 )
 
 
@@ -51,22 +49,6 @@ def no_sleep(monkeypatch):
 
 def make_client() -> OpenAIChatClient:
     return OpenAIChatClient(EndpointConfig(chat_model="m", base_url="http://x/v1"))
-
-
-def test_complete_loops_sample_indices():
-    model = ScriptedModel()
-    model.add("hello", ["a", "b", "c"])
-    out = complete(model, CompletionRequest(prompt="hello", temperature=0.8,
-                                            n_samples=3))
-    assert out == ["a", "b", "c"]
-    assert [c[2] for c in model.calls] == [0, 1, 2]
-
-
-def test_request_validation():
-    with pytest.raises(ContractViolation):
-        CompletionRequest(prompt="p", temperature=0.5, n_samples=0)
-    with pytest.raises(ContractViolation):
-        CompletionRequest(prompt="p", temperature=-0.1)
 
 
 def test_client_requires_model_name():

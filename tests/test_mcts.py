@@ -42,6 +42,14 @@ def make_deps(model, catalog, executor, **kw) -> SearchDeps:
     return SearchDeps(model=model, catalog=catalog, executor=executor, **kw)
 
 
+def test_search_config_rejects_bad_sample_counts_and_temperatures():
+    # run_action and compute_reward draw samples 0..n-1 and check no bounds
+    for bad in ({"n_expansion": 0}, {"n_reward": 0},
+                {"t_expansion": -0.1}, {"t_reward": -0.1}):
+        with pytest.raises(ContractViolation):
+            SearchConfig(**bad)
+
+
 # ---- the selection formula ----
 
 def test_uct_value_known_point():
@@ -168,9 +176,9 @@ def test_backpropagate_updates_path_only():
 def pipeline_ctx(catalog, executor, model=None, **cfg_kw) -> RolloutContext:
     cfg = SearchConfig(sql_timeout_secs=5.0, **cfg_kw)
     deps = make_deps(model or scripted_pipeline_model(), catalog, executor)
-    return RolloutContext(deps=deps, q=NLQuestion(
+    return prepare_context(NLQuestion(
         question="How many Thai restaurants can be found in San Pablo Ave, Albany?",
-        hint="", db_id="restaurants"), cfg=cfg)
+        hint="", db_id="restaurants"), deps, cfg)
 
 
 def test_expand_collapses_identical_samples(restaurant_catalog, restaurant_executor):
@@ -178,7 +186,7 @@ def test_expand_collapses_identical_samples(restaurant_catalog, restaurant_execu
     # three expansion samples parse to the same artifact: one child per action
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, n_expansion=3)
     root = SearchNode.root()
-    created = expand_node(root, ctx, ctx.cfg, random.Random(0))
+    created = expand_node(root, ctx)
     actions = sorted(a.value for a, _ in root.children)
     assert actions == ["A1", "A2", "A3", "A4", "A5"]
     assert len(created) == 5
@@ -192,7 +200,7 @@ def test_expand_distinct_samples_make_distinct_children(
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, model=model,
                        n_expansion=3)
     root = SearchNode.root()
-    expand_node(root, ctx, ctx.cfg, random.Random(0))
+    expand_node(root, ctx)
     a5_children = [c for (a, _), c in root.children.items() if a is A.SQL_GENERATE]
     assert len(a5_children) == 2  # two distinct SQL texts among three samples
 
@@ -202,7 +210,7 @@ def test_expand_terminal_node_rejected(restaurant_catalog, restaurant_executor):
     root = SearchNode.root()
     term = child_of(child_of(root, A.SQL_GENERATE, "s"), A.TERMINATE, "")
     with pytest.raises(ContractViolation):
-        expand_node(term, ctx, ctx.cfg, random.Random(0))
+        expand_node(term, ctx)
 
 
 class DownModel:
@@ -216,7 +224,7 @@ def test_expand_marks_dead_when_no_action_survives(
         restaurant_catalog, restaurant_executor):
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, model=DownModel())
     root = SearchNode.root()
-    created = expand_node(root, ctx, ctx.cfg, random.Random(0))
+    created = expand_node(root, ctx)
     assert created == []
     assert root.dead
 
@@ -234,7 +242,7 @@ def test_run_search_survives_total_transport_failure(
 def test_simulate_reaches_terminal(restaurant_catalog, restaurant_executor):
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor)
     root = SearchNode.root()
-    terminal = simulate(root, ctx, ctx.cfg, random.Random(1))
+    terminal = simulate(root, ctx, random.Random(1))
     assert terminal.is_terminal
     assert terminal.state.sql
     history = terminal.state.history()

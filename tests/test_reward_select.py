@@ -10,8 +10,8 @@ from sqlscout.action_model import build_action_prompt
 from sqlscout.core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
 from sqlscout.errors import ContractViolation, TransportError
 from sqlscout.llm_client import ScriptedModel
-from sqlscout.mcts import RolloutContext, SearchDeps
-from sqlscout.reward_select import compute_reward, select_final, select_final_sql
+from sqlscout.mcts import RolloutContext, SearchDeps, prepare_context
+from sqlscout.reward_select import compute_reward, select_final
 from sqlscout.sql_exec import execute_sql
 
 from conftest import (
@@ -61,7 +61,7 @@ def make_ctx(model, catalog, executor, **cfg_kw) -> RolloutContext:
     cfg = SearchConfig(n_reward=5, t_reward=1.0, sql_timeout_secs=5.0, **cfg_kw)
     deps = SearchDeps(model=model, catalog=catalog, executor=executor)
     q = NLQuestion(question=QUESTION, hint=HINT, db_id="restaurants")
-    return RolloutContext(deps=deps, q=q, cfg=cfg)
+    return prepare_context(q, deps, cfg)
 
 
 # ---- compute_reward ----
@@ -262,10 +262,6 @@ def test_select_executes_each_sql_once(restaurant_db):
 
     select_final([Cand(GOLD_SQL, 0.5)] * 4 + [Cand("SELECT 1", 0.5)], executor)
     assert sorted(seen) == sorted({GOLD_SQL, "SELECT 1"})
-
-
-def test_select_final_sql_shorthand(restaurant_executor):
-    assert select_final_sql([Cand(GOLD_SQL, 1.0)], restaurant_executor) == GOLD_SQL
 
 
 def test_empty_result_sets_form_a_class(restaurant_executor):

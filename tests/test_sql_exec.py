@@ -1,8 +1,9 @@
-"""Sandboxed execution, canonical comparison, execution accuracy."""
+"""Sandboxed execution and canonical comparison."""
 
 import hashlib
 import random
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -15,7 +16,6 @@ from sqlscout.sql_exec import (
     canonical_cell,
     error_result,
     execute_sql,
-    execution_accuracy,
     memoize_executor,
     results_equal,
     rows_result,
@@ -267,6 +267,20 @@ def test_execute_timeout_within_budget(restaurant_db):
     assert elapsed < 1.5
 
 
+def test_execute_starts_no_thread(restaurant_db, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    assert execute_sql(SLOW_SQL, restaurant_db, timeout_secs=0.2).kind == "timeout"
+    assert execute_sql(GOLD_SQL, restaurant_db).rows == frozenset({(4,)})
+    assert started == []
+
+
 def test_timeout_does_not_poison_later_queries(restaurant_db):
     execute_sql(SLOW_SQL, restaurant_db, timeout_secs=0.2)
     res = execute_sql("SELECT COUNT(*) FROM location", restaurant_db)
@@ -282,51 +296,6 @@ def test_brief_rendering(restaurant_db):
     long = rows_result([(i, "x" * 40) for i in range(30)])
     assert len(long.brief(limit=200)) <= 220
     assert "truncated" in long.brief()
-
-
-# ---- execution_accuracy ----
-
-def test_execution_accuracy_scores(restaurant_db):
-    report = execution_accuracy(
-        predicted=[GOLD_SQL_ALT, "SELECT 99", "SELEC x"],
-        gold=[GOLD_SQL, GOLD_SQL, GOLD_SQL],
-        db_paths=[restaurant_db] * 3,
-        timeout_secs=5.0,
-    )
-    assert report.item_scores == [1, 0, 0]
-    assert report.accuracy == pytest.approx(1 / 3)
-    assert report.broken_gold == []
-
-
-def test_execution_accuracy_broken_gold(restaurant_db):
-    report = execution_accuracy(
-        predicted=[GOLD_SQL, GOLD_SQL],
-        gold=["SELECT * FROM missing_table", GOLD_SQL],
-        db_paths=[restaurant_db] * 2,
-        timeout_secs=5.0,
-    )
-    assert report.item_scores == [0, 1]
-    assert report.broken_gold == [0]
-    assert report.accuracy == 0.5
-
-
-def test_execution_accuracy_by_difficulty(restaurant_db):
-    report = execution_accuracy(
-        predicted=[GOLD_SQL, "SELECT 0", GOLD_SQL_ALT],
-        gold=[GOLD_SQL] * 3,
-        db_paths=[restaurant_db] * 3,
-        timeout_secs=5.0,
-        difficulties=["simple", "simple", "challenging"],
-    )
-    assert report.by_difficulty == {"simple": 0.5, "challenging": 1.0}
-
-
-def test_execution_accuracy_validates_alignment(restaurant_db):
-    with pytest.raises(ContractViolation):
-        execution_accuracy([GOLD_SQL], [], [restaurant_db])
-    with pytest.raises(ContractViolation):
-        execution_accuracy([GOLD_SQL], [GOLD_SQL], [restaurant_db],
-                           difficulties=["a", "b"])
 
 
 def test_distinct_row_order_ignored(tmp_path):
