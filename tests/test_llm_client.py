@@ -179,6 +179,18 @@ def test_scripted_model_rules_in_order():
     assert model.sample("x alone", 0.0, 8, 0) == "just x"
 
 
+def test_complete_loops_sample_indices():
+    # n samples of one prompt are indices 0..n-1 of the sample primitive;
+    # each index draws its own response and the wrapper passes every one on
+    inner = ScriptedModel()
+    inner.add("hello", ["a", "b", "c"])
+    model = CountingModel(inner)
+    out = [model.sample("hello", 0.8, 64, i, tag="A5") for i in range(3)]
+    assert out == ["a", "b", "c"]
+    assert model.count == 3
+    assert inner.calls == [("hello", 0.8, i, "A5") for i in range(3)]
+
+
 def test_scripted_model_unmatched_raises():
     model = ScriptedModel()
     model.add("expected", "text")
