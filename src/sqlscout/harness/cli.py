@@ -85,7 +85,7 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
         built = build_value_index(catalog, params=params)
         target = out / f"{db_id}.jsonl"
         save_index(built, target)
-        click.echo(f"{db_id}: {len(built.records)} values -> {target}")
+        click.echo(f"{db_id}: {len(built.values)} values -> {target}")
 
 
 @main.command()

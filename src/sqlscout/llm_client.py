@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -65,7 +66,38 @@ class EndpointConfig:
         )
 
 
-def _post_with_retries(url: str, payload: dict, api_key: str) -> dict:
+class _ThreadSessions:
+    """One `requests.Session` per calling thread.
+
+    A session keeps its connection to the endpoint open between calls, so a
+    thread's calls after its first skip connection set-up. Sessions are not
+    shared, because `requests` does not promise that one is thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: list[requests.Session] = []
+
+    def get(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            with self._lock:
+                self._open.append(session)
+        return session
+
+    def close(self) -> None:
+        """Close every thread's session; a later call opens a new one."""
+        with self._lock:
+            sessions, self._open = self._open, []
+        for session in sessions:
+            session.close()
+        self._local = threading.local()
+
+
+def _post_with_retries(session: requests.Session, url: str, payload: dict,
+                       api_key: str) -> dict:
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
@@ -74,8 +106,8 @@ def _post_with_retries(url: str, payload: dict, api_key: str) -> dict:
         if attempt:
             time.sleep(BACKOFF_SECS[attempt - 1])
         try:
-            resp = requests.post(url, json=payload, headers=headers,
-                                 timeout=HTTP_TIMEOUT_SECS)
+            resp = session.post(url, json=payload, headers=headers,
+                                timeout=HTTP_TIMEOUT_SECS)
         except requests.RequestException as exc:
             last_err = exc
             continue
@@ -94,12 +126,16 @@ def _post_with_retries(url: str, payload: dict, api_key: str) -> dict:
 
 
 class OpenAIChatClient:
-    """Chat-completions client. One request per sample; retries with backoff."""
+    """Chat-completions client. One request per sample; retries with backoff.
+
+    Each thread that calls it reuses one connection (see _ThreadSessions).
+    """
 
     def __init__(self, config: EndpointConfig):
         if not config.chat_model:
             raise ContractViolation("chat_model must be configured")
         self.config = config
+        self._sessions = _ThreadSessions()
 
     def sample(self, prompt: str, temperature: float, max_tokens: int,
                sample_index: int, tag: str = "") -> str:
@@ -112,7 +148,8 @@ class OpenAIChatClient:
             "n": 1,
         }
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        data = _post_with_retries(url, payload, self.config.api_key)
+        data = _post_with_retries(self._sessions.get(), url, payload,
+                                  self.config.api_key)
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -120,6 +157,10 @@ class OpenAIChatClient:
         if not isinstance(text, str):
             raise ProtocolError("chat response content is not text")
         return text
+
+    def close(self) -> None:
+        """Close the connections this client holds open."""
+        self._sessions.close()
 
 
 class OpenAIEmbedder:
@@ -129,13 +170,15 @@ class OpenAIEmbedder:
         if not config.embed_model:
             raise ContractViolation("embed_model must be configured")
         self.config = config
+        self._sessions = _ThreadSessions()
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ContractViolation("embed requires at least one text")
         url = self.config.base_url.rstrip("/") + "/embeddings"
         payload = {"model": self.config.embed_model, "input": list(texts)}
-        data = _post_with_retries(url, payload, self.config.api_key)
+        data = _post_with_retries(self._sessions.get(), url, payload,
+                                  self.config.api_key)
         try:
             items = sorted(data["data"], key=lambda d: d["index"])
             vectors = np.asarray([d["embedding"] for d in items], dtype=np.float64)
@@ -144,6 +187,10 @@ class OpenAIEmbedder:
         if vectors.ndim != 2 or vectors.shape[0] != len(texts):
             raise ProtocolError("embeddings response shape mismatch")
         return _normalize_rows(vectors)
+
+    def close(self) -> None:
+        """Close the connections this client holds open."""
+        self._sessions.close()
 
 
 def _normalize_rows(vectors: np.ndarray) -> np.ndarray:

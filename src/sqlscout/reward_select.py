@@ -22,13 +22,6 @@ from .sql_exec import ExecutionResult, memoize_executor, results_equal
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RewardSample:
-    sql: str | None  # None: the sample failed to parse
-    result: ExecutionResult | None
-    matched: bool
-
-
 def compute_reward(ctx, terminal: SearchNode) -> float:
     """Fraction of re-sampled queries whose results match the final SQL's.
 

@@ -32,7 +32,7 @@ _READ_ACTIONS = frozenset({
     sqlite3.SQLITE_SELECT,
     sqlite3.SQLITE_READ,
     sqlite3.SQLITE_FUNCTION,
-    getattr(sqlite3, "SQLITE_RECURSIVE", 33),  # the module names it from 3.11
+    sqlite3.SQLITE_RECURSIVE,
 })
 
 
@@ -140,10 +140,9 @@ def execute_sql(
     thread is started; the connection is per-call, so an aborted query cannot
     poison later executions. An authorizer denies every action but reading,
     so a statement such as ATTACH or VACUUM INTO returns an error and touches
-    no file. A string or blob longer than CELL_BYTE_CAP is an error (on
-    Python 3.11+, which can set SQLite's length limit), and a result is
-    truncated at `row_cap` rows or once its text and blob cells pass
-    RESULT_BYTE_CAP (text counted in characters).
+    no file. A string or blob longer than CELL_BYTE_CAP is an error (SQLite's
+    length limit), and a result is truncated at `row_cap` rows or once its
+    text and blob cells pass RESULT_BYTE_CAP (text counted in characters).
     """
     path = Path(db_path)
     if not path.exists():
@@ -162,8 +161,7 @@ def execute_sql(
         conn.execute("PRAGMA query_only = ON")
         conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
         conn.set_authorizer(_authorize_read)
-        if hasattr(conn, "setlimit"):  # Python 3.11+
-            conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, CELL_BYTE_CAP)
+        conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, CELL_BYTE_CAP)
         raw: list[tuple] = []
         size = 0
         truncated = False

@@ -67,7 +67,7 @@ def retrieve_values(
     sigs = signatures([kw.lower() for kw in kws], index.salts,
                       index.params.shingle_size)
     for kw, sig in zip(kws, sigs):
-        candidates = [index.records[rid] for rid in index.candidate_ids(sig)]
+        candidates = [index.record(rid) for rid in index.candidate_ids(sig)]
         if not candidates:
             continue
         edits = [edit_similarity(kw, rec.value) for rec in candidates]

@@ -1,6 +1,8 @@
 """Endpoint client behavior: retries, caching, scripted and hash doubles."""
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from sqlscout.llm_client import (
     EndpointConfig,
     HashEmbedder,
     OpenAIChatClient,
+    OpenAIEmbedder,
     ResponseCache,
     ScriptedModel,
 )
@@ -63,7 +66,7 @@ def test_retry_then_success(monkeypatch, no_sleep):
         FakeResponse(payload=chat_payload("fine")),
     ])
     calls = []
-    monkeypatch.setattr(llm.requests, "post",
+    monkeypatch.setattr(llm.requests.Session, "request",
                         lambda *a, **k: (calls.append(a), next(responses))[1])
     assert make_client().sample("p", 0.0, 64, 0) == "fine"
     assert len(calls) == 3
@@ -71,7 +74,7 @@ def test_retry_then_success(monkeypatch, no_sleep):
 
 
 def test_retries_exhausted(monkeypatch, no_sleep):
-    monkeypatch.setattr(llm.requests, "post",
+    monkeypatch.setattr(llm.requests.Session, "request",
                         lambda *a, **k: FakeResponse(status_code=503))
     with pytest.raises(TransportError):
         make_client().sample("p", 0.0, 64, 0)
@@ -81,7 +84,7 @@ def test_retries_exhausted(monkeypatch, no_sleep):
 def test_client_error_is_not_retried(monkeypatch, no_sleep):
     calls = []
     monkeypatch.setattr(
-        llm.requests, "post",
+        llm.requests.Session, "request",
         lambda *a, **k: (calls.append(1), FakeResponse(status_code=400, text="bad"))[1],
     )
     with pytest.raises(TransportError):
@@ -98,22 +101,87 @@ def test_network_exception_retried(monkeypatch, no_sleep):
             raise llm.requests.ConnectionError("refused")
         return FakeResponse(payload=chat_payload("ok"))
 
-    monkeypatch.setattr(llm.requests, "post", post)
+    monkeypatch.setattr(llm.requests.Session, "request", post)
     assert make_client().sample("p", 0.0, 64, 0) == "ok"
 
 
 def test_malformed_body_raises_protocol_error(monkeypatch):
-    monkeypatch.setattr(llm.requests, "post",
+    monkeypatch.setattr(llm.requests.Session, "request",
                         lambda *a, **k: FakeResponse(payload={"choices": []}))
     with pytest.raises(ProtocolError):
         make_client().sample("p", 0.0, 64, 0)
 
 
 def test_non_json_body_raises_protocol_error(monkeypatch):
-    monkeypatch.setattr(llm.requests, "post",
+    monkeypatch.setattr(llm.requests.Session, "request",
                         lambda *a, **k: FakeResponse(payload=None, text="<html>"))
     with pytest.raises(ProtocolError):
         make_client().sample("p", 0.0, 64, 0)
+
+
+@pytest.fixture
+def local_endpoint(monkeypatch):
+    """An OpenAI-style stub on 127.0.0.1 that records each request's client port."""
+    for var in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY",
+                "http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    ports: list[tuple[str, int]] = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive, so a connection can be reused
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            ports.append((self.path, self.client_address[1]))
+            if self.path.endswith("/embeddings"):
+                reply = {"data": [{"index": i, "embedding": [1.0, 0.0]}
+                                  for i in range(len(body["input"]))]}
+            else:
+                reply = chat_payload("ok")
+            data = json.dumps(reply).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1", ports
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_clients_reuse_one_connection_per_thread(local_endpoint):
+    base_url, ports = local_endpoint
+    config = EndpointConfig(base_url=base_url, chat_model="m", embed_model="e")
+    chat, embedder = OpenAIChatClient(config), OpenAIEmbedder(config)
+    try:
+        for i in range(20):
+            assert chat.sample("p", 0.0, 8, i) == "ok"
+        assert embedder.embed(["a"]).shape == (1, 2)
+        assert embedder.embed(["b", "c"]).shape == (2, 2)
+        other = threading.Thread(target=lambda: chat.sample("p", 0.0, 8, 0))
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive()
+    finally:
+        chat.close()
+        embedder.close()
+    chat_ports = [port for path, port in ports if path.endswith("/chat/completions")]
+    embed_ports = {port for path, port in ports if path.endswith("/embeddings")}
+    assert len(chat_ports) == 21 and len(set(chat_ports[:20])) == 1
+    assert chat_ports[20] != chat_ports[0]  # another thread, its own connection
+    assert len(embed_ports) == 1
 
 
 # ---- cache ----

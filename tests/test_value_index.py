@@ -274,12 +274,18 @@ def test_load_rejects_foreign_files(tmp_path):
 def test_index_file_stores_signatures_as_base64(restaurant_index, tmp_path):
     path = tmp_path / "restaurants.jsonl"
     save_index(restaurant_index, path)
-    header, first = path.read_text(encoding="utf-8").splitlines()[:2]
-    assert json.loads(header)["version"] == 2
-    raw = base64.b64decode(json.loads(first)["s"], validate=True)
-    assert len(raw) == 1024
-    np.testing.assert_array_equal(np.frombuffer(raw, dtype="<u8"),
-                                  restaurant_index.signatures[0])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 5
+    header, columns, column_ids, values, sigs = lines
+    assert json.loads(header)["version"] == 3
+    assert json.loads(header)["n_records"] == len(restaurant_index.values)
+    assert [tuple(c) for c in json.loads(columns)] == restaurant_index.columns
+    assert json.loads(column_ids) == restaurant_index.column_ids.tolist()
+    assert json.loads(values) == restaurant_index.values
+    raw = base64.b64decode(sigs, validate=True)
+    assert len(raw) == 1024 * len(restaurant_index.values)
+    np.testing.assert_array_equal(
+        np.frombuffer(raw, dtype="<u8").reshape(-1, 128), restaurant_index.signatures)
 
 
 def test_load_rejects_version_1_with_rebuild_hint(tmp_path):
@@ -293,19 +299,50 @@ def test_load_rejects_version_1_with_rebuild_hint(tmp_path):
         load_index(path)
 
 
+def test_load_rejects_version_2_with_rebuild_hint(tmp_path):
+    path = tmp_path / "old.jsonl"
+    header = {"format": "sqlscout-value-index", "version": 2, "db_id": "x",
+              "num_permutations": 128, "bands": 16, "rows_per_band": 8,
+              "shingle_size": 3, "seed": 0, "n_records": 1}
+    sig = base64.b64encode(np.arange(128, dtype="<u8").tobytes()).decode()
+    record = {"c": "name", "s": sig, "t": "t", "v": "kept"}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(IngestionError, match="rerun `sqlscout index build`"):
+        load_index(path)
+
+
+def _edit(lines, i, edit):
+    """The file's lines with line i (0 header, 1 columns, 2 column ids,
+    3 values, 4 signatures) replaced by edit(its JSON, or its base64 text)."""
+    lines = list(lines)
+    lines[i] = edit(lines[i] if i == 4 else json.loads(lines[i]))
+    return lines
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda rec: json.dumps({**rec, "s": rec["s"][:-8]}),  # short signature
-    lambda rec: json.dumps({**rec, "s": "not base64!"}),
-    lambda rec: json.dumps({k: v for k, v in rec.items() if k != "t"}),
-    lambda rec: json.dumps({**rec, "v": ""}),
-    lambda rec: "{not json",
+    lambda lines: _edit(lines, 4, lambda s: s[:-12]),  # one signature short
+    lambda lines: _edit(lines, 4, lambda s: "not base64!" + s),
+    lambda lines: _edit(lines, 3, lambda vs: json.dumps(vs[:-1])),  # a value short
+    lambda lines: _edit(lines, 3, lambda vs: json.dumps([""] + vs[1:])),
+    lambda lines: [lines[0], "{not json", *lines[2:]],
+    lambda lines: _edit(lines, 2, lambda ids: json.dumps(ids[:-1])),  # an id short
+    lambda lines: _edit(lines, 2, lambda ids: json.dumps([99] + ids[1:])),
+    lambda lines: _edit(lines, 2, lambda ids: json.dumps([-1] + ids[1:])),
+    lambda lines: _edit(lines, 2, lambda ids: json.dumps([0.5] + ids[1:])),
+    lambda lines: _edit(lines, 2, lambda ids: json.dumps([[0]] + ids[1:])),
+    lambda lines: _edit(lines, 1, lambda cols: json.dumps(["ab"] + cols[1:])),
+    lambda lines: _edit(lines, 3, lambda vs: json.dumps([7] + vs[1:])),
+    lambda lines: _edit(lines, 4, lambda s: s[:-4] + "@@@@"),  # same length
+    lambda lines: _edit(lines, 0, lambda h: json.dumps({**h, "n_records": "21"})),
+    lambda lines: _edit(lines, 0, lambda h: json.dumps(
+        {k: v for k, v in h.items() if k != "bands"})),
+    lambda lines: [*lines, lines[-1]],  # trailing data
 ])
 def test_load_rejects_malformed_records(restaurant_index, tmp_path, corrupt):
     path = tmp_path / "bad.jsonl"
     save_index(restaurant_index, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[1] = corrupt(json.loads(lines[1]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(corrupt(lines)) + "\n", encoding="utf-8")
     with pytest.raises(IngestionError):
         load_index(path)
 
@@ -314,10 +351,13 @@ def test_load_rejects_truncation(restaurant_catalog, tmp_path):
     index = build_value_index(restaurant_catalog)
     path = tmp_path / "cut.jsonl"
     save_index(index, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-    with pytest.raises(IngestionError):
-        load_index(path)
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    # whole lines lost, or the signature line cut short
+    for cut in [*(b"".join(lines[:keep]) for keep in range(1, 5)), data[:-100]]:
+        path.write_bytes(cut)
+        with pytest.raises(IngestionError):
+            load_index(path)
 
 
 def test_lsh_buckets_recall_identical_values(restaurant_catalog):
@@ -328,12 +368,18 @@ def test_lsh_buckets_recall_identical_values(restaurant_catalog):
     assert "thai" in hits
 
 
-def test_empty_index_is_valid():
+def test_empty_index_is_valid(tmp_path):
     params = MinHashParams()
     index = ValueIndex(
-        db_id="empty", params=params, records=[],
+        db_id="empty", params=params, columns=[],
+        column_ids=np.empty(0, dtype=np.int32), values=[],
         signatures=np.empty((0, params.num_permutations), dtype=np.uint64))
     assert index.candidate_ids(signature("x", index.salts)) == []
+    assert index.records == [] and index.buckets == {}
+    save_index(index, tmp_path / "empty.jsonl")
+    loaded = load_index(tmp_path / "empty.jsonl")
+    assert loaded.values == [] and loaded.signatures.shape == (0, 128)
+    assert loaded.candidate_ids(signature("x", index.salts)) == []
 
 
 # ---- retrieval ----
@@ -486,6 +532,7 @@ def _golden_digests(index, embedder) -> dict[str, str]:
                       r.edit_sim, r.semantic_sim) for r in out])
     return {
         "signatures": _sha(index.signatures.astype("<u8").tobytes()),
+        # `buckets` is rebuilt from the sorted band-key arrays the lookup uses
         "buckets": _sha(repr(sorted(index.buckets.items())).encode()),
         "retrieval": _sha(repr(outs).encode()),
     }
