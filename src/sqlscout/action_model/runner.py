@@ -4,7 +4,9 @@ Plain actions draw N_expansion samples from one prompt. Revision is a loop
 per sample chain: execute the current SQL, and while it fails, feed the query
 and its failure back through the revision prompt, at most N_revision rounds.
 Termination is structural and calls no model. Actions read their inputs from
-the per-question search context `ctx` (`mcts.RolloutContext`, duck-typed).
+the per-question search context `ctx` (`mcts.RolloutContext`, duck-typed),
+and draw every sample through its memo `ctx.sample`, so a prompt that two
+paths of the search build alike is asked of the model once per question.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ def run_action(action: ActionKind, state: NodeState,
     )
     out: list[tuple[ActionArtifact, str]] = []
     for i in range(cfg.n_expansion):
-        raw = ctx.model.sample(prompt, cfg.t_expansion, cfg.max_tokens,
-                               sample_index=i, tag=action.value)
+        raw = ctx.sample(prompt, cfg.t_expansion, i, action.value)
         try:
             artifact = parse_action_response(action, raw, catalog=ctx.catalog)
         except ParseError as exc:
@@ -80,8 +81,7 @@ def _run_revision_chain(chain: int, state: NodeState,
             execution_feedback=(from_sql, from_result),
             schema_cache=ctx.schema_cache,
         )
-        raw = ctx.model.sample(prompt, cfg.t_expansion, cfg.max_tokens,
-                               sample_index=chain, tag=ActionKind.SQL_REVISE.value)
+        raw = ctx.sample(prompt, cfg.t_expansion, chain, ActionKind.SQL_REVISE.value)
         rounds += 1
         try:
             current, rationale = parse_sql_payload(raw)

@@ -141,13 +141,13 @@ def run_one_item(
     Never raises for model/SQL-level problems: any failure is folded into
     the record as EX=0 with the cause, so one bad item cannot sink a run.
 
-    Every SQL string but the gold query runs at most once per item: the
-    search, final selection and the chosen query share one memoized
+    Each SQL string runs at most once per item: the search, final
+    selection, the chosen query and the gold query share one memoized
     executor, which lives for this item only and is never shared across
-    items or `--workers` threads. The gold query runs once, outside the
-    memo, so its result is never the very object a chosen query of the same
-    text gets; `results_equal` counts a truncated result equal only to
-    itself.
+    items or `--workers` threads. One exception: a truncated gold result is
+    run again outside the memo. `results_equal` counts a truncated result
+    equal only to the very same object, so the chosen query must not score
+    against the memo's copy of itself.
     """
     started = time.time()
     record = {
@@ -212,7 +212,9 @@ def run_one_item(
             raise IngestionError(f"unknown run mode: {mode!r}")
 
         record["sql"] = chosen
-        gold_result = executor(item.gold_sql)
+        gold_result = memo(item.gold_sql)
+        if gold_result.truncated:
+            gold_result = executor(item.gold_sql)
         if gold_result.kind != "rows":
             record["broken_gold"] = True
         elif chosen:

@@ -55,8 +55,12 @@ class RolloutContext:
     the full catalog, else the selected (table, columns) items in order), so
     every prompt built from the same slice renders it once; it is valid
     because the catalog and `retrieved_map` stay fixed for the context's
-    life. Both memos live and die with this context, one question; they are
-    never shared across questions or `--workers` threads.
+    life. `samples` holds each action sample `sample` obtained, keyed by
+    (prompt, temperature, sample index): actions that commute (A3 then A4,
+    or A4 then A3) build the same state and so the same prompts, and each
+    is asked of the model once. The memos live and die with this context,
+    one question; they are never shared across questions or `--workers`
+    threads.
     """
 
     q: NLQuestion
@@ -67,6 +71,22 @@ class RolloutContext:
     retrieved_map: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     keywords: list[str] = field(default_factory=list)
     schema_cache: dict[SchemaKey, str] = field(default_factory=dict)
+    samples: dict[tuple[str, float, int], str] = field(default_factory=dict)
+
+    def sample(self, prompt: str, temperature: float, index: int, tag: str) -> str:
+        """The index-th completion for the prompt, asked of the model once.
+
+        This is what `ChatModel.sample` promises, and what `ResponseCache`
+        keys on. Only a text is kept: a transport or protocol error
+        propagates and the key is asked again when it next comes up.
+        """
+        key = (prompt, temperature, index)
+        text = self.samples.get(key)
+        if text is None:
+            text = self.model.sample(prompt, temperature, self.cfg.max_tokens,
+                                     sample_index=index, tag=tag)
+            self.samples[key] = text
+        return text
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     outright. Samples that fail to parse count as mismatches; samples lost to
     transport or protocol errors shrink the denominator, and zero obtainable
     samples scores 0 with a warning.
+
+    The samples go to `ctx.model` directly, not through the context's
+    sample memo: the benchmark's reward check (`e2ebench/checks.py`,
+    `check_rewards`) requires n_reward endpoint calls for every scored
+    terminal, also when a sibling terminal re-sampled the same prompt.
     """
     state = terminal.state
     if not state.sql:

@@ -94,6 +94,8 @@ def signatures(
     Case-sensitive; callers lowercase first. Each distinct shingle is hashed
     once. Texts are then taken in slices of _BLOCK, and a slice mixes only
     the shingles it uses, so memory follows the slice, not the whole batch.
+    A text with more than _BLOCK shingles is signed alone instead, _BLOCK
+    mixed shingles at a time: in a slice it would take one step per shingle.
     """
     ids: dict[str, int] = {}
     flat: list[int] = []
@@ -110,8 +112,9 @@ def signatures(
     # texts sorted by shingle count: in each slice, those with more than r
     # shingles form a tail, and the minimum folds in shingle r for that tail
     order = np.argsort(counts, kind="stable")
-    for lo in range(0, len(texts), _BLOCK):
-        rows = order[lo : lo + _BLOCK]
+    short = order[: np.searchsorted(counts[order], _BLOCK, side="right")]
+    for lo in range(0, len(short), _BLOCK):
+        rows = short[lo : lo + _BLOCK]
         n_shingles = counts[rows]
         offsets = np.cumsum(n_shingles) - n_shingles
         positions = (np.repeat(starts[rows] - offsets, n_shingles)
@@ -123,6 +126,10 @@ def signatures(
             tail = int(np.searchsorted(n_shingles, rank, side="right"))
             np.minimum(sig[tail:], mixed[local[offsets[tail:] + rank]], out=sig[tail:])
         out[rows] = sig
+    for i in order[len(short):]:
+        own = hashes[shingle_ids[starts[i] : starts[i] + counts[i]]]
+        out[i] = np.min([_mix(own[lo : lo + _BLOCK], salts).min(axis=0)
+                         for lo in range(0, len(own), _BLOCK)], axis=0)
     return out
 
 

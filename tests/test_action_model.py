@@ -468,9 +468,29 @@ def test_revision_round_budget_is_hard(restaurant_catalog, restaurant_question,
     model.add("correcting a SQL query", sql_json("STILL broken"))
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, "SELEC broken", n_expansion=1, n_revision=4)
-    assert len(model.calls) == 4  # exactly n_revision, never more
+    # rounds 2-4 repair "STILL broken" alike: one prompt, asked once
+    assert len(model.calls) == 2
     assert len(out) == 1
     assert out[0][0].rounds_used == 4
+
+
+def test_revision_round_budget_is_hard_for_new_answers(restaurant_catalog,
+                                                       restaurant_question,
+                                                       restaurant_executor):
+    calls: list[str] = []
+
+    class NewAnswerEachRound:
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            calls.append(prompt)
+            return sql_json(f"STILL broken {len(calls)}")
+
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 NewAnswerEachRound(), "SELEC broken", n_expansion=1, n_revision=4)
+    assert len(calls) == 4  # exactly n_revision, never more
+    assert len(set(calls)) == 4
+    assert len(out) == 1
+    assert out[0][0].rounds_used == 4
+    assert out[0][0].sql == "STILL broken 4"
 
 
 def test_revision_all_unparseable_yields_nothing(restaurant_catalog,

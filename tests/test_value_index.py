@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import sqlite3
+import string
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_signatures_match_reference_loop():
     for text, row in zip(texts, got):
         assert row.tolist() == oracle_signature(text, salts), text
         np.testing.assert_array_equal(signature(text, salts), row)
+
+
+def test_long_value_signature_matches_reference_loop():
+    # about 20k distinct shingles: signed apart from the slices, several
+    # _BLOCK-sized steps and a partial one; 32 salts keep the loop short
+    salts = permutation_salts(MinHashParams())[:32]
+    rng = random.Random(11)
+    long_text = "".join(rng.choice(string.printable[:95]) for _ in range(20_000))
+    assert len(oracle_shingles(long_text, 3)) > 4 * minhash._BLOCK
+    texts = ["albany", long_text, "san pablo ave", long_text[:5000]]
+    got = signatures(texts, salts)
+    assert got[1].tolist() == oracle_signature(long_text, salts)
+    for text, row in zip(texts, got):
+        np.testing.assert_array_equal(signature(text, salts), row)
+    assert got[0].tolist() == oracle_signature("albany", salts)
 
 
 def test_signatures_do_not_depend_on_block_size(monkeypatch):
