@@ -1,16 +1,4 @@
-from .artifacts import (
-    ActionArtifact,
-    FunctionNotes,
-    GeneratedSql,
-    RephrasedQuestion,
-    RevisedSql,
-    SchemaSubset,
-    Terminated,
-    ValueNotes,
-    apply_artifact,
-    fingerprint,
-    normalize_sql,
-)
+from .artifacts import advance, fingerprint, normalize_sql
 from .parser import (
     extract_json_object,
     parse_action_response,
@@ -29,17 +17,9 @@ from .runner import extract_keywords, run_action
 
 __all__ = [
     "ACTION_ASSETS",
-    "ActionArtifact",
     "BASELINE_ASSET",
-    "FunctionNotes",
-    "GeneratedSql",
     "KEYWORD_ASSET",
-    "RephrasedQuestion",
-    "RevisedSql",
-    "SchemaSubset",
-    "Terminated",
-    "ValueNotes",
-    "apply_artifact",
+    "advance",
     "build_action_prompt",
     "build_baseline_prompt",
     "build_keyword_prompt",

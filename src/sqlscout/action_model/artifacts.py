@@ -1,128 +1,61 @@
-"""Structured artifacts parsed from action responses, plus their fingerprints.
+"""How an action's answer extends a node state, and the answer's fingerprint.
 
-A fingerprint identifies the artifact's semantic payload (normalized SQL,
-sorted schema map, collapsed text) so that expansion samples which say the
-same thing collapse into one search-tree child. Rationale text never enters
-the fingerprint.
+Each action A1–A6 fills one `NodeState` field with its parsed answer
+(`ANSWER_FIELD`); termination fills none. A fingerprint identifies that
+answer (normalized SQL, sorted schema map, collapsed text) so that expansion
+samples which say the same thing collapse into one search-tree child.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from ..core.types import ActionKind, NodeState
-from ..errors import ContractViolation
 
-
-@dataclass(frozen=True)
-class RephrasedQuestion:
-    text: str
-
-
-@dataclass(frozen=True)
-class SchemaSubset:
-    tables: dict[str, list[str]] = field(default_factory=dict)
-    rationale: str = ""
-
-
-@dataclass(frozen=True)
-class ValueNotes:
-    text: str
-
-
-@dataclass(frozen=True)
-class FunctionNotes:
-    text: str
-
-
-@dataclass(frozen=True)
-class GeneratedSql:
-    sql: str
-    rationale: str = ""
-
-
-@dataclass(frozen=True)
-class RevisedSql:
-    sql: str
-    rationale: str = ""
-    rounds_used: int = 0
-    # prompt context this revision was produced from, for later re-issue
-    from_sql: str = ""
-    from_result: str = ""
-
-
-@dataclass(frozen=True)
-class Terminated:
-    pass
-
-
-ActionArtifact = (
-    RephrasedQuestion
-    | SchemaSubset
-    | ValueNotes
-    | FunctionNotes
-    | GeneratedSql
-    | RevisedSql
-    | Terminated
-)
+ANSWER_FIELD: dict[ActionKind, str] = {
+    ActionKind.REPHRASE: "rephrased_question",
+    ActionKind.SCHEMA_SELECT: "selected_schema",
+    ActionKind.VALUE_IDENT: "value_notes",
+    ActionKind.FUNCTION_IDENT: "function_notes",
+    ActionKind.SQL_GENERATE: "sql",
+    ActionKind.SQL_REVISE: "sql",
+}
 
 
 def normalize_sql(sql: str) -> str:
     return " ".join(sql.split()).rstrip(";").strip()
 
 
-def _collapse(text: str) -> str:
-    return " ".join(text.split())
+def _canonical(action: ActionKind, answer) -> str:
+    if action is ActionKind.SCHEMA_SELECT:
+        ordered = {t: sorted(cols) for t, cols in sorted(answer.items())}
+        return json.dumps(ordered, sort_keys=True, separators=(",", ":"))
+    if action in (ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
+        return normalize_sql(answer)
+    return " ".join(answer.split())
 
 
-def _canonical(artifact: ActionArtifact) -> list:
-    if isinstance(artifact, RephrasedQuestion):
-        return ["A1", _collapse(artifact.text)]
-    if isinstance(artifact, SchemaSubset):
-        ordered = {t: sorted(cols) for t, cols in sorted(artifact.tables.items())}
-        return ["A2", json.dumps(ordered, sort_keys=True, separators=(",", ":"))]
-    if isinstance(artifact, ValueNotes):
-        return ["A3", _collapse(artifact.text)]
-    if isinstance(artifact, FunctionNotes):
-        return ["A4", _collapse(artifact.text)]
-    if isinstance(artifact, GeneratedSql):
-        return ["A5", normalize_sql(artifact.sql)]
-    if isinstance(artifact, RevisedSql):
-        return ["A6", normalize_sql(artifact.sql)]
-    if isinstance(artifact, Terminated):
-        return ["A7"]
-    raise ContractViolation(f"unknown artifact type {type(artifact).__name__}")
-
-
-def fingerprint(artifact: ActionArtifact) -> str:
-    material = json.dumps(_canonical(artifact), separators=(",", ":"),
-                          ensure_ascii=False)
+def fingerprint(action: ActionKind, state: NodeState) -> str:
+    """Fingerprint of the answer `action` put into `state`."""
+    canonical = [action.value]
+    if action in ANSWER_FIELD:
+        canonical.append(_canonical(action, getattr(state, ANSWER_FIELD[action])))
+    material = json.dumps(canonical, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha1(material.encode("utf-8")).hexdigest()[:16]
 
 
-def apply_artifact(state: NodeState, action: ActionKind,
-                   artifact: ActionArtifact, raw: str) -> NodeState:
-    """New NodeState with the artifact folded in and the raw response logged."""
+def advance(state: NodeState, action: ActionKind, answer, raw: str,
+            feedback: tuple[str, str] | None = None) -> NodeState:
+    """New NodeState with the answer in its field and the raw response logged.
+
+    `feedback` is the (sql, execution result text) a revision was prompted
+    with; the reward stage re-issues that prompt.
+    """
     new = state.copy()
-    if isinstance(artifact, RephrasedQuestion):
-        new.rephrased_question = artifact.text
-    elif isinstance(artifact, SchemaSubset):
-        new.selected_schema = {t: list(c) for t, c in artifact.tables.items()}
-    elif isinstance(artifact, ValueNotes):
-        new.value_notes = artifact.text
-    elif isinstance(artifact, FunctionNotes):
-        new.function_notes = artifact.text
-    elif isinstance(artifact, GeneratedSql):
-        new.sql = artifact.sql
-    elif isinstance(artifact, RevisedSql):
-        new.sql = artifact.sql
-        new.revision_count += artifact.rounds_used
-        new.revision_context = (artifact.from_sql, artifact.from_result)
-    elif isinstance(artifact, Terminated):
-        pass
-    else:
-        raise ContractViolation(f"unknown artifact type {type(artifact).__name__}")
+    if action in ANSWER_FIELD:
+        setattr(new, ANSWER_FIELD[action], answer)
+    if action is ActionKind.SQL_REVISE:
+        new.revision_context = feedback
     new.reasoning_log.append((action, raw))
     return new

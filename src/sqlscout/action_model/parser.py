@@ -1,4 +1,4 @@
-"""Parsers from raw model responses to structured artifacts.
+"""Parsers from raw model responses to the answers actions add to a state.
 
 JSON-shaped responses are read from the first fenced ```json block, falling
 back to the first balanced-brace object anywhere in the text; trailing commas
@@ -16,16 +16,6 @@ import re
 from ..core.catalog import DatabaseCatalog
 from ..core.types import ActionKind
 from ..errors import ContractViolation, ParseError
-from .artifacts import (
-    ActionArtifact,
-    FunctionNotes,
-    GeneratedSql,
-    RephrasedQuestion,
-    RevisedSql,
-    SchemaSubset,
-    Terminated,
-    ValueNotes,
-)
 
 log = logging.getLogger(__name__)
 
@@ -89,19 +79,17 @@ def extract_json_object(raw: str) -> dict:
     return _loads_lenient(block)
 
 
-def parse_rephrase(raw: str) -> RephrasedQuestion:
+def parse_rephrase(raw: str) -> str:
     idx = raw.rfind(_REPHRASE_MARKER)
     text = raw[idx + len(_REPHRASE_MARKER) :] if idx >= 0 else raw
     text = text.strip()
     if not text:
         raise ParseError("empty rephrased question")
-    return RephrasedQuestion(text=text)
+    return text
 
 
-def parse_schema_subset(raw: str, catalog: DatabaseCatalog) -> SchemaSubset:
+def parse_schema_subset(raw: str, catalog: DatabaseCatalog) -> dict[str, list[str]]:
     obj = extract_json_object(raw)
-    rationale = obj.get("chain_of_thought_reasoning")
-    rationale = rationale if isinstance(rationale, str) else ""
     tables: dict[str, list[str]] = {}
     for key, value in obj.items():
         if key == "chain_of_thought_reasoning" or not isinstance(value, list):
@@ -125,45 +113,36 @@ def parse_schema_subset(raw: str, catalog: DatabaseCatalog) -> SchemaSubset:
             tables[table.name] = kept
     if not tables:
         raise ParseError("schema selection kept no usable tables")
-    return SchemaSubset(tables=tables, rationale=rationale)
+    return tables
 
 
-def parse_sql_payload(raw: str) -> tuple[str, str]:
+def parse_sql_payload(raw: str) -> str:
     obj = extract_json_object(raw)
     sql = obj.get("sql_query")
     if not isinstance(sql, str) or not sql.strip():
         raise ParseError("response carries no sql_query")
-    rationale = obj.get("chain_of_thought_reasoning")
-    return sql.strip(), rationale if isinstance(rationale, str) else ""
+    return sql.strip()
 
 
-def _parse_notes(raw: str, cls):
+def _parse_notes(raw: str) -> str:
     text = raw.strip()
     if not text:
         raise ParseError("empty response")
-    return cls(text=text)
+    return text
 
 
-def parse_action_response(
-    action: ActionKind, raw: str, catalog: DatabaseCatalog | None = None
-) -> ActionArtifact:
+def parse_action_response(action: ActionKind, raw: str,
+                          catalog: DatabaseCatalog) -> str | dict[str, list[str]]:
+    """The answer of an A1–A6 response: a schema map for A2, else text."""
     if action is ActionKind.REPHRASE:
         return parse_rephrase(raw)
     if action is ActionKind.SCHEMA_SELECT:
-        if catalog is None:
-            raise ContractViolation("schema selection parsing needs the catalog")
         return parse_schema_subset(raw, catalog)
-    if action is ActionKind.VALUE_IDENT:
-        return _parse_notes(raw, ValueNotes)
-    if action is ActionKind.FUNCTION_IDENT:
-        return _parse_notes(raw, FunctionNotes)
-    if action is ActionKind.SQL_GENERATE:
-        return GeneratedSql(*parse_sql_payload(raw))
-    if action is ActionKind.SQL_REVISE:
-        return RevisedSql(*parse_sql_payload(raw))
-    if action is ActionKind.TERMINATE:
-        return Terminated()
-    raise ContractViolation(f"unknown action {action!r}")
+    if action in (ActionKind.VALUE_IDENT, ActionKind.FUNCTION_IDENT):
+        return _parse_notes(raw)
+    if action in (ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
+        return parse_sql_payload(raw)
+    raise ContractViolation(f"{action!r} has no response to parse")
 
 
 def parse_keyword_list(raw: str) -> list[str]:

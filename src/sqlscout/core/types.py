@@ -44,7 +44,7 @@ class NLQuestion:
 
 @dataclass
 class NodeState:
-    """Artifacts accumulated along one root-to-node path.
+    """Answers accumulated along one root-to-node path.
 
     reasoning_log holds (action, raw model output) in path order; each action
     appears at most once. revision_context records the (sql, execution result
@@ -57,7 +57,6 @@ class NodeState:
     value_notes: str | None = None
     function_notes: str | None = None
     sql: str | None = None
-    revision_count: int = 0
     revision_context: tuple[str, str] | None = None
     reasoning_log: list[tuple[ActionKind, str]] = field(default_factory=list)
 
@@ -72,7 +71,6 @@ class NodeState:
             value_notes=self.value_notes,
             function_notes=self.function_notes,
             sql=self.sql,
-            revision_count=self.revision_count,
             revision_context=self.revision_context,
             reasoning_log=list(self.reasoning_log),
         )
@@ -86,15 +84,15 @@ class ActionStats:
     n: int = 0
 
 
-EdgeKey = tuple[ActionKind, str]  # (action, artifact fingerprint)
+EdgeKey = tuple[ActionKind, str]  # (action, answer fingerprint)
 
 
 @dataclass
 class SearchNode:
     """One partial reasoning state in the search tree.
 
-    Children are keyed by (action, artifact fingerprint) so that expansion
-    samples whose parsed artifacts coincide collapse into a single child.
+    Children are keyed by (action, answer fingerprint) so that expansion
+    samples whose parsed answers coincide collapse into a single child.
     Each child is one action instance; the per-edge Q/N statistics used by
     the selection rule live on the parent under the same key.
     """

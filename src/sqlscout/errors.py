@@ -10,7 +10,7 @@ class ContractViolation(SqlScoutError):
 
 
 class ParseError(SqlScoutError):
-    """A model response could not be parsed into the expected artifact."""
+    """A model response could not be parsed into the expected answer."""
 
 
 class TransportError(SqlScoutError):

@@ -36,7 +36,7 @@ from .runner import (
     find_databases,
     load_report_records,
     run_benchmark,
-    summarize,
+    tally_by_difficulty,
 )
 
 log = logging.getLogger(__name__)
@@ -183,18 +183,13 @@ def report(run_dir: str) -> None:
     if summary_path.exists():
         stored = json.loads(summary_path.read_text(encoding="utf-8"))
 
-    rows = sorted(records.values(), key=lambda r: r["question_id"])
-    by_difficulty: dict[str, list[int]] = {}
-    for r in rows:
-        by_difficulty.setdefault(r.get("difficulty", "unknown"), []).append(
-            int(r.get("ex", 0))
-        )
+    rows = list(records.values())
+    by_difficulty = tally_by_difficulty(rows)
     width = max(len(d) for d in by_difficulty) + 2
     click.echo(f"{'difficulty':<{width}}{'n':>6}{'correct':>9}{'EX':>8}")
-    for difficulty in sorted(by_difficulty):
-        bits = by_difficulty[difficulty]
-        click.echo(f"{difficulty:<{width}}{len(bits):>6}{sum(bits):>9}"
-                   f"{sum(bits) / len(bits):>8.4f}")
+    for difficulty, bucket in by_difficulty.items():
+        n, correct = bucket["n"], bucket["correct"]
+        click.echo(f"{difficulty:<{width}}{n:>6}{correct:>9}{correct / n:>8.4f}")
     bits = [int(r.get("ex", 0)) for r in rows]
     click.echo(f"{'overall':<{width}}{len(bits):>6}{sum(bits):>9}"
                f"{sum(bits) / len(bits):>8.4f}")

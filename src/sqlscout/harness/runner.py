@@ -307,6 +307,17 @@ def run_benchmark(
     return summary
 
 
+def tally_by_difficulty(records: list[dict]) -> dict[str, dict]:
+    """{"n", "correct"} per difficulty over report records, sorted by difficulty."""
+    tally: dict[str, dict] = {}
+    for record in records:
+        bucket = tally.setdefault(record.get("difficulty", "unknown"),
+                                  {"n": 0, "correct": 0})
+        bucket["n"] += 1
+        bucket["correct"] += int(record.get("ex", 0))
+    return dict(sorted(tally.items()))
+
+
 def summarize(
     items: list[BenchmarkItem],
     records: dict[str, dict],
@@ -317,15 +328,9 @@ def summarize(
     """Aggregate accuracy is the plain mean of the per-item bits."""
     completed = [records[i.question_id] for i in items if i.question_id in records]
     bits = [int(r.get("ex", 0)) for r in completed]
-    by_difficulty: dict[str, dict] = {}
-    for record in completed:
-        bucket = by_difficulty.setdefault(
-            record.get("difficulty", "unknown"), {"n": 0, "correct": 0}
-        )
-        bucket["n"] += 1
-        bucket["correct"] += int(record.get("ex", 0))
+    by_difficulty = tally_by_difficulty(completed)
     for bucket in by_difficulty.values():
-        bucket["ex"] = round(bucket["correct"] / bucket["n"], 6) if bucket["n"] else 0.0
+        bucket["ex"] = round(bucket["correct"] / bucket["n"], 6)
     endpoint_info = {}
     if endpoint is not None:
         endpoint_info = {
@@ -338,7 +343,7 @@ def summarize(
         "total_items": len(items),
         "completed": len(completed),
         "ex_overall": round(sum(bits) / len(bits), 6) if bits else 0.0,
-        "ex_by_difficulty": dict(sorted(by_difficulty.items())),
+        "ex_by_difficulty": by_difficulty,
         "broken_gold": sum(1 for r in completed if r.get("broken_gold")),
         "item_errors": sum(1 for r in completed if r.get("error")),
         "model_calls": sum(int(r.get("model_calls", 0)) for r in completed),

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .action_model import apply_artifact, fingerprint, run_action
+from .action_model import fingerprint, run_action
 from .action_model.prompts import SchemaKey
 from .action_model.runner import extract_keywords
 from .core.actions import valid_next_actions
@@ -40,8 +40,6 @@ class SearchDeps:
     executor: Callable[[str], ExecutionResult]
     embedder: Embedder | None = None
     value_index: ValueIndex | None = None
-    # override hook for tests and alternative rewards; defaults to compute_reward
-    reward_fn: Callable[["RolloutContext", SearchNode], float] | None = None
 
 
 @dataclass
@@ -150,7 +148,7 @@ def select_path(root: SearchNode, cfg: SearchConfig, rng: random.Random) -> Sear
 
 
 def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
-    """Create children for every legal action; duplicate artifacts collapse.
+    """Create children for every legal action; duplicate answers collapse.
 
     Actions run in canonical order; randomness enters only at selection. A
     transport or protocol failure on one action drops that action for this
@@ -167,12 +165,12 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
             log.warning("%s expansion failed: %s: %s", action.value,
                         type(exc).__name__, exc)
             continue
-        for artifact, raw in pairs:
-            key = (action, fingerprint(artifact))
+        for state, _ in pairs:
+            key = (action, fingerprint(action, state))
             if key in node.children:
-                continue  # same artifact already sampled; keep the first
+                continue  # same answer already sampled; keep the first
             child = SearchNode(
-                state=apply_artifact(node.state, action, artifact, raw),
+                state=state,
                 producing_action=action,
                 fingerprint=key[1],
                 parent=node,
@@ -223,7 +221,6 @@ def run_search(q: NLQuestion, deps: SearchDeps, cfg: SearchConfig) -> list[Traje
     """
     ctx = prepare_context(q, deps, cfg)
     rng = random.Random(cfg.rng_seed)
-    reward_fn = deps.reward_fn or compute_reward
     root = SearchNode.root()
     trajectories: list[Trajectory] = []
     seen_terminals: set[int] = set()
@@ -234,7 +231,7 @@ def run_search(q: NLQuestion, deps: SearchDeps, cfg: SearchConfig) -> list[Traje
             backpropagate(terminal, 0.0)
             continue
         if terminal.reward is None:
-            terminal.reward = reward_fn(ctx, terminal)
+            terminal.reward = compute_reward(ctx, terminal)
         if id(terminal) not in seen_terminals:
             seen_terminals.add(id(terminal))
             trajectories.append(Trajectory(

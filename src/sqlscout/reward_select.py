@@ -55,7 +55,7 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
             continue
         obtained += 1
         try:
-            sql, _ = parse_sql_payload(raw)
+            sql = parse_sql_payload(raw)
         except ParseError:
             continue  # counted in the denominator, never matches
         if results_equal(ctx.execute(sql), final_result):

@@ -68,38 +68,21 @@ def retrieve_values(
                       index.params.shingle_size)
     for kw, sig in zip(kws, sigs):
         candidates = [index.record(rid) for rid in index.candidate_ids(sig)]
-        if not candidates:
-            continue
-        edits = [edit_similarity(kw, rec.value) for rec in candidates]
+        pool = [(rec, edit_similarity(kw, rec.value)) for rec in candidates]
         if cfg.retrieval_mode == "and":
-            gated = [
-                (rec, ed) for rec, ed in zip(candidates, edits) if ed >= cfg.eps_edit
-            ]
-            if not gated:
-                continue
-            sems = _semantic_sims(embedder, kw, [rec.value for rec, _ in gated])
-            if sems is None:
-                kept = [(rec, ed, 0.0) for rec, ed in gated]
-            else:
-                kept = [
-                    (rec, ed, sem)
-                    for (rec, ed), sem in zip(gated, sems)
-                    if sem >= cfg.eps_semantic
-                ]
+            pool = [(rec, ed) for rec, ed in pool if ed >= cfg.eps_edit]
+        if not pool:
+            continue
+        sems = _semantic_sims(embedder, kw, [rec.value for rec, _ in pool])
+        if sems is None:
+            kept = [(rec, ed, 0.0) for rec, ed in pool if ed >= cfg.eps_edit]
         else:
-            sems = _semantic_sims(embedder, kw, [rec.value for rec in candidates])
-            if sems is None:
-                kept = [
-                    (rec, ed, 0.0)
-                    for rec, ed in zip(candidates, edits)
-                    if ed >= cfg.eps_edit
-                ]
-            else:
-                kept = [
-                    (rec, ed, sem)
-                    for rec, ed, sem in zip(candidates, edits, sems)
-                    if ed >= cfg.eps_edit or sem >= cfg.eps_semantic
-                ]
+            either = cfg.retrieval_mode == "or"
+            kept = [
+                (rec, ed, sem)
+                for (rec, ed), sem in zip(pool, sems)
+                if sem >= cfg.eps_semantic or (either and ed >= cfg.eps_edit)
+            ]
         for rec, ed, sem in kept:
             prev = best.get(rec)
             if prev is None or (sem, ed) > prev:

@@ -1,24 +1,13 @@
 """Prompt assets, prompt assembly, response parsing, and action execution."""
 
-import dataclasses
 import hashlib
 import re
 from importlib import resources
 
 import pytest
 
-from sqlscout.action_model.artifacts import (
-    FunctionNotes,
-    GeneratedSql,
-    RephrasedQuestion,
-    RevisedSql,
-    SchemaSubset,
-    Terminated,
-    ValueNotes,
-    apply_artifact,
-    fingerprint,
-    normalize_sql,
-)
+import sqlscout.action_model.runner as action_runner
+from sqlscout.action_model.artifacts import advance, fingerprint, normalize_sql
 from sqlscout.action_model.parser import (
     extract_json_object,
     parse_action_response,
@@ -210,17 +199,16 @@ def test_retrieved_values_reach_schema_context(restaurant_catalog,
 
 # ---- parsing ----
 
-def test_parse_rephrase_takes_last_marker():
+def test_parse_rephrase_takes_last_marker(restaurant_catalog):
     raw = ("Rephrased Question: wrong draft\nthinking...\n"
            "Rephrased Question: Count the thai restaurants.")
-    art = parse_action_response(A1, raw)
-    assert isinstance(art, RephrasedQuestion)
-    assert art.text == "Count the thai restaurants."
+    answer = parse_action_response(A1, raw, restaurant_catalog)
+    assert answer == "Count the thai restaurants."
 
 
-def test_parse_rephrase_without_marker_uses_whole_text():
-    art = parse_action_response(A1, "  Count all of them.  ")
-    assert art.text == "Count all of them."
+def test_parse_rephrase_without_marker_uses_whole_text(restaurant_catalog):
+    answer = parse_action_response(A1, "  Count all of them.  ", restaurant_catalog)
+    assert answer == "Count all of them."
 
 
 def test_extract_json_prefers_fenced_block():
@@ -246,9 +234,8 @@ def test_extract_json_handles_braces_in_strings():
 def test_parse_schema_subset_normalizes_and_drops_unknown(restaurant_catalog):
     raw = ('```json\n{"GENERALINFO": ["Food_Type", "bogus_col"], '
            '"phantom": ["x"], "location": ["street_name"]}\n```')
-    art = parse_action_response(A2, raw, catalog=restaurant_catalog)
-    assert isinstance(art, SchemaSubset)
-    assert art.tables == {
+    answer = parse_action_response(A2, raw, restaurant_catalog)
+    assert answer == {
         "generalinfo": ["food_type"],
         "location": ["street_name"],
     }
@@ -256,47 +243,33 @@ def test_parse_schema_subset_normalizes_and_drops_unknown(restaurant_catalog):
 
 def test_parse_schema_subset_empty_raises(restaurant_catalog):
     with pytest.raises(ParseError):
-        parse_action_response(A2, '{"phantom": ["x"]}', catalog=restaurant_catalog)
-
-
-def test_parse_schema_subset_needs_catalog():
-    with pytest.raises(ContractViolation):
-        parse_action_response(A2, '{"generalinfo": ["city"]}')
+        parse_action_response(A2, '{"phantom": ["x"]}', restaurant_catalog)
 
 
 def test_parse_sql_payload_variants():
-    sql, rationale = parse_sql_payload(sql_json("SELECT 1"))
-    assert sql == "SELECT 1"
-    assert rationale == "lookup and count"
-    sql, _ = parse_sql_payload('{"sql_query": "SELECT 2"}')
-    assert sql == "SELECT 2"
+    assert parse_sql_payload(sql_json("SELECT 1")) == "SELECT 1"
+    assert parse_sql_payload('{"sql_query": "SELECT 2"}') == "SELECT 2"
     with pytest.raises(ParseError):
         parse_sql_payload('{"sql_query": ""}')
     with pytest.raises(ParseError):
         parse_sql_payload("no json here")
 
 
-def test_parse_revision_round_uses_same_payload_shape():
+def test_parse_revision_round_uses_same_payload_shape(restaurant_catalog):
     raw = '{"chain_of_thought_reasoning": "fix", "sql_query": "SELECT 3",}'
-    sql, rationale = parse_sql_payload(raw)
-    assert sql == "SELECT 3"
-    assert rationale == "fix"
-    revised = parse_action_response(A6, raw)
-    assert (revised.sql, revised.rationale) == (sql, rationale)
+    assert parse_sql_payload(raw) == "SELECT 3"
+    assert parse_action_response(A6, raw, restaurant_catalog) == "SELECT 3"
+    assert parse_action_response(A5, raw, restaurant_catalog) == "SELECT 3"
 
 
-def test_parse_notes_trim_and_require_content():
-    art = parse_action_response(A3, "  Values are lowercase.  ")
-    assert isinstance(art, ValueNotes)
-    assert art.text == "Values are lowercase."
-    art = parse_action_response(A4, "STRFTIME needed.")
-    assert isinstance(art, FunctionNotes)
+def test_parse_notes_trim_and_require_content(restaurant_catalog):
+    answer = parse_action_response(A3, "  Values are lowercase.  ",
+                                   restaurant_catalog)
+    assert answer == "Values are lowercase."
+    assert parse_action_response(A4, "STRFTIME needed.",
+                                 restaurant_catalog) == "STRFTIME needed."
     with pytest.raises(ParseError):
-        parse_action_response(A3, "   \n ")
-
-
-def test_parse_terminate_is_structural():
-    assert isinstance(parse_action_response(A7, "ignored"), Terminated)
+        parse_action_response(A3, "   \n ", restaurant_catalog)
 
 
 def test_parse_keyword_list_cases():
@@ -324,43 +297,60 @@ def test_parse_baseline_sql_tag_then_fence():
         parse_baseline_sql("nothing to see")
 
 
-# ---- artifacts ----
+# ---- answers and fingerprints ----
+
+def answer_fp(action, answer) -> str:
+    return fingerprint(action, advance(NodeState(), action, answer, ""))
+
 
 def test_fingerprint_ignores_sql_whitespace_and_semicolon():
-    a = fingerprint(GeneratedSql(sql="SELECT  1 ;", rationale="x"))
-    b = fingerprint(GeneratedSql(sql="SELECT 1", rationale="other"))
-    assert a == b
-    c = fingerprint(GeneratedSql(sql="SELECT 2", rationale="x"))
-    assert a != c
+    a = answer_fp(A5, "SELECT  1 ;")
+    assert a == answer_fp(A5, "SELECT 1")
+    assert a != answer_fp(A5, "SELECT 2")
+    assert a != answer_fp(A6, "SELECT 1")
 
 
 def test_fingerprint_distinguishes_actions():
-    assert fingerprint(ValueNotes(text="t")) != fingerprint(FunctionNotes(text="t"))
+    assert answer_fp(A3, "t") != answer_fp(A4, "t")
+
+
+def test_fingerprint_ignores_schema_order():
+    a = answer_fp(A2, {"t": ["a", "b"], "u": ["c"]})
+    assert a == answer_fp(A2, {"u": ["c"], "t": ["b", "a"]})
+    assert a != answer_fp(A2, {"t": ["a"], "u": ["c"]})
+
+
+def test_fingerprint_hashes_the_canonical_answer():
+    # trace files carry these values: the canonical forms must not drift
+    def sha(material: str) -> str:
+        return hashlib.sha1(material.encode("utf-8")).hexdigest()[:16]
+
+    assert answer_fp(A1, " Count  them ") == sha('["A1","Count them"]')
+    assert answer_fp(A2, {"t": ["b", "a"]}) == sha('["A2","{\\"t\\":[\\"a\\",\\"b\\"]}"]')
+    assert answer_fp(A6, "SELECT 1;") == sha('["A6","SELECT 1"]')
+    assert answer_fp(A7, None) == sha('["A7"]')
 
 
 def test_normalize_sql():
     assert normalize_sql("  SELECT \n 1  ; ") == "SELECT 1"
 
 
-def test_apply_artifact_transitions():
+def test_advance_transitions():
     state = NodeState()
-    s1 = apply_artifact(state, A1, RephrasedQuestion(text="rq"), "raw1")
+    s1 = advance(state, A1, "rq", "raw1")
     assert s1.rephrased_question == "rq"
     assert state.rephrased_question is None  # original untouched
-    s2 = apply_artifact(s1, A2, SchemaSubset(tables={"t": ["c"]}, rationale=""), "")
+    s2 = advance(s1, A2, {"t": ["c"]}, "")
     assert s2.selected_schema == {"t": ["c"]}
-    s3 = apply_artifact(s2, A5, GeneratedSql(sql="SELECT 1", rationale=""), "")
+    s3 = advance(s2, A5, "SELECT 1", "")
     assert s3.sql == "SELECT 1"
-    s4 = apply_artifact(
-        s3, A6,
-        RevisedSql(sql="SELECT 2", rationale="", rounds_used=2,
-                   from_sql="SELECT 1", from_result="Error: x"),
-        "",
-    )
+    s4 = advance(s3, A6, "SELECT 2", "", ("SELECT 1", "Error: x"))
     assert s4.sql == "SELECT 2"
-    assert s4.revision_count == 2
     assert s4.revision_context == ("SELECT 1", "Error: x")
-    assert [a for a, _ in s4.reasoning_log] == [A1, A2, A5, A6]
+    s5 = advance(s4, A7, None, "")
+    assert s5.sql == "SELECT 2"
+    assert [a for a, _ in s5.reasoning_log] == [A1, A2, A5, A6, A7]
+    assert s1.reasoning_log == [(A1, "raw1")]
 
 
 # ---- action execution ----
@@ -368,6 +358,13 @@ def test_apply_artifact_transitions():
 def action_ctx(q, catalog, cfg, model, executor=None):
     deps = SearchDeps(model=model, catalog=catalog, executor=executor)
     return prepare_context(q, deps, cfg)
+
+
+def a5_state(sql: str) -> NodeState:
+    state = NodeState()
+    state.sql = sql
+    state.reasoning_log.append((A5, ""))
+    return state
 
 
 def test_run_action_samples_and_drops_bad_parses(restaurant_catalog,
@@ -378,7 +375,8 @@ def test_run_action_samples_and_drops_bad_parses(restaurant_catalog,
     ctx = action_ctx(restaurant_question, restaurant_catalog, cfg, model)
     out = run_action(A5, NodeState(), ctx)
     assert len(out) == 2
-    assert all(isinstance(a, GeneratedSql) for a, _ in out)
+    assert all(state.sql == "SELECT 1" for state, _ in out)
+    assert all(state.history() == [A5] for state, _ in out)
     # samples 0, 1, 2 of one prompt at the expansion temperature
     assert len({c[0] for c in model.calls}) == 1
     assert [c[1:] for c in model.calls] == [(0.8, i, "A5") for i in range(3)]
@@ -388,27 +386,13 @@ def test_run_action_terminate_calls_no_model(restaurant_catalog,
                                              restaurant_question):
     model = ScriptedModel()  # would raise on any call
     ctx = action_ctx(restaurant_question, restaurant_catalog, SearchConfig(), model)
-    out = run_action(A7, NodeState(), ctx)
+    out = run_action(A7, a5_state("SELECT 1"), ctx)
     assert len(out) == 1
-    assert isinstance(out[0][0], Terminated)
+    state, raw = out[0]
+    assert raw == ""
+    assert state.history() == [A5, A7]
+    assert state.sql == "SELECT 1"
     assert model.calls == []
-
-
-def test_revision_requires_executor(restaurant_catalog, restaurant_question):
-    state = NodeState()
-    state.sql = "SELECT 1"
-    state.reasoning_log.append((A5, ""))
-    ctx = action_ctx(restaurant_question, restaurant_catalog, SearchConfig(),
-                     ScriptedModel())
-    with pytest.raises(ContractViolation):
-        run_action(A6, state, dataclasses.replace(ctx, execute=None))
-
-
-def a5_state(sql: str) -> NodeState:
-    state = NodeState()
-    state.sql = sql
-    state.reasoning_log.append((A5, ""))
-    return state
 
 
 def revise(q, catalog, executor, model, sql: str, **cfg_kw):
@@ -423,10 +407,11 @@ def test_revision_clean_entry_uses_zero_rounds(restaurant_catalog,
     model = ScriptedModel()  # no rules: any call would fail the test
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, GOLD_SQL, n_expansion=2, n_revision=3)
-    assert len(out) == 2  # one artifact per chain
-    for artifact, _ in out:
-        assert artifact.rounds_used == 0
-        assert artifact.sql == GOLD_SQL
+    assert len(out) == 2  # one child per chain
+    for state, raw in out:
+        assert state.sql == GOLD_SQL
+        assert raw == ""
+        assert state.revision_context[0] == GOLD_SQL
     assert model.calls == []
 
 
@@ -437,11 +422,13 @@ def test_revision_repairs_in_one_round(restaurant_catalog, restaurant_question,
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, "SELEC broken", n_expansion=1, n_revision=3)
     assert len(out) == 1
-    artifact = out[0][0]
-    assert artifact.sql == GOLD_SQL
-    assert artifact.rounds_used == 1
-    assert artifact.from_sql == "SELEC broken"
-    assert artifact.from_result.startswith("Error:")
+    state = out[0][0]
+    assert state.sql == GOLD_SQL
+    assert len(model.calls) == 1
+    from_sql, from_result = state.revision_context
+    assert from_sql == "SELEC broken"
+    assert from_result.startswith("Error:")
+    assert state.history() == [A5, A6]
 
 
 def test_revision_multi_round_feedback_chains(restaurant_catalog,
@@ -455,11 +442,11 @@ def test_revision_multi_round_feedback_chains(restaurant_catalog,
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, "SELEC broken", n_expansion=1, n_revision=5)
     assert len(out) == 1
-    artifact = out[0][0]
-    assert artifact.sql == GOLD_SQL
-    assert artifact.rounds_used == 2
+    state = out[0][0]
+    assert state.sql == GOLD_SQL
+    assert len(model.calls) == 2
     # context records the last failing attempt, not the original
-    assert artifact.from_sql == half_fixed
+    assert state.revision_context[0] == half_fixed
 
 
 def test_revision_round_budget_is_hard(restaurant_catalog, restaurant_question,
@@ -468,10 +455,51 @@ def test_revision_round_budget_is_hard(restaurant_catalog, restaurant_question,
     model.add("correcting a SQL query", sql_json("STILL broken"))
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, "SELEC broken", n_expansion=1, n_revision=4)
-    # rounds 2-4 repair "STILL broken" alike: one prompt, asked once
+    # round 2 answers the query it was asked to revise: the chain ends there
     assert len(model.calls) == 2
     assert len(out) == 1
-    assert out[0][0].rounds_used == 4
+    assert out[0][0].sql == "STILL broken"
+    assert out[0][0].revision_context[0] == "STILL broken"
+
+
+def test_revision_chain_ends_at_its_fixed_point(restaurant_catalog,
+                                                restaurant_question,
+                                                restaurant_executor,
+                                                monkeypatch):
+    prompts: list[str] = []
+
+    def counting_build(action, *args, **kwargs):
+        prompt = build_action_prompt(action, *args, **kwargs)
+        if action is A6:
+            prompts.append(prompt)
+        return prompt
+
+    monkeypatch.setattr(action_runner, "build_action_prompt", counting_build)
+    model = ScriptedModel()
+    model.add("correcting a SQL query", sql_json("STILL broken"))
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 model, "SELEC broken", n_expansion=1, n_revision=10)
+    assert len(prompts) == 2  # not n_revision: later rounds could change nothing
+    assert len(model.calls) == 2
+    assert [state.sql for state, _ in out] == ["STILL broken"]
+
+
+def test_revision_chain_ends_at_an_unparseable_answer(restaurant_catalog,
+                                                      restaurant_question,
+                                                      restaurant_executor):
+    half_fixed = "SELECT COUNT(*) FROM generalinfo WHERE no_such_col = 1"
+    model = ScriptedModel()
+    model.add(lambda p: "correcting a SQL query" in p and "no_such_col" in p,
+              "not json at all")
+    model.add("correcting a SQL query", sql_json(half_fixed))
+    out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
+                 model, "SELEC broken", n_expansion=1, n_revision=10)
+    assert len(model.calls) == 2
+    assert len(out) == 1
+    state, raw = out[0]
+    assert state.sql == half_fixed
+    assert raw == sql_json(half_fixed)  # the last answer that parsed
+    assert state.revision_context[0] == half_fixed
 
 
 def test_revision_round_budget_is_hard_for_new_answers(restaurant_catalog,
@@ -489,8 +517,8 @@ def test_revision_round_budget_is_hard_for_new_answers(restaurant_catalog,
     assert len(calls) == 4  # exactly n_revision, never more
     assert len(set(calls)) == 4
     assert len(out) == 1
-    assert out[0][0].rounds_used == 4
     assert out[0][0].sql == "STILL broken 4"
+    assert out[0][0].revision_context[0] == "STILL broken 3"
 
 
 def test_revision_all_unparseable_yields_nothing(restaurant_catalog,

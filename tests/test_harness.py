@@ -640,8 +640,14 @@ def test_cli_run_and_report(bird_dataset, tmp_path, cli_env):
 
     report = cli_env.invoke(cli_main, ["report", str(out_dir)])
     assert report.exit_code == 0, report.output
-    assert "overall" in report.output
-    assert "1.0000" in report.output
+    assert report.output == (
+        "difficulty        n  correct      EX\n"
+        "challenging       1        1  1.0000\n"
+        "moderate          1        1  1.0000\n"
+        "simple            2        2  1.0000\n"
+        "overall           4        4  1.0000\n"
+        "mode: mcts  seed: 0\n"
+    )
 
     inspect = cli_env.invoke(cli_main, [
         "inspect", str(out_dir), "--question-id", "0",

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import sqlscout.mcts as mcts
 from sqlscout.core.types import (
     ActionKind,
     NLQuestion,
@@ -250,9 +251,8 @@ def test_simulate_reaches_terminal(restaurant_catalog, restaurant_executor):
     assert history.count(A.SQL_GENERATE) == 1
 
 
-def search_fixture(catalog, executor, n_rollout=8, reward_fn=None, seed=0):
-    deps = make_deps(scripted_pipeline_model(), catalog, executor,
-                     reward_fn=reward_fn)
+def search_fixture(catalog, executor, n_rollout=8, seed=0):
+    deps = make_deps(scripted_pipeline_model(), catalog, executor)
     q = NLQuestion(
         question="How many Thai restaurants can be found in San Pablo Ave, Albany?",
         hint="", db_id="restaurants")
@@ -288,15 +288,16 @@ def test_run_search_visit_accounting(restaurant_catalog, restaurant_executor):
 
 
 def test_run_search_rewards_once_per_terminal(restaurant_catalog,
-                                              restaurant_executor):
+                                              restaurant_executor, monkeypatch):
     calls = []
 
     def counting_reward(ctx, terminal):
         calls.append(terminal)
         return 1.0
 
+    monkeypatch.setattr(mcts, "compute_reward", counting_reward)
     q, deps, cfg = search_fixture(restaurant_catalog, restaurant_executor,
-                                  n_rollout=16, reward_fn=counting_reward)
+                                  n_rollout=16)
     out = run_search(q, deps, cfg)
     assert len(calls) == len(out)  # cached reward on revisits
     assert len({id(t) for t in calls}) == len(calls)

@@ -35,7 +35,6 @@ def node_after(parent: SearchNode, action: ActionKind, *, sql=None,
     if sql is not None:
         state.sql = sql
     if action is A.SQL_REVISE:
-        state.revision_count += 1
         state.revision_context = revision_context
     node = SearchNode(state=state, producing_action=action,
                       fingerprint=f"fp-{action.value}", parent=parent)
