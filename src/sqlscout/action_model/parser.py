@@ -4,6 +4,11 @@ JSON-shaped responses are read from the first fenced ```json block, falling
 back to the first balanced-brace object anywhere in the text; trailing commas
 are tolerated because models copy them from the templates. Free-text actions
 take the whole trimmed response.
+
+The first object is decoded straight from its opening brace by the json
+module's C scanner; only text that scanner rejects goes through the
+character-by-character brace scan and the trailing-comma repair. Where the
+scanner succeeds, the scan would find the same span, so both agree.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ log = logging.getLogger(__name__)
 _FENCED_JSON = re.compile(r"```json\s*(.*?)```", re.DOTALL | re.IGNORECASE)
 _TRAILING_COMMA = re.compile(r",(\s*[}\]])")
 _REPHRASE_MARKER = "Rephrased Question:"
+_DECODER = json.JSONDecoder()
 
 
 def _balanced_slice(text: str, open_ch: str, close_ch: str) -> str | None:
@@ -64,15 +70,32 @@ def _loads_lenient(payload: str) -> dict:
     raise ParseError("cannot decode JSON payload")
 
 
+def _strict_object(text: str) -> dict | None:
+    """The object at the first `{` if it is valid JSON as it stands, else None."""
+    start = text.find("{")
+    if start < 0:
+        return None
+    try:
+        return _DECODER.raw_decode(text, start)[0]
+    except (json.JSONDecodeError, RecursionError):
+        return None
+
+
 def extract_json_object(raw: str) -> dict:
     fenced = _FENCED_JSON.search(raw)
     if fenced:
         body = fenced.group(1)
+        obj = _strict_object(body)
+        if obj is not None:
+            return obj
         block = _balanced_slice(body, "{", "}") or body
         try:
             return _loads_lenient(block)
         except ParseError:
             pass  # fall through to scanning the whole response
+    obj = _strict_object(raw)
+    if obj is not None:
+        return obj
     block = _balanced_slice(raw, "{", "}")
     if block is None:
         raise ParseError("no JSON object in response")

@@ -59,6 +59,9 @@ class DatabaseCatalog:
     db_path: str
     tables: list[TableDef]
     foreign_keys: list[ForeignKey]
+    # CREATE TABLE blocks that `render_schema_context` already rendered
+    rendered_tables: dict[tuple, str] = field(default_factory=dict, repr=False,
+                                              compare=False)
 
     def table(self, name: str) -> TableDef | None:
         lowered = name.lower()
@@ -160,6 +163,7 @@ def attach_descriptions(catalog: DatabaseCatalog, description_dir: str | Path) -
     directory = Path(description_dir)
     if not directory.is_dir():
         return
+    catalog.rendered_tables.clear()  # blocks rendered before lack the descriptions
     for table in catalog.tables:
         csv_path = directory / f"{table.name}.csv"
         if not csv_path.exists():

@@ -14,6 +14,9 @@ from .catalog import ColumnDef, DatabaseCatalog, TableDef
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _EXAMPLE_CAP = 5
+# CREATE TABLE blocks kept per catalog. A question adds a few blocks of its
+# own (those showing its retrieved values), so the store starts over once full.
+_RENDERED_CAP = 4096
 
 
 def _quote(name: str) -> str:
@@ -66,6 +69,12 @@ def render_schema_context(
 
     `retrieved_values` maps (table, column) to values worth surfacing; they
     are listed before the catalog's own examples.
+
+    Each table's block is rendered once per catalog and kept in
+    `catalog.rendered_tables`, keyed by the table, its visible columns, its
+    foreign key lines and the retrieved values of its visible columns, which
+    is everything the block depends on. Threads that miss together each
+    render the same block, and one of them keeps it.
     """
     retrieved_values = retrieved_values or {}
     if selected is None:
@@ -92,14 +101,27 @@ def render_schema_context(
     for t in tables:
         chosen[t.name].update(t.primary_key)
 
+    retrieved_by_table: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for (table, column), values in retrieved_values.items():
+        retrieved_by_table.setdefault(table, []).append((column, tuple(values)))
+    rendered = catalog.rendered_tables
     blocks = []
     for t in tables:
-        blocks.append(_render_table(t, chosen[t.name], fks_by_table[t.name],
-                                    retrieved_values))
+        visible = chosen[t.name]
+        fks = tuple(fks_by_table[t.name])
+        shown = tuple(sorted(
+            cv for cv in retrieved_by_table.get(t.name, ()) if cv[0] in visible))
+        key = (t.name, frozenset(visible), fks, shown)
+        block = rendered.get(key)
+        if block is None:
+            if len(rendered) >= _RENDERED_CAP:
+                rendered.clear()
+            block = rendered[key] = _render_table(t, visible, fks, retrieved_values)
+        blocks.append(block)
     return "\n\n".join(blocks)
 
 
-def _render_table(table: TableDef, visible: set[str], fks: list,
+def _render_table(table: TableDef, visible: set[str], fks: tuple,
                   retrieved_values: dict[tuple[str, str], list[str]]) -> str:
     pk = table.primary_key
     inline_pk = pk[0] if len(pk) == 1 else None

@@ -105,7 +105,8 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
               default=None, help="INI config mirroring search + endpoint settings.")
 @click.option("--seed", type=int, default=None,
               help="Override the configured base seed.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Items run side by side, each on its own thread.")
 @click.option("--resume/--no-resume", default=True, show_default=True,
               help="Skip items already present in the report file.")
 @click.option("--traces", is_flag=True, help="Write per-question tree traces.")
@@ -116,7 +117,7 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
               default="ceil", show_default=True)
 @click.option("--sds-file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Question-id file naming the exact subsample.")
-@click.option("--limit", type=int, default=None,
+@click.option("--limit", type=click.IntRange(min=0), default=None,
               help="Run only the first N items (after subsampling).")
 def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
         out_dir: str, config_path: str | None, seed: int | None, workers: int,

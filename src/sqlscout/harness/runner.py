@@ -27,7 +27,7 @@ from ..errors import IngestionError
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..mcts import SearchDeps, run_search, serialize_tree
 from ..reward_select import select_final
-from ..sql_exec import execute_sql, memoize_executor, results_equal
+from ..sql_exec import Sandbox, execute_sql, memoize_executor, results_equal
 from ..value_index import ValueIndex, load_index
 from .baseline import baseline_generate
 from .dataset import BenchmarkItem
@@ -113,13 +113,16 @@ class RunEnvironment:
             return None
         return load_index(path)
 
-    def executor(self, db_id: str, cfg: SearchConfig):
+    def executor(self, db_id: str, cfg: SearchConfig, sandbox: Sandbox | None = None):
+        """`execute_sql` bound to the database and `cfg`'s bounds; with
+        `sandbox`, every statement runs on that one open connection."""
         return partial(
             execute_sql,
             db_path=self.db_path(db_id),
             timeout_secs=cfg.sql_timeout_secs,
             row_cap=cfg.row_cap,
             multiset=cfg.multiset_compare,
+            sandbox=sandbox,
         )
 
 
@@ -147,7 +150,8 @@ def run_one_item(
     items or `--workers` threads. One exception: a truncated gold result is
     run again outside the memo. `results_equal` counts a truncated result
     equal only to the very same object, so the chosen query must not score
-    against the memo's copy of itself.
+    against the memo's copy of itself. Every statement of the item runs on
+    one `Sandbox` connection, closed when the item ends, also on an error.
     """
     started = time.time()
     record = {
@@ -165,9 +169,11 @@ def run_one_item(
         "error": None,
     }
     model = CountingModel(env.model)
+    sandbox = None
     try:
         catalog = env.catalog(item.db_id)
-        executor = env.executor(item.db_id, cfg)
+        sandbox = Sandbox(env.db_path(item.db_id))
+        executor = env.executor(item.db_id, cfg, sandbox)
         memo = memoize_executor(executor)
         item_cfg = dataclasses.replace(
             cfg, rng_seed=item_seed(cfg.rng_seed, item.question_id)
@@ -223,6 +229,9 @@ def run_one_item(
         log.exception("item %s failed", item.question_id)
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["ex"] = 0
+    finally:
+        if sandbox is not None:
+            sandbox.close()
     record["model_calls"] = model.count
     record["elapsed_secs"] = round(time.time() - started, 3)
     return record

@@ -126,61 +126,109 @@ def canonical_row(row) -> tuple:
     return tuple(canonical_cell(c) for c in row)
 
 
+class Sandbox:
+    """One read-only connection to a database, configured once for many statements.
+
+    `run_one_item` opens one per question and closes it when the question
+    ends; `execute_sql` without a sandbox opens one for its single statement.
+    The connection belongs to the thread that opened it (sqlite3's own check),
+    so `--workers` threads never share one.
+
+    Statements stay isolated on the shared connection because none can change
+    its state: the authorizer denies writes, CREATE TEMP, ATTACH, PRAGMA,
+    BEGIN and SAVEPOINT, an interrupted statement is reset by SQLite, and a
+    truncated result closes its cursor before the next statement runs.
+    """
+
+    def __init__(self, db_path: str | Path):
+        path = Path(db_path)
+        if not path.exists():
+            raise IngestionError(f"database file not found: {path}")
+        try:
+            self._conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        except sqlite3.Error as exc:
+            raise IngestionError(f"cannot open {path}: {exc}") from exc
+        self._deadline = 0.0
+        conn = self._conn
+        try:
+            conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
+            conn.execute("PRAGMA query_only = ON")
+            conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
+            conn.set_authorizer(_authorize_read)
+            conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, CELL_BYTE_CAP)
+            conn.set_progress_handler(lambda: time.monotonic() > self._deadline,
+                                      DEADLINE_CHECK_STEPS)
+        except sqlite3.Error as exc:
+            conn.close()
+            raise IngestionError(f"cannot configure {path}: {exc}") from exc
+
+    def run(self, sql: str, timeout_secs: float = 30.0, row_cap: int = ROW_CAP,
+            multiset: bool = False) -> ExecutionResult:
+        """One statement under its own deadline; see `execute_sql`."""
+        if not sql or not sql.strip():
+            return error_result("empty SQL")
+        self._deadline = time.monotonic() + timeout_secs
+        cursor = self._conn.cursor()
+        try:
+            raw: list[tuple] = []
+            size = 0
+            truncated = False
+            for row in cursor.execute(sql):
+                size += sum(len(c) for c in row if isinstance(c, (str, bytes)))
+                if len(raw) == row_cap or size > RESULT_BYTE_CAP:
+                    truncated = True
+                    break
+                raw.append(row)
+            return rows_result(raw, truncated=truncated, multiset=multiset)
+        except sqlite3.OperationalError as exc:
+            if "interrupted" in str(exc).lower():
+                return timeout_result()
+            return error_result(str(exc))
+        except (sqlite3.Error, sqlite3.Warning) as exc:
+            # sqlite3.Warning covers multi-statement strings on older Pythons
+            return error_result(str(exc))
+        finally:
+            cursor.close()  # resets a statement left mid-result
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def __enter__(self) -> Sandbox:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def execute_sql(
     sql: str,
     db_path: str | Path,
     timeout_secs: float = 30.0,
     row_cap: int = ROW_CAP,
     multiset: bool = False,
+    sandbox: Sandbox | None = None,
 ) -> ExecutionResult:
     """Run one statement read-only with a wall-clock timeout.
 
-    SQLite's progress handler checks the deadline every DEADLINE_CHECK_STEPS
-    virtual-machine steps and aborts the query once it has passed, so no
-    thread is started; the connection is per-call, so an aborted query cannot
-    poison later executions. An authorizer denies every action but reading,
-    so a statement such as ATTACH or VACUUM INTO returns an error and touches
-    no file. A string or blob longer than CELL_BYTE_CAP is an error (SQLite's
-    length limit), and a result is truncated at `row_cap` rows or once its
-    text and blob cells pass RESULT_BYTE_CAP (text counted in characters).
+    The statement runs on `sandbox`, an open `Sandbox` on the database at
+    `db_path`, or, without one, on a sandbox opened and closed for this call.
+    A search opens one per question, so the connection lives for that
+    question and is configured once; see `Sandbox` for why its statements
+    cannot affect each other.
+
+    SQLite's progress handler checks the statement's deadline every
+    DEADLINE_CHECK_STEPS virtual-machine steps and aborts it once it has
+    passed, so no thread is started. An authorizer denies every action but
+    reading, so a statement such as ATTACH or VACUUM INTO returns an error
+    and touches no file. A string or blob longer than CELL_BYTE_CAP is an
+    error (SQLite's length limit), and a result is truncated at `row_cap`
+    rows or once its text and blob cells pass RESULT_BYTE_CAP (text counted
+    in characters).
     """
-    path = Path(db_path)
-    if not path.exists():
-        raise IngestionError(f"database file not found: {path}")
-    if not sql or not sql.strip():
-        return error_result("empty SQL")
-    try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise IngestionError(f"cannot open {path}: {exc}") from exc
-    deadline = time.monotonic() + timeout_secs
-    conn.set_progress_handler(lambda: time.monotonic() > deadline,
-                              DEADLINE_CHECK_STEPS)
-    try:
-        conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
-        conn.execute("PRAGMA query_only = ON")
-        conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
-        conn.set_authorizer(_authorize_read)
-        conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, CELL_BYTE_CAP)
-        raw: list[tuple] = []
-        size = 0
-        truncated = False
-        for row in conn.execute(sql):
-            size += sum(len(c) for c in row if isinstance(c, (str, bytes)))
-            if len(raw) == row_cap or size > RESULT_BYTE_CAP:
-                truncated = True
-                break
-            raw.append(row)
-        return rows_result(raw, truncated=truncated, multiset=multiset)
-    except sqlite3.OperationalError as exc:
-        if "interrupted" in str(exc).lower():
-            return timeout_result()
-        return error_result(str(exc))
-    except (sqlite3.Error, sqlite3.Warning) as exc:
-        # sqlite3.Warning covers multi-statement strings on older Pythons
-        return error_result(str(exc))
-    finally:
-        conn.close()
+    if sandbox is not None:
+        return sandbox.run(sql, timeout_secs, row_cap, multiset)
+    with Sandbox(db_path) as one_shot:
+        return one_shot.run(sql, timeout_secs, row_cap, multiset)
 
 
 def _authorize_read(action: int, *_: object) -> int:

@@ -14,6 +14,7 @@ binary search and keeps the ids whose band values equal the query's.
 from __future__ import annotations
 
 import binascii
+import gc
 import json
 import sqlite3
 from dataclasses import dataclass, field
@@ -96,18 +97,27 @@ class ValueIndex:
         """(band, band values as bytes) -> record ids ascending, for inspection.
 
         Derived on first access from the sorted keys; lookups do not use it.
+        It allocates one list per bucket, so the cyclic collector is paused
+        while it is built: its passes over the growing dict would double the
+        time and could find no cycle to free.
         """
         rows = self.params.rows_per_band
         shift = np.uint64(_band_shift(self.params.bands))
         bounds = np.searchsorted(self._keys >> shift,
                                  np.arange(self.params.bands + 1, dtype=np.uint64))
         out: dict[tuple[int, bytes], list[int]] = {}
-        for band in range(self.params.bands):  # a band at a time: small temporaries
-            ids = np.sort(self._ids[bounds[band]:bounds[band + 1]])  # ascending lists
-            block = np.ascontiguousarray(self._blocks(self.signatures)[ids, band])
-            keys = block.view(np.dtype((np.void, block.itemsize * rows))).ravel()
-            for key, rid in zip(keys.tolist(), ids.tolist()):
-                out.setdefault((band, key), []).append(rid)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for band in range(self.params.bands):  # a band at a time: small temporaries
+                ids = np.sort(self._ids[bounds[band]:bounds[band + 1]])  # ascending
+                block = np.ascontiguousarray(self._blocks(self.signatures)[ids, band])
+                keys = block.view(np.dtype((np.void, block.itemsize * rows))).ravel()
+                for key, rid in zip(keys.tolist(), ids.tolist()):
+                    out.setdefault((band, key), []).append(rid)
+        finally:
+            if collecting:
+                gc.enable()
         return out
 
 

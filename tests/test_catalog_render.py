@@ -1,10 +1,12 @@
 """Catalog ingestion from SQLite and schema-context rendering."""
 
+import dataclasses
 import sqlite3
 from pathlib import Path
 
 import pytest
 
+import sqlscout.core.render as render_module
 from sqlscout.core.catalog import attach_descriptions, load_catalog
 from sqlscout.core.render import render_schema_context
 from sqlscout.errors import IngestionError
@@ -124,3 +126,118 @@ def test_render_quotes_odd_identifiers(tmp_path):
     text = render_schema_context(load_catalog(db))
     assert "`order items`" in text
     assert "`unit price`" in text
+
+
+# ---- each table's block renders once per catalog ----
+
+def make_orders_db(path: Path) -> Path:
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE orders (
+            order_id INTEGER NOT NULL PRIMARY KEY,
+            customer TEXT,
+            status TEXT
+        );
+        CREATE TABLE items (
+            order_id INTEGER NOT NULL,
+            line INTEGER NOT NULL,
+            product TEXT,
+            qty INTEGER,
+            PRIMARY KEY (order_id, line),
+            FOREIGN KEY (order_id) REFERENCES orders (order_id)
+        );
+        CREATE TABLE shipments (
+            order_id INTEGER,
+            line INTEGER,
+            carrier TEXT,
+            FOREIGN KEY (order_id, line) REFERENCES items (order_id, line)
+        );
+        INSERT INTO orders VALUES (1, 'ada', 'shipped'), (2, 'bob', 'pending');
+        INSERT INTO items VALUES (1, 1, 'widget', 3), (1, 2, 'gadget', 1);
+        INSERT INTO shipments VALUES (1, 1, 'post');
+        """
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
+SLICES = [
+    None,
+    {"items": ["qty"]},  # its foreign key is pruned: orders is not shown
+    {"items": ["qty"], "orders": ["status"]},
+    {"shipments": ["carrier"], "items": ["product"]},  # composite key both ways
+    {"orders": ["customer"]},
+]
+# what two questions on the same database retrieved, and a third
+QUESTION_VALUES = [
+    {},
+    {("orders", "status"): ["shipped"], ("items", "product"): ["widget"]},
+    {("orders", "status"): ["pending", "shipped"], ("shipments", "carrier"): ["post"]},
+]
+
+
+def render_uncached(catalog, selected=None, retrieved_values=None) -> str:
+    fresh = dataclasses.replace(catalog, rendered_tables={})
+    return render_schema_context(fresh, selected=selected,
+                                 retrieved_values=retrieved_values)
+
+
+def test_cached_blocks_render_byte_identical(tmp_path):
+    catalog = load_catalog(make_orders_db(tmp_path / "orders.sqlite"))
+    assert "\tprimary key (order_id, line)" in render_uncached(catalog)
+    # every question renders every slice twice on the one warm catalog
+    for retrieved in QUESTION_VALUES + QUESTION_VALUES[::-1]:
+        for selected in SLICES + SLICES:
+            assert render_schema_context(
+                catalog, selected=selected, retrieved_values=retrieved,
+            ) == render_uncached(catalog, selected, retrieved), (selected, retrieved)
+    assert catalog.rendered_tables
+
+
+def test_cached_blocks_match_on_the_restaurant_catalog(restaurant_catalog):
+    retrieved = {("generalinfo", "city"): ["san leandro", "albany"]}
+    for selected in (None, {"location": ["street_name"]},
+                     {"generalinfo": ["city"], "location": ["city"]}):
+        for values in (None, retrieved, None):
+            assert render_schema_context(
+                restaurant_catalog, selected=selected, retrieved_values=values,
+            ) == render_uncached(restaurant_catalog, selected, values)
+
+
+def test_blocks_render_once_per_key(tmp_path, monkeypatch):
+    catalog = load_catalog(make_orders_db(tmp_path / "orders.sqlite"))
+    rendered = []
+    render_table = render_module._render_table
+
+    def counting(table, *args):
+        rendered.append(table.name)
+        return render_table(table, *args)
+
+    monkeypatch.setattr(render_module, "_render_table", counting)
+    render_schema_context(catalog)
+    assert rendered == ["items", "orders", "shipments"]
+    render_schema_context(catalog)
+    assert len(rendered) == 3
+    # new values for a visible column re-render that table only
+    render_schema_context(catalog, retrieved_values=QUESTION_VALUES[1])
+    assert rendered[3:] == ["items", "orders"]
+    # values for a column the slice hides do not change the block
+    render_schema_context(catalog, selected={"orders": ["customer"]})
+    render_schema_context(catalog, selected={"orders": ["customer"]},
+                          retrieved_values=QUESTION_VALUES[1])
+    assert rendered[5:] == ["orders"]
+
+
+def test_descriptions_attached_later_reach_the_blocks(restaurant_db, tmp_path):
+    catalog = load_catalog(restaurant_db, db_id="restaurants")
+    assert "cuisine" not in render_schema_context(catalog)
+    desc_dir = tmp_path / "database_description"
+    desc_dir.mkdir()
+    (desc_dir / "generalinfo.csv").write_text(
+        "original_column_name,column_description\nfood_type,the cuisine offered\n",
+        encoding="utf-8",
+    )
+    attach_descriptions(catalog, desc_dir)
+    assert "Column Description: the cuisine offered" in render_schema_context(catalog)

@@ -1,7 +1,9 @@
 """Dataset ingestion, benchmark orchestration, and the CLI."""
 
+import dataclasses
 import json
 import math
+import sqlite3
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +41,7 @@ from sqlscout.harness.runner import (
 )
 from sqlscout.llm_client import ScriptedModel
 from sqlscout.mcts import SearchDeps, audit_tree, run_search
+from sqlscout.sql_exec import Sandbox
 from sqlscout.value_index import build_value_index, save_index
 
 from conftest import (
@@ -351,6 +354,73 @@ def test_run_one_item_isolates_failures(bird_dataset):
                           bench_cfg(), mode="baseline")
     assert record["ex"] == 0
     assert "model caught fire" in record["error"]
+
+
+def recorded_sandboxes(monkeypatch) -> tuple[list, list]:
+    """The sandboxes `run_one_item` opens, and the sandbox of each statement."""
+    opened, used = [], []
+
+    class Recorded(Sandbox):
+        def __init__(self, db_path):
+            super().__init__(db_path)
+            self.closed = False
+            opened.append(self)
+
+        def close(self):
+            super().close()
+            self.closed = True
+
+    execute_sql = runner_module.execute_sql
+
+    def recording(sql, *args, sandbox=None, **kwargs):
+        used.append(sandbox)
+        return execute_sql(sql, *args, sandbox=sandbox, **kwargs)
+
+    monkeypatch.setattr(runner_module, "Sandbox", Recorded)
+    monkeypatch.setattr(runner_module, "execute_sql", recording)
+    return opened, used
+
+
+def test_run_one_item_runs_every_statement_on_one_sandbox(bird_dataset,
+                                                           monkeypatch):
+    dataset, db_root = bird_dataset
+    opened, used = recorded_sandboxes(monkeypatch)
+    # a gold text no candidate shares: the gold query runs apart from them
+    item = dataclasses.replace(load_dataset(dataset)[0], gold_sql="SELECT 4")
+    record = run_one_item(item, bench_env(db_root), bench_cfg())
+    assert record["error"] is None and record["ex"] == 1
+    assert len(opened) == 1 and len(used) > 1
+    assert all(sandbox is opened[0] for sandbox in used)
+    assert opened[0].closed
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        opened[0].run("SELECT 1")
+
+
+def test_run_one_item_closes_its_sandbox_when_the_search_raises(bird_dataset,
+                                                                monkeypatch):
+    dataset, db_root = bird_dataset
+    opened, _ = recorded_sandboxes(monkeypatch)
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("search blew up")
+
+    monkeypatch.setattr(runner_module, "run_search", explode)
+    item = load_dataset(dataset)[0]
+    record = run_one_item(item, bench_env(db_root), bench_cfg())
+    assert record["error"] == "RuntimeError: search blew up"
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_workers_never_share_a_sandbox(bird_dataset, tmp_path, monkeypatch):
+    dataset, db_root = bird_dataset
+    opened, used = recorded_sandboxes(monkeypatch)
+    items = load_dataset(dataset)
+    summary = run_benchmark(items, bench_env(db_root), bench_cfg(),
+                            tmp_path / "run", workers=2)
+    assert summary["item_errors"] == 0 and summary["ex_overall"] == 1.0
+    # sqlite3 would refuse a connection used on a thread that did not open it
+    assert len(opened) == len(items) == len({id(s) for s in used})
+    assert all(sandbox.closed for sandbox in opened)
 
 
 def test_run_one_item_broken_gold(bird_dataset):
@@ -678,6 +748,35 @@ def test_cli_run_with_limit_and_baseline(bird_dataset, tmp_path, cli_env):
     ])
     assert result.exit_code == 0, result.output
     assert len(load_report_records(out_dir / REPORT_NAME)) == 2
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--limit", "-1"), ("--workers", "0"), ("--workers", "-2"),
+])
+def test_cli_run_rejects_out_of_range_counts(bird_dataset, tmp_path, cli_env,
+                                             option, value):
+    # `items[:-1]` would drop the last item, and fewer than one worker would
+    # silently run in series
+    dataset, db_root = bird_dataset
+    out_dir = tmp_path / "run"
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(out_dir), "--mode", "baseline", option, value,
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (out_dir / REPORT_NAME).exists()
+
+
+def test_cli_run_limit_zero_runs_nothing(bird_dataset, tmp_path, cli_env):
+    dataset, db_root = bird_dataset
+    out_dir = tmp_path / "run"
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(out_dir), "--mode", "baseline", "--limit", "0",
+    ])
+    assert result.exit_code == 0, result.output
+    assert load_report_records(out_dir / REPORT_NAME) == {}
 
 
 def test_cli_report_empty_dir(tmp_path, cli_env):

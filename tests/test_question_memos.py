@@ -170,8 +170,8 @@ def counting_env(monkeypatch) -> list[str]:
     ran: list[str] = []
     make_executor = RunEnvironment.executor
 
-    def executor(self, db_id, cfg):
-        inner = make_executor(self, db_id, cfg)
+    def executor(self, db_id, cfg, sandbox=None):
+        inner = make_executor(self, db_id, cfg, sandbox)
 
         def run(sql):
             ran.append(sql)

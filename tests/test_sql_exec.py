@@ -13,6 +13,7 @@ from sqlscout.sql_exec import (
     CELL_BYTE_CAP,
     RESULT_BYTE_CAP,
     ExecutionResult,
+    Sandbox,
     canonical_cell,
     error_result,
     execute_sql,
@@ -308,3 +309,78 @@ def test_distinct_row_order_ignored(tmp_path):
     asc = execute_sql("SELECT x FROM t ORDER BY x", db)
     desc = execute_sql("SELECT x FROM t ORDER BY x DESC", db)
     assert results_equal(asc, desc)
+
+
+# ---- one sandbox connection runs every statement of a question ----
+
+COUNT_SQL = "SELECT COUNT(*) FROM location"
+
+
+def test_sandbox_runs_rows_after_a_timeout(restaurant_db):
+    with Sandbox(restaurant_db) as sandbox:
+        assert sandbox.run(SLOW_SQL, timeout_secs=0.2).kind == "timeout"
+        # the deadline is per statement: the next one, long enough for the
+        # progress handler to look at it, gets a fresh budget
+        counted = sandbox.run(
+            "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
+            "WHERE i < 100000) SELECT COUNT(*) FROM n", timeout_secs=5.0)
+        assert counted.rows == frozenset({(100000,)})
+        assert execute_sql(GOLD_SQL, restaurant_db,
+                           sandbox=sandbox).rows == frozenset({(4,)})
+
+
+@pytest.mark.parametrize("denied", [
+    "CREATE TEMP TABLE location (x INT)",
+    "CREATE TEMP VIEW location AS SELECT 1",
+    "ATTACH DATABASE ':memory:' AS sneak",
+    "PRAGMA query_only = OFF",
+    "PRAGMA temp.cache_size = 1",
+    "BEGIN",
+    "BEGIN IMMEDIATE",
+    "SAVEPOINT sneak",
+    "DELETE FROM location",
+])
+def test_sandbox_denied_statement_leaves_the_next_unchanged(restaurant_db, denied):
+    with Sandbox(restaurant_db) as sandbox:
+        before = sandbox.run(COUNT_SQL)
+        assert sandbox.run(denied).kind == "error", denied
+        assert sandbox.run(COUNT_SQL).rows == before.rows == frozenset({(7,)})
+        # no transaction was left open and no write went through
+        assert sandbox.run("DELETE FROM location").kind == "error"
+        assert sandbox.run(COUNT_SQL).rows == before.rows
+
+
+def test_sandbox_truncated_result_does_not_affect_the_next(restaurant_db):
+    with Sandbox(restaurant_db) as sandbox:
+        cut = sandbox.run("SELECT * FROM generalinfo", row_cap=2)
+        assert cut.truncated and len(cut.rows) == 2
+        whole = sandbox.run("SELECT * FROM generalinfo")
+        assert not whole.truncated and len(whole.rows) == 7
+        # the cut statement holds no read lock: another connection can write
+        sandbox.run("SELECT * FROM generalinfo", row_cap=1)
+        writer = sqlite3.connect(restaurant_db, timeout=0)
+        try:
+            writer.execute("UPDATE generalinfo SET review = 5.0 WHERE id_restaurant = 1")
+            writer.commit()
+        finally:
+            writer.close()
+        assert sandbox.run("SELECT review FROM generalinfo WHERE id_restaurant = 1"
+                           ).rows == frozenset({(5,)})
+
+
+def test_sandbox_checks_its_file_and_closes(restaurant_db, tmp_path):
+    with pytest.raises(IngestionError):
+        Sandbox(tmp_path / "absent.sqlite")
+    sandbox = Sandbox(restaurant_db)
+    assert sandbox.run("") == error_result("empty SQL")
+    sandbox.close()
+    with pytest.raises(sqlite3.ProgrammingError):
+        sandbox.run(COUNT_SQL)
+
+
+def test_one_shot_execute_matches_a_sandbox(restaurant_db):
+    queries = [GOLD_SQL, GOLD_SQL_ALT, "SELEC 1", COUNT_SQL,
+               "SELECT label, review FROM generalinfo"]
+    with Sandbox(restaurant_db) as sandbox:
+        for sql in queries:
+            assert execute_sql(sql, restaurant_db) == sandbox.run(sql), sql
