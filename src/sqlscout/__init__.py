@@ -18,7 +18,7 @@ from .errors import (
     SqlScoutError,
     TransportError,
 )
-from .mcts import SearchDeps, Trajectory, run_search
+from .mcts import Trajectory, prepare_context, run_search
 from .reward_select import compute_reward, select_final
 from .sql_exec import ExecutionResult, execute_sql, results_equal
 
@@ -34,7 +34,6 @@ __all__ = [
     "ProtocolError",
     "ScriptError",
     "SearchConfig",
-    "SearchDeps",
     "SearchNode",
     "SqlScoutError",
     "Trajectory",
@@ -42,6 +41,7 @@ __all__ = [
     "__version__",
     "compute_reward",
     "execute_sql",
+    "prepare_context",
     "results_equal",
     "run_search",
     "select_final",

@@ -45,9 +45,9 @@ def fingerprint(action: ActionKind, state: NodeState) -> str:
     return hashlib.sha1(material.encode("utf-8")).hexdigest()[:16]
 
 
-def advance(state: NodeState, action: ActionKind, answer, raw: str,
+def advance(state: NodeState, action: ActionKind, answer,
             feedback: tuple[str, str] | None = None) -> NodeState:
-    """New NodeState with the answer in its field and the raw response logged.
+    """New NodeState with the answer in its field and the action in its history.
 
     `feedback` is the (sql, execution result text) a revision was prompted
     with; the reward stage re-issues that prompt.
@@ -57,5 +57,5 @@ def advance(state: NodeState, action: ActionKind, answer, raw: str,
         setattr(new, ANSWER_FIELD[action], answer)
     if action is ActionKind.SQL_REVISE:
         new.revision_context = feedback
-    new.reasoning_log.append((action, raw))
+    new.history += (action,)
     return new

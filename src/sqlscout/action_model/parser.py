@@ -64,6 +64,8 @@ def _loads_lenient(payload: str) -> dict:
             obj = json.loads(candidate)
         except json.JSONDecodeError:
             continue
+        except RecursionError:
+            raise ParseError("JSON payload nests too deeply") from None
         if isinstance(obj, dict):
             return obj
         raise ParseError("JSON payload is not an object")

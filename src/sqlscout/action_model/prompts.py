@@ -70,7 +70,7 @@ def build_action_prompt(
     """
     if action is ActionKind.TERMINATE:
         raise ContractViolation("termination is structural; it has no prompt")
-    if action not in valid_next_actions(state.history()):
+    if action not in valid_next_actions(state.history):
         raise ContractViolation(
             f"{action.value} is not a legal action for this state"
         )

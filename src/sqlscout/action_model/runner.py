@@ -34,7 +34,7 @@ def run_action(action: ActionKind, state: NodeState,
     nothing usable. Transport errors propagate to the caller.
     """
     if action is ActionKind.TERMINATE:
-        return [(advance(state, action, None, ""), "")]
+        return [(advance(state, action, None), "")]
     if action is ActionKind.SQL_REVISE:
         return [
             pair
@@ -55,7 +55,7 @@ def run_action(action: ActionKind, state: NodeState,
         except ParseError as exc:
             log.debug("%s sample failed to parse: %s", action.value, exc)
             continue
-        out.append((advance(state, action, answer, raw), raw))
+        out.append((advance(state, action, answer), raw))
     return out
 
 
@@ -97,8 +97,7 @@ def _run_revision_chain(chain: int, state: NodeState,
             break
         current = sql
         result = ctx.execute(current)
-    raw = last_raw or ""
-    return [(advance(state, ActionKind.SQL_REVISE, current, raw, feedback), raw)]
+    return [(advance(state, ActionKind.SQL_REVISE, current, feedback), last_raw or "")]
 
 
 def extract_keywords(q: NLQuestion, model: ChatModel) -> list[str]:

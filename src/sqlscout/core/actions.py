@@ -9,6 +9,8 @@ against the history.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ..errors import ContractViolation
 from .types import ActionKind
 
@@ -34,7 +36,7 @@ _SUCCESSORS: dict[ActionKind, tuple[ActionKind, ...]] = {
 }
 
 
-def valid_next_actions(history: list[ActionKind]) -> list[ActionKind]:
+def valid_next_actions(history: Sequence[ActionKind]) -> list[ActionKind]:
     """Actions allowed after `history`, in canonical order.
 
     Raises ContractViolation if the history itself is not reachable (repeated

@@ -46,8 +46,8 @@ class NLQuestion:
 class NodeState:
     """Answers accumulated along one root-to-node path.
 
-    reasoning_log holds (action, raw model output) in path order; each action
-    appears at most once. revision_context records the (sql, execution result
+    history holds the actions of the path in order; each action appears at
+    most once. revision_context records the (sql, execution result
     text) pair the last revision prompt was built from, so the reward stage
     can re-issue the same prompt.
     """
@@ -58,10 +58,7 @@ class NodeState:
     function_notes: str | None = None
     sql: str | None = None
     revision_context: tuple[str, str] | None = None
-    reasoning_log: list[tuple[ActionKind, str]] = field(default_factory=list)
-
-    def history(self) -> list[ActionKind]:
-        return [action for action, _ in self.reasoning_log]
+    history: tuple[ActionKind, ...] = ()
 
     def copy(self) -> NodeState:
         return NodeState(
@@ -72,7 +69,7 @@ class NodeState:
             function_notes=self.function_notes,
             sql=self.sql,
             revision_context=self.revision_context,
-            reasoning_log=list(self.reasoning_log),
+            history=self.history,
         )
 
 
@@ -168,3 +165,7 @@ class SearchConfig:
                 raise ContractViolation(f"{name} must be in [0, 1]")
         if self.retrieval_mode not in ("and", "or"):
             raise ContractViolation("retrieval_mode must be 'and' or 'or'")
+        if self.row_cap < 0:
+            raise ContractViolation("row_cap must be >= 0")
+        if not self.sql_timeout_secs > 0:  # also rejects NaN
+            raise ContractViolation("sql_timeout_secs must be > 0")

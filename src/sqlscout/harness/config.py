@@ -11,7 +11,9 @@ Example:
     chat_model = qwen2.5-coder-7b-instruct
     cache_dir = .sqlscout-cache
 
-Unset keys keep their defaults; environment variables fill endpoint gaps.
+Unset keys keep their defaults; environment variables fill endpoint gaps. A
+key a section does not know is an error, so a misspelt setting never runs
+silently with its default.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def load_config(path: str | Path | None) -> tuple[SearchConfig, EndpointConfig]:
     parser = configparser.ConfigParser()
     parser.read(path, encoding="utf-8")
 
+    for name, known in ((_SEARCH_SECTION, SearchConfig),
+                        (_ENDPOINT_SECTION, EndpointConfig)):
+        if parser.has_section(name):
+            _reject_unknown_keys(parser, name, {f.name for f in fields(known)})
+
     search_kwargs = {}
     if parser.has_section(_SEARCH_SECTION):
         section = parser[_SEARCH_SECTION]
@@ -59,10 +66,20 @@ def load_config(path: str | Path | None) -> tuple[SearchConfig, EndpointConfig]:
 
     if parser.has_section(_ENDPOINT_SECTION):
         section = parser[_ENDPOINT_SECTION]
-        for name in ("base_url", "api_key", "chat_model", "embed_model", "cache_dir"):
-            if section.get(name):
-                setattr(endpoint, name, section[name])
+        for f in fields(EndpointConfig):
+            if section.get(f.name):
+                setattr(endpoint, f.name, section[f.name])
     return cfg, endpoint
+
+
+def _reject_unknown_keys(parser: configparser.ConfigParser, section: str,
+                         known: set[str]) -> None:
+    unknown = sorted(set(parser[section]) - known)
+    if unknown:
+        raise IngestionError(
+            f"unknown key {unknown[0]!r} in [{section}] of the config file; "
+            f"known keys: {', '.join(sorted(known))}"
+        )
 
 
 def _parse_float(raw: str) -> float:

@@ -25,9 +25,9 @@ from ..core.catalog import DatabaseCatalog, attach_descriptions, load_catalog
 from ..core.types import SearchConfig
 from ..errors import IngestionError
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
-from ..mcts import SearchDeps, run_search, serialize_tree
+from ..mcts import prepare_context, run_search, serialize_tree
 from ..reward_select import select_final
-from ..sql_exec import Sandbox, execute_sql, memoize_executor, results_equal
+from ..sql_exec import Sandbox, execute_sql, results_equal
 from ..value_index import ValueIndex, load_index
 from .baseline import baseline_generate
 from .dataset import BenchmarkItem
@@ -144,11 +144,12 @@ def run_one_item(
     Never raises for model/SQL-level problems: any failure is folded into
     the record as EX=0 with the cause, so one bad item cannot sink a run.
 
-    Each SQL string runs at most once per item: the search, final
-    selection, the chosen query and the gold query share one memoized
-    executor, which lives for this item only and is never shared across
-    items or `--workers` threads. One exception: a truncated gold result is
-    run again outside the memo. `results_equal` counts a truncated result
+    The item's `RolloutContext`, built in both modes, owns its memos: the
+    search, final selection, the chosen query and the gold query all run
+    SQL through `ctx.execute`, so each string runs at most once per item.
+    Only `mcts` mode passes the value index, so `baseline` mode makes no
+    keyword call. One exception: a truncated gold result is run again
+    through the raw executor. `results_equal` counts a truncated result
     equal only to the very same object, so the chosen query must not score
     against the memo's copy of itself. Every statement of the item runs on
     one `Sandbox` connection, closed when the item ends, also on an error.
@@ -171,25 +172,23 @@ def run_one_item(
     model = CountingModel(env.model)
     sandbox = None
     try:
+        if mode not in ("mcts", "baseline"):
+            raise IngestionError(f"unknown run mode: {mode!r}")
         catalog = env.catalog(item.db_id)
         sandbox = Sandbox(env.db_path(item.db_id))
-        executor = env.executor(item.db_id, cfg, sandbox)
-        memo = memoize_executor(executor)
         item_cfg = dataclasses.replace(
             cfg, rng_seed=item_seed(cfg.rng_seed, item.question_id)
         )
+        ctx = prepare_context(
+            item.question, item_cfg, model, catalog,
+            env.executor(item.db_id, cfg, sandbox), embedder=env.embedder,
+            value_index=env.value_index(item.db_id) if mode == "mcts" else None,
+        )
         chosen = ""
         if mode == "mcts":
-            deps = SearchDeps(
-                model=model,
-                catalog=catalog,
-                executor=memo,
-                embedder=env.embedder,
-                value_index=env.value_index(item.db_id),
-            )
-            trajectories = run_search(item.question, deps, item_cfg)
+            trajectories = run_search(ctx)
             if trajectories:
-                outcome = select_final(trajectories, memo)
+                outcome = select_final(trajectories, ctx.execute)
                 chosen = outcome.sql
                 record["low_confidence"] = outcome.low_confidence
                 record["class_size"] = outcome.class_size
@@ -212,19 +211,17 @@ def run_one_item(
                 log.warning("search yielded no trajectories for %s; "
                             "using single-shot generation", item.question_id)
                 chosen = baseline_generate(item.question, catalog, model)
-        elif mode == "baseline":
-            chosen = baseline_generate(item.question, catalog, model)
         else:
-            raise IngestionError(f"unknown run mode: {mode!r}")
+            chosen = baseline_generate(item.question, catalog, model)
 
         record["sql"] = chosen
-        gold_result = memo(item.gold_sql)
+        gold_result = ctx.execute(item.gold_sql)
         if gold_result.truncated:
-            gold_result = executor(item.gold_sql)
+            gold_result = ctx.run_sql(item.gold_sql)
         if gold_result.kind != "rows":
             record["broken_gold"] = True
         elif chosen:
-            record["ex"] = int(results_equal(memo(chosen), gold_result))
+            record["ex"] = int(results_equal(ctx.execute(chosen), gold_result))
     except Exception as exc:  # per-item isolation: record and move on
         log.exception("item %s failed", item.question_id)
         record["error"] = f"{type(exc).__name__}: {exc}"

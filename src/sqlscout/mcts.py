@@ -25,51 +25,49 @@ from .core.types import ActionKind, EdgeKey, NLQuestion, SearchConfig, SearchNod
 from .errors import ContractViolation, ProtocolError, TransportError
 from .llm_client import ChatModel, Embedder
 from .reward_select import compute_reward
-from .sql_exec import ExecutionResult, memoize_executor
+from .sql_exec import ExecutionResult
 from .value_index import ValueIndex, as_retrieved_map, retrieve_values
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
-class SearchDeps:
-    """Everything one search task needs, already bound to its database."""
-
-    model: ChatModel
-    catalog: DatabaseCatalog
-    executor: Callable[[str], ExecutionResult]
-    embedder: Embedder | None = None
-    value_index: ValueIndex | None = None
-
-
-@dataclass
 class RolloutContext:
-    """Per-question search context: the inputs of every action's prompt.
+    """One question's search state: the inputs of every prompt and its memos.
 
-    `prepare_context` builds it. `execute` runs each distinct SQL string
-    once; it is the search's executor itself when that is already a
-    `memoize_executor` memo, as in `run_one_item`, so the two share one
-    cache. `schema_cache` holds the rendered schema text per slice (None for
-    the full catalog, else the selected (table, columns) items in order), so
+    `prepare_context` builds it, and it lives for one question: the search,
+    final selection, the chosen query and the gold query all read it. Its
+    memos are never shared across questions or `--workers` threads.
+    `results` holds each SQL string's result from `run_sql`, so `execute`
+    runs a string once and a repeat returns the very same object (a
+    truncated result equals only itself under `results_equal`).
+    `schema_cache` holds the rendered schema text per slice (None for the
+    full catalog, else the selected (table, columns) items in order), so
     every prompt built from the same slice renders it once; it is valid
     because the catalog and `retrieved_map` stay fixed for the context's
     life. `samples` holds each action sample `sample` obtained, keyed by
     (prompt, temperature, sample index): actions that commute (A3 then A4,
     or A4 then A3) build the same state and so the same prompts, and each
-    is asked of the model once. The memos live and die with this context,
-    one question; they are never shared across questions or `--workers`
-    threads.
+    is asked of the model once.
     """
 
     q: NLQuestion
     cfg: SearchConfig
     model: ChatModel
     catalog: DatabaseCatalog
-    execute: Callable[[str], ExecutionResult]
+    run_sql: Callable[[str], ExecutionResult]
     retrieved_map: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     keywords: list[str] = field(default_factory=list)
     schema_cache: dict[SchemaKey, str] = field(default_factory=dict)
     samples: dict[tuple[str, float, int], str] = field(default_factory=dict)
+    results: dict[str, ExecutionResult] = field(default_factory=dict)
+
+    def execute(self, sql: str) -> ExecutionResult:
+        """`run_sql(sql)`, run once per distinct string of the question."""
+        result = self.results.get(sql)
+        if result is None:
+            result = self.results[sql] = self.run_sql(sql)
+        return result
 
     def sample(self, prompt: str, temperature: float, index: int, tag: str) -> str:
         """The index-th completion for the prompt, asked of the model once.
@@ -100,8 +98,7 @@ class Trajectory:
         last = self.nodes[-1]
         if last.producing_action is not ActionKind.TERMINATE:
             raise ContractViolation("trajectory must end at a Terminate node")
-        history = last.state.history()
-        if history.count(ActionKind.SQL_GENERATE) != 1:
+        if last.state.history.count(ActionKind.SQL_GENERATE) != 1:
             raise ContractViolation("trajectory must generate SQL exactly once")
         if not self.final_sql:
             raise ContractViolation("trajectory carries no final SQL")
@@ -158,7 +155,7 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
     if node.is_terminal:
         raise ContractViolation("cannot expand a terminal node")
     created: list[SearchNode] = []
-    for action in valid_next_actions(node.state.history()):
+    for action in valid_next_actions(node.state.history):
         try:
             pairs = run_action(action, node.state, ctx)
         except (TransportError, ProtocolError) as exc:
@@ -181,7 +178,7 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
     if not node.children:
         node.dead = True
         log.warning("node with history %s is dead: no action produced children",
-                    [a.value for a in node.state.history()])
+                    [a.value for a in node.state.history])
     return created
 
 
@@ -212,14 +209,13 @@ def backpropagate(terminal: SearchNode, reward: float) -> None:
     node.visit_count += 1  # the root's own visit; root N = completed rollouts
 
 
-def run_search(q: NLQuestion, deps: SearchDeps, cfg: SearchConfig) -> list[Trajectory]:
+def run_search(ctx: RolloutContext) -> list[Trajectory]:
     """Full search for one question; returns each distinct terminal trajectory.
 
-    Keyword extraction and value retrieval happen once, before the rollout
-    loop, and feed every prompt. Rewards are computed once per terminal and
-    cached on the node.
+    Keywords and retrieved values come from `prepare_context` and feed every
+    prompt. Rewards are computed once per terminal and cached on the node.
     """
-    ctx = prepare_context(q, deps, cfg)
+    cfg = ctx.cfg
     rng = random.Random(cfg.rng_seed)
     root = SearchNode.root()
     trajectories: list[Trajectory] = []
@@ -245,24 +241,28 @@ def run_search(q: NLQuestion, deps: SearchDeps, cfg: SearchConfig) -> list[Traje
     return trajectories
 
 
-def prepare_context(q: NLQuestion, deps: SearchDeps,
-                    cfg: SearchConfig) -> RolloutContext:
-    """Run the once-per-question steps: keywords and value retrieval.
+def prepare_context(q: NLQuestion, cfg: SearchConfig, model: ChatModel,
+                    catalog: DatabaseCatalog,
+                    run_sql: Callable[[str], ExecutionResult],
+                    embedder: Embedder | None = None,
+                    value_index: ValueIndex | None = None) -> RolloutContext:
+    """The question's context, with the once-per-question steps run.
 
-    A keyword call lost to a transport or protocol error leaves the search
-    without keywords and retrieved values, with a warning.
+    With a value index, the keywords are extracted and their values
+    retrieved; without one, no model call is made. A keyword call lost to a
+    transport or protocol error leaves the search without keywords and
+    retrieved values, with a warning.
     """
-    ctx = RolloutContext(q=q, cfg=cfg, model=deps.model, catalog=deps.catalog,
-                         execute=memoize_executor(deps.executor))
-    if deps.value_index is not None:
+    ctx = RolloutContext(q=q, cfg=cfg, model=model, catalog=catalog,
+                         run_sql=run_sql)
+    if value_index is not None:
         try:
-            ctx.keywords = extract_keywords(q, deps.model)
+            ctx.keywords = extract_keywords(q, model)
         except (TransportError, ProtocolError) as exc:
             log.warning("keyword extraction failed, retrieving no values: %s: %s",
                         type(exc).__name__, exc)
             return ctx
-        retrieved = retrieve_values(deps.value_index, ctx.keywords,
-                                    deps.embedder, cfg)
+        retrieved = retrieve_values(value_index, ctx.keywords, embedder, cfg)
         ctx.retrieved_map = as_retrieved_map(retrieved)
     return ctx
 
@@ -272,8 +272,7 @@ def audit_tree(root: SearchNode) -> None:
     stack = [root]
     while stack:
         node = stack.pop()
-        history = node.state.history()
-        valid_next_actions(history)  # raises if the history itself is illegal
+        valid_next_actions(node.state.history)  # raises on an illegal history
         for edge, stats in node.action_stats.items():
             if stats.q < 0 or stats.q > stats.n:
                 raise ContractViolation(

@@ -17,7 +17,7 @@ from .action_model import build_action_prompt
 from .action_model.parser import parse_sql_payload
 from .core.types import ActionKind, SearchNode
 from .errors import ContractViolation, ParseError, ProtocolError, TransportError
-from .sql_exec import ExecutionResult, memoize_executor, results_equal
+from .sql_exec import ExecutionResult, results_equal
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +119,8 @@ def select_final(
 ) -> SelectionOutcome:
     """Pick the final SQL by execution-result majority over the trajectories.
 
-    Each trajectory contributes its final SQL (one vote each, repeats kept).
+    Each trajectory contributes its final SQL (one vote each, repeats kept);
+    each distinct SQL string is executed once.
     Candidates that execute to rows are grouped into equivalence classes;
     the winner is the candidate of the largest class, ties broken by higher
     trajectory reward, then shorter SQL, then lexicographic order. If every
@@ -127,11 +128,12 @@ def select_final(
     """
     if not trajectories:
         raise ContractViolation("final selection requires at least one trajectory")
-    run = memoize_executor(executor)
+    results = {sql: executor(sql)
+               for sql in dict.fromkeys(t.final_sql for t in trajectories)}
     rows_candidates: list[tuple[str, float, ExecutionResult]] = []
     failed_candidates: list[tuple[str, float, ExecutionResult]] = []
     for traj in trajectories:
-        result = run(traj.final_sql)
+        result = results[traj.final_sql]
         bucket = rows_candidates if result.is_rows else failed_candidates
         bucket.append((traj.final_sql, traj.reward, result))
 

@@ -12,7 +12,6 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .errors import ContractViolation, IngestionError
 
@@ -233,32 +232,6 @@ def execute_sql(
 
 def _authorize_read(action: int, *_: object) -> int:
     return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
-
-
-class _MemoizedExecutor:
-    def __init__(self, executor: Callable[[str], ExecutionResult]):
-        self._executor = executor
-        self._cache: dict[str, ExecutionResult] = {}
-
-    def __call__(self, sql: str) -> ExecutionResult:
-        if sql not in self._cache:
-            self._cache[sql] = self._executor(sql)
-        return self._cache[sql]
-
-
-def memoize_executor(
-    executor: Callable[[str], ExecutionResult],
-) -> Callable[[str], ExecutionResult]:
-    """Wrap `executor` so each distinct SQL string runs once.
-
-    Repeats return the very same result object, so a truncated result still
-    equals itself under `results_equal`. An executor this function already
-    wrapped is returned as is, so callers that memoize defensively share one
-    cache instead of stacking another.
-    """
-    if isinstance(executor, _MemoizedExecutor):
-        return executor
-    return _MemoizedExecutor(executor)
 
 
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:

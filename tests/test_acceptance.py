@@ -18,7 +18,6 @@ from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
 from sqlscout.llm_client import ScriptedModel
 from sqlscout.mcts import (
-    SearchDeps,
     audit_tree,
     expand_node,
     prepare_context,
@@ -115,7 +114,7 @@ def test_criterion_02_uct_and_unvisited_priority():
                 child = SearchNode(state=root.state.copy(),
                                    producing_action=action, fingerprint=fp,
                                    parent=root)
-                child.state.reasoning_log.append((action, ""))
+                child.state.history += (action,)
                 child.visit_count = 10
                 root.children[(action, fp)] = child
                 stats = root.stats_for((action, fp))
@@ -123,7 +122,7 @@ def test_criterion_02_uct_and_unvisited_priority():
             fresh = SearchNode(state=root.state.copy(),
                                producing_action=A.VALUE_IDENT, fingerprint="new",
                                parent=root)
-            fresh.state.reasoning_log.append((A.VALUE_IDENT, ""))
+            fresh.state.history += (A.VALUE_IDENT,)
             root.children[(A.VALUE_IDENT, "new")] = fresh
             picked = select_path(root, SearchConfig(), random.Random(seed))
             assert picked is fresh  # absolute priority over any UCT score
@@ -168,15 +167,13 @@ def test_criterion_03_search_converges_across_seeds(accept_db, accept_catalog):
         started = time.monotonic()
         successes = 0
         for seed in range(100):
-            deps = SearchDeps(
-                model=convergence_model(),
-                catalog=accept_catalog,
-                executor=lambda sql: execute_sql(sql, accept_db,
-                                                 timeout_secs=5.0),
-            )
             cfg = SearchConfig(n_rollout=24, n_revision=2,
                                sql_timeout_secs=5.0, rng_seed=seed)
-            trajectories = run_search(question, deps, cfg)
+            ctx = prepare_context(
+                question, cfg, convergence_model(), accept_catalog,
+                lambda sql: execute_sql(sql, accept_db, timeout_secs=5.0),
+            )
+            trajectories = run_search(ctx)
             if not trajectories:
                 continue
             root = trajectories[0].nodes[0]
@@ -185,7 +182,7 @@ def test_criterion_03_search_converges_across_seeds(accept_db, accept_catalog):
                 visits[action] = visits.get(action, 0) + child.visit_count
             rephrase_visits = visits.pop(A.REPHRASE, 0)
             strictly_max = all(rephrase_visits > v for v in visits.values())
-            chosen = select_final(trajectories, deps.executor).sql
+            chosen = select_final(trajectories, ctx.execute).sql
             if strictly_max and chosen == GOLD_SQL:
                 successes += 1
         elapsed = time.monotonic() - started
@@ -198,13 +195,13 @@ def test_criterion_03_search_converges_across_seeds(accept_db, accept_catalog):
 def terminal_with_sql(sql: str) -> SearchNode:
     root = SearchNode.root()
     state = root.state.copy()
-    state.reasoning_log.append((A.SQL_GENERATE, ""))
+    state.history += (A.SQL_GENERATE,)
     state.sql = sql
     gen = SearchNode(state=state, producing_action=A.SQL_GENERATE,
                      fingerprint="g", parent=root)
     root.children[gen.edge_key] = gen
     term_state = gen.state.copy()
-    term_state.reasoning_log.append((A.TERMINATE, ""))
+    term_state.history += (A.TERMINATE,)
     term = SearchNode(state=term_state, producing_action=A.TERMINATE,
                       fingerprint="", parent=gen)
     gen.children[term.edge_key] = term
@@ -222,18 +219,14 @@ def test_criterion_04_reward_is_exact_match_fraction(accept_db, accept_catalog):
             model = ScriptedModel()
             model.add(A5_MARK, responses)
             ctx = prepare_context(
-                question,
-                SearchDeps(model=model, catalog=accept_catalog,
-                           executor=executor),
-                SearchConfig(n_reward=5, sql_timeout_secs=5.0),
+                question, SearchConfig(n_reward=5, sql_timeout_secs=5.0),
+                model, accept_catalog, executor,
             )
             assert compute_reward(ctx, terminal_with_sql(GOLD_SQL)) == m / 5
 
         ctx = prepare_context(
-            question,
-            SearchDeps(model=ScriptedModel(), catalog=accept_catalog,
-                       executor=executor),
-            SearchConfig(n_reward=5, sql_timeout_secs=5.0),
+            question, SearchConfig(n_reward=5, sql_timeout_secs=5.0),
+            ScriptedModel(), accept_catalog, executor,
         )
         assert compute_reward(ctx, terminal_with_sql(BROKEN_SQL)) == 0.0
 
@@ -245,10 +238,9 @@ def test_criterion_05_identical_samples_collapse(accept_db, accept_catalog):
         model = scripted_pipeline_model()
         ctx = prepare_context(
             NLQuestion(question=QUESTION, hint=HINT, db_id="restaurants"),
-            SearchDeps(model=model, catalog=accept_catalog,
-                       executor=lambda sql: execute_sql(
-                           sql, accept_db, timeout_secs=5.0)),
             SearchConfig(n_expansion=3, sql_timeout_secs=5.0),
+            model, accept_catalog,
+            lambda sql: execute_sql(sql, accept_db, timeout_secs=5.0),
         )
         root = SearchNode.root()
         expand_node(root, ctx)

@@ -24,7 +24,7 @@ from sqlscout.action_model.runner import extract_keywords, run_action
 from sqlscout.core.types import ActionKind, NLQuestion, NodeState, SearchConfig
 from sqlscout.errors import ContractViolation, ParseError
 from sqlscout.llm_client import ScriptedModel
-from sqlscout.mcts import SearchDeps, prepare_context
+from sqlscout.mcts import prepare_context
 from sqlscout.sql_exec import error_result, rows_result
 
 from conftest import GOLD_SQL, sql_json
@@ -148,7 +148,7 @@ def test_notes_are_appended_to_hint(restaurant_catalog, restaurant_question,
 def test_revision_prompt_embeds_failure(restaurant_catalog,
                                         restaurant_question, state):
     state.sql = "SELECT x FROM nope"
-    state.reasoning_log.append((A5, ""))
+    state.history += (A5,)
     prompt = build_action_prompt(
         A6, restaurant_question, state, restaurant_catalog,
         execution_feedback=("SELECT x FROM nope", "Error: no such table: nope"),
@@ -171,7 +171,7 @@ def test_terminate_has_no_prompt(restaurant_catalog, restaurant_question, state)
 def test_illegal_action_for_state_raises(restaurant_catalog,
                                          restaurant_question, state):
     state.sql = GOLD_SQL
-    state.reasoning_log.append((A5, ""))
+    state.history += (A5,)
     with pytest.raises(ContractViolation):
         build_action_prompt(A5, restaurant_question, state, restaurant_catalog)
 
@@ -300,7 +300,7 @@ def test_parse_baseline_sql_tag_then_fence():
 # ---- answers and fingerprints ----
 
 def answer_fp(action, answer) -> str:
-    return fingerprint(action, advance(NodeState(), action, answer, ""))
+    return fingerprint(action, advance(NodeState(), action, answer))
 
 
 def test_fingerprint_ignores_sql_whitespace_and_semicolon():
@@ -337,33 +337,33 @@ def test_normalize_sql():
 
 def test_advance_transitions():
     state = NodeState()
-    s1 = advance(state, A1, "rq", "raw1")
+    s1 = advance(state, A1, "rq")
     assert s1.rephrased_question == "rq"
     assert state.rephrased_question is None  # original untouched
-    s2 = advance(s1, A2, {"t": ["c"]}, "")
+    assert state.history == ()
+    s2 = advance(s1, A2, {"t": ["c"]})
     assert s2.selected_schema == {"t": ["c"]}
-    s3 = advance(s2, A5, "SELECT 1", "")
+    s3 = advance(s2, A5, "SELECT 1")
     assert s3.sql == "SELECT 1"
-    s4 = advance(s3, A6, "SELECT 2", "", ("SELECT 1", "Error: x"))
+    s4 = advance(s3, A6, "SELECT 2", ("SELECT 1", "Error: x"))
     assert s4.sql == "SELECT 2"
     assert s4.revision_context == ("SELECT 1", "Error: x")
-    s5 = advance(s4, A7, None, "")
+    s5 = advance(s4, A7, None)
     assert s5.sql == "SELECT 2"
-    assert [a for a, _ in s5.reasoning_log] == [A1, A2, A5, A6, A7]
-    assert s1.reasoning_log == [(A1, "raw1")]
+    assert s5.history == (A1, A2, A5, A6, A7)
+    assert s1.history == (A1,)
 
 
 # ---- action execution ----
 
 def action_ctx(q, catalog, cfg, model, executor=None):
-    deps = SearchDeps(model=model, catalog=catalog, executor=executor)
-    return prepare_context(q, deps, cfg)
+    return prepare_context(q, cfg, model, catalog, executor)
 
 
 def a5_state(sql: str) -> NodeState:
     state = NodeState()
     state.sql = sql
-    state.reasoning_log.append((A5, ""))
+    state.history += (A5,)
     return state
 
 
@@ -376,10 +376,32 @@ def test_run_action_samples_and_drops_bad_parses(restaurant_catalog,
     out = run_action(A5, NodeState(), ctx)
     assert len(out) == 2
     assert all(state.sql == "SELECT 1" for state, _ in out)
-    assert all(state.history() == [A5] for state, _ in out)
+    assert all(state.history == (A5,) for state, _ in out)
     # samples 0, 1, 2 of one prompt at the expansion temperature
     assert len({c[0] for c in model.calls}) == 1
     assert [c[1:] for c in model.calls] == [(0.8, i, "A5") for i in range(3)]
+
+
+# nests deeper than the json module's recursion limit
+DEEP_JSON = '{"sql_query": "SELECT 1", "x": ' + "[" * 3000 + "]" * 3000 + "}"
+DEEP_FENCED = f"```json\n{DEEP_JSON}\n```"
+
+
+@pytest.mark.parametrize("raw", [DEEP_JSON, DEEP_FENCED], ids=["bare", "fenced"])
+def test_too_deeply_nested_json_is_a_parse_error(raw):
+    with pytest.raises(ParseError):
+        parse_sql_payload(raw)
+
+
+def test_run_action_drops_only_the_too_deep_samples(restaurant_catalog,
+                                                    restaurant_question):
+    model = ScriptedModel()
+    model.add("punishble", [sql_json("SELECT 1"), DEEP_JSON, DEEP_FENCED,
+                            sql_json("SELECT 2")])
+    ctx = action_ctx(restaurant_question, restaurant_catalog,
+                     SearchConfig(n_expansion=4), model)
+    out = run_action(A5, NodeState(), ctx)
+    assert [state.sql for state, _ in out] == ["SELECT 1", "SELECT 2"]
 
 
 def test_run_action_terminate_calls_no_model(restaurant_catalog,
@@ -390,7 +412,7 @@ def test_run_action_terminate_calls_no_model(restaurant_catalog,
     assert len(out) == 1
     state, raw = out[0]
     assert raw == ""
-    assert state.history() == [A5, A7]
+    assert state.history == (A5, A7)
     assert state.sql == "SELECT 1"
     assert model.calls == []
 
@@ -428,7 +450,7 @@ def test_revision_repairs_in_one_round(restaurant_catalog, restaurant_question,
     from_sql, from_result = state.revision_context
     assert from_sql == "SELEC broken"
     assert from_result.startswith("Error:")
-    assert state.history() == [A5, A6]
+    assert state.history == (A5, A6)
 
 
 def test_revision_multi_round_feedback_chains(restaurant_catalog,

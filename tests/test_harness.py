@@ -40,7 +40,7 @@ from sqlscout.harness.runner import (
     TRACES_DIR,
 )
 from sqlscout.llm_client import ScriptedModel
-from sqlscout.mcts import SearchDeps, audit_tree, run_search
+from sqlscout.mcts import audit_tree, prepare_context, run_search
 from sqlscout.sql_exec import Sandbox
 from sqlscout.value_index import build_value_index, save_index
 
@@ -243,6 +243,16 @@ def test_load_config_file_overrides(tmp_path, monkeypatch):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(IngestionError):
         load_config(tmp_path / "absent.ini")
+
+
+@pytest.mark.parametrize("section, key", [("search", "n_rollouts"),
+                                          ("endpoint", "chat_modle")])
+def test_load_config_rejects_unknown_keys(tmp_path, section, key):
+    # a misspelt key must not run silently with the default it meant to change
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{section}]\n{key} = 8\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=f"'{key}' in \\[{section}\\]"):
+        load_config(path)
 
 
 # ---- per-item seeds ----
@@ -497,10 +507,11 @@ def test_run_one_item_survives_protocol_errors(bird_dataset, tmp_path):
     assert len(model.failed) == 3 and model.calls > 40
 
     model = FlakyModel()
-    deps = SearchDeps(model=model, catalog=env.catalog(item.db_id),
-                      executor=env.executor(item.db_id, SearchConfig()),
-                      value_index=env.value_index(item.db_id))
-    trajectories = run_search(item.question, deps, SearchConfig(sql_timeout_secs=5.0))
+    ctx = prepare_context(item.question, SearchConfig(sql_timeout_secs=5.0), model,
+                          env.catalog(item.db_id),
+                          env.executor(item.db_id, SearchConfig()),
+                          value_index=env.value_index(item.db_id))
+    trajectories = run_search(ctx)
     assert trajectories
     audit_tree(trajectories[0].nodes[0])
 

@@ -17,7 +17,6 @@ from sqlscout.core.types import (
 from sqlscout.errors import ContractViolation, TransportError
 from sqlscout.mcts import (
     RolloutContext,
-    SearchDeps,
     Trajectory,
     audit_tree,
     backpropagate,
@@ -29,6 +28,7 @@ from sqlscout.mcts import (
     simulate,
     uct_value,
 )
+from sqlscout.sql_exec import execute_sql, results_equal
 
 from conftest import GOLD_SQL, scripted_pipeline_model
 
@@ -39,16 +39,21 @@ def oracle_uct(q: float, n: int, nv: int, c: float) -> float:
     return q / n + c * math.sqrt(math.log(nv) / n)
 
 
-def make_deps(model, catalog, executor, **kw) -> SearchDeps:
-    return SearchDeps(model=model, catalog=catalog, executor=executor, **kw)
-
-
 def test_search_config_rejects_bad_sample_counts_and_temperatures():
     # run_action and compute_reward draw samples 0..n-1 and check no bounds
     for bad in ({"n_expansion": 0}, {"n_reward": 0},
                 {"t_expansion": -0.1}, {"t_reward": -0.1}):
         with pytest.raises(ContractViolation):
             SearchConfig(**bad)
+
+
+def test_search_config_rejects_out_of_range_sql_bounds():
+    # a negative row cap would turn the cap off; a zero timeout fails every query
+    for bad in ({"row_cap": -1}, {"sql_timeout_secs": 0},
+                {"sql_timeout_secs": -1.0}, {"sql_timeout_secs": math.nan}):
+        with pytest.raises(ContractViolation):
+            SearchConfig(**bad)
+    assert SearchConfig(row_cap=0).row_cap == 0  # legal: truncates every result
 
 
 # ---- the selection formula ----
@@ -77,7 +82,7 @@ def test_uct_value_rejects_unvisited_edge():
 
 def child_of(parent: SearchNode, action: ActionKind, fp: str) -> SearchNode:
     state = parent.state.copy()
-    state.reasoning_log.append((action, ""))
+    state.history += (action,)
     if action is A.SQL_GENERATE:
         state.sql = "SELECT 1"
     node = SearchNode(state=state, producing_action=action, fingerprint=fp,
@@ -176,10 +181,10 @@ def test_backpropagate_updates_path_only():
 
 def pipeline_ctx(catalog, executor, model=None, **cfg_kw) -> RolloutContext:
     cfg = SearchConfig(sql_timeout_secs=5.0, **cfg_kw)
-    deps = make_deps(model or scripted_pipeline_model(), catalog, executor)
     return prepare_context(NLQuestion(
         question="How many Thai restaurants can be found in San Pablo Ave, Albany?",
-        hint="", db_id="restaurants"), deps, cfg)
+        hint="", db_id="restaurants"), cfg, model or scripted_pipeline_model(),
+        catalog, executor)
 
 
 def test_expand_collapses_identical_samples(restaurant_catalog, restaurant_executor):
@@ -232,9 +237,10 @@ def test_expand_marks_dead_when_no_action_survives(
 
 def test_run_search_survives_total_transport_failure(
         restaurant_catalog, restaurant_executor):
-    deps = make_deps(DownModel(), restaurant_catalog, restaurant_executor)
     q = NLQuestion(question="How many?", db_id="restaurants")
-    out = run_search(q, deps, SearchConfig(n_rollout=3, sql_timeout_secs=5.0))
+    out = run_search(prepare_context(
+        q, SearchConfig(n_rollout=3, sql_timeout_secs=5.0), DownModel(),
+        restaurant_catalog, restaurant_executor))
     assert out == []
 
 
@@ -246,23 +252,18 @@ def test_simulate_reaches_terminal(restaurant_catalog, restaurant_executor):
     terminal = simulate(root, ctx, random.Random(1))
     assert terminal.is_terminal
     assert terminal.state.sql
-    history = terminal.state.history()
+    history = terminal.state.history
     assert history[-1] is A.TERMINATE
     assert history.count(A.SQL_GENERATE) == 1
 
 
-def search_fixture(catalog, executor, n_rollout=8, seed=0):
-    deps = make_deps(scripted_pipeline_model(), catalog, executor)
-    q = NLQuestion(
-        question="How many Thai restaurants can be found in San Pablo Ave, Albany?",
-        hint="", db_id="restaurants")
-    cfg = SearchConfig(n_rollout=n_rollout, sql_timeout_secs=5.0, rng_seed=seed)
-    return q, deps, cfg
+def search_fixture(catalog, executor, n_rollout=8, seed=0) -> RolloutContext:
+    return pipeline_ctx(catalog, executor, n_rollout=n_rollout, rng_seed=seed)
 
 
 def test_run_search_trajectory_shape(restaurant_catalog, restaurant_executor):
-    q, deps, cfg = search_fixture(restaurant_catalog, restaurant_executor)
-    out = run_search(q, deps, cfg)
+    ctx = search_fixture(restaurant_catalog, restaurant_executor)
+    out = run_search(ctx)
     assert out
     for traj in out:
         assert traj.nodes[0].parent is None  # starts at the root
@@ -276,13 +277,12 @@ def test_run_search_trajectory_shape(restaurant_catalog, restaurant_executor):
 
 
 def test_run_search_visit_accounting(restaurant_catalog, restaurant_executor):
-    q, deps, cfg = search_fixture(restaurant_catalog, restaurant_executor,
-                                  n_rollout=12)
-    out = run_search(q, deps, cfg)
+    ctx = search_fixture(restaurant_catalog, restaurant_executor, n_rollout=12)
+    out = run_search(ctx)
     assert out
     root = out[0].nodes[0]
-    assert root.visit_count == cfg.n_rollout
-    assert sum(s.n for s in root.action_stats.values()) == cfg.n_rollout
+    assert root.visit_count == ctx.cfg.n_rollout
+    assert sum(s.n for s in root.action_stats.values()) == ctx.cfg.n_rollout
     for child in root.children.values():
         assert child.visit_count == root.action_stats[child.edge_key].n
 
@@ -296,34 +296,33 @@ def test_run_search_rewards_once_per_terminal(restaurant_catalog,
         return 1.0
 
     monkeypatch.setattr(mcts, "compute_reward", counting_reward)
-    q, deps, cfg = search_fixture(restaurant_catalog, restaurant_executor,
-                                  n_rollout=16)
-    out = run_search(q, deps, cfg)
+    ctx = search_fixture(restaurant_catalog, restaurant_executor, n_rollout=16)
+    out = run_search(ctx)
     assert len(calls) == len(out)  # cached reward on revisits
     assert len({id(t) for t in calls}) == len(calls)
 
 
 def test_run_search_deterministic_per_seed(restaurant_catalog,
                                            restaurant_executor):
-    q, deps, cfg = search_fixture(restaurant_catalog, restaurant_executor)
+    ctx = search_fixture(restaurant_catalog, restaurant_executor)
     first = [(t.final_sql, t.reward, t.rollout_index,
               [n.producing_action for n in t.nodes[1:]])
-             for t in run_search(q, deps, cfg)]
-    q2, deps2, cfg2 = search_fixture(restaurant_catalog, restaurant_executor)
+             for t in run_search(ctx)]
+    ctx2 = search_fixture(restaurant_catalog, restaurant_executor)
     second = [(t.final_sql, t.reward, t.rollout_index,
                [n.producing_action for n in t.nodes[1:]])
-              for t in run_search(q2, deps2, cfg2)]
+              for t in run_search(ctx2)]
     assert first == second
 
 
 def test_prepare_context_runs_retrieval_once(restaurant_catalog, restaurant_index,
                                              restaurant_executor):
     model = scripted_pipeline_model()
-    deps = make_deps(model, restaurant_catalog, restaurant_executor,
-                     value_index=restaurant_index)
     q = NLQuestion(question="How many Thai restaurants can be found in "
                             "San Pablo Ave, Albany?", db_id="restaurants")
-    ctx = prepare_context(q, deps, SearchConfig(sql_timeout_secs=5.0))
+    ctx = prepare_context(q, SearchConfig(sql_timeout_secs=5.0), model,
+                          restaurant_catalog, restaurant_executor,
+                          value_index=restaurant_index)
     assert ctx.keywords == ["Thai restaurants", "San Pablo Ave", "Albany"]
     # without an embedder retrieval degrades to the edit gate alone
     assert ctx.retrieved_map[("location", "street_name")] == ["san pablo ave"]
@@ -335,9 +334,9 @@ def test_prepare_context_runs_retrieval_once(restaurant_catalog, restaurant_inde
 def test_prepare_context_without_index_skips_model(restaurant_catalog,
                                                    restaurant_executor):
     model = scripted_pipeline_model()
-    deps = make_deps(model, restaurant_catalog, restaurant_executor)
     q = NLQuestion(question="How many?", db_id="restaurants")
-    ctx = prepare_context(q, deps, SearchConfig(sql_timeout_secs=5.0))
+    ctx = prepare_context(q, SearchConfig(sql_timeout_secs=5.0), model,
+                          restaurant_catalog, restaurant_executor)
     assert ctx.keywords == [] and ctx.retrieved_map == {}
     assert model.calls == []
 
@@ -347,14 +346,18 @@ def test_context_execute_memoizes(restaurant_catalog, restaurant_db):
 
     def executor(sql):
         hits.append(sql)
-        from sqlscout.sql_exec import execute_sql
-        return execute_sql(sql, restaurant_db, timeout_secs=5.0)
+        return execute_sql(sql, restaurant_db, timeout_secs=5.0, row_cap=1)
 
     ctx = pipeline_ctx(restaurant_catalog, executor)
+    first = ctx.execute("SELECT label FROM generalinfo")
+    assert ctx.execute("SELECT label FROM generalinfo") is first
     ctx.execute("SELECT 1")
     ctx.execute("SELECT 1")
     ctx.execute("SELECT 2")
-    assert hits == ["SELECT 1", "SELECT 2"]
+    assert hits == ["SELECT label FROM generalinfo", "SELECT 1", "SELECT 2"]
+    # a truncated result equals only itself, so the repeat must be that object
+    assert first.truncated
+    assert results_equal(first, ctx.execute("SELECT label FROM generalinfo"))
 
 
 # ---- invariants, traces, trajectory validation ----
@@ -378,8 +381,8 @@ def test_audit_flags_q_outside_bounds():
 
 
 def test_serialize_tree_json_ready(restaurant_catalog, restaurant_executor):
-    q, deps, cfg = search_fixture(restaurant_catalog, restaurant_executor)
-    out = run_search(q, deps, cfg)
+    ctx = search_fixture(restaurant_catalog, restaurant_executor)
+    out = run_search(ctx)
     dump = serialize_tree(out[0].nodes[0])
     text = json.dumps(dump)  # must be serializable as-is
     assert text
@@ -392,7 +395,7 @@ def test_serialize_tree_json_ready(restaurant_catalog, restaurant_executor):
     terminals = [n for n in nodes if n["terminal"]]
     assert terminals
     assert all(n["sql"] for n in terminals)
-    assert nodes[0]["visits"] == cfg.n_rollout
+    assert nodes[0]["visits"] == ctx.cfg.n_rollout
 
 
 def test_trajectory_validates_shape():

@@ -3,7 +3,8 @@
 The reference below is the parser as it was before the C fast path: the
 first balanced-brace slice (fenced block first), then `json.loads` with a
 trailing-comma repair. For every response, the fast parser must return the
-same dict or raise `ParseError` exactly when the reference does.
+same dict or raise `ParseError` exactly when the reference does (the
+reference's `RecursionError` on too deeply nested JSON counts as one).
 """
 
 from __future__ import annotations
@@ -83,8 +84,12 @@ def outcome(extract, raw: str):
         return ("dict", extract(raw))
     except ParseError:
         return ("parse error",)
-    except RecursionError:  # nesting too deep for the json module either way
-        return ("recursion error",)
+    except RecursionError:
+        # nesting too deep for the json module: the reference raises it, the
+        # parser must turn it into a ParseError
+        if extract is reference_extract:
+            return ("parse error",)
+        raise
 
 
 # ---- responses: JSON with awkward strings, prose around it, fences ----

@@ -12,7 +12,7 @@ import sqlscout.reward_select as reward_select
 from sqlscout.core.types import ActionKind, NLQuestion, NodeState, SearchConfig
 from sqlscout.errors import TransportError
 from sqlscout.harness import RunEnvironment, load_dataset, run_one_item
-from sqlscout.mcts import SearchDeps, prepare_context, run_search
+from sqlscout.mcts import prepare_context, run_search
 
 from conftest import (
     BROKEN_SQL,
@@ -56,14 +56,14 @@ def test_search_renders_each_slice_once(monkeypatch, restaurant_catalog,
     for owner in (action_runner, reward_select):
         monkeypatch.setattr(owner, "build_action_prompt", recording_build)
 
-    deps = SearchDeps(model=scripted_pipeline_model(a5_sql=BRANCHING_A5),
-                      catalog=restaurant_catalog, executor=restaurant_executor,
-                      value_index=restaurant_index)
+    model = scripted_pipeline_model(a5_sql=BRANCHING_A5)
     q = NLQuestion(question=QUESTION, hint="", db_id="restaurants")
     for seed in range(3):
         renders.clear()
         built.clear()
-        run_search(q, deps, SearchConfig(sql_timeout_secs=5.0, rng_seed=seed))
+        run_search(prepare_context(
+            q, SearchConfig(sql_timeout_secs=5.0, rng_seed=seed), model,
+            restaurant_catalog, restaurant_executor, value_index=restaurant_index))
         counts = Counter(renders)
         assert counts and max(counts.values()) == 1, counts
         assert len(counts) >= 2  # the full catalog and the selected slice
@@ -80,11 +80,10 @@ def test_search_renders_each_slice_once(monkeypatch, restaurant_catalog,
 def branching_search(catalog, executor, index, seed: int):
     """One search with a generator that branches and needs revision."""
     model = scripted_pipeline_model(a5_sql=BRANCHING_A5)
-    deps = SearchDeps(model=model, catalog=catalog, executor=executor,
-                      value_index=index)
     cfg = SearchConfig(sql_timeout_secs=5.0, rng_seed=seed)
     q = NLQuestion(question=QUESTION, hint="", db_id="restaurants")
-    return model, cfg, run_search(q, deps, cfg)
+    return model, cfg, run_search(
+        prepare_context(q, cfg, model, catalog, executor, value_index=index))
 
 
 def test_search_asks_each_action_sample_once(restaurant_catalog,
@@ -136,8 +135,8 @@ class LosesFirstTry:
 
 def test_lost_action_sample_is_asked_again(restaurant_catalog, restaurant_question):
     model = LosesFirstTry(scripted_pipeline_model(a5_sql=BRANCHING_A5), lose={1})
-    deps = SearchDeps(model=model, catalog=restaurant_catalog, executor=None)
-    ctx = prepare_context(restaurant_question, deps, SearchConfig(n_expansion=3))
+    ctx = prepare_context(restaurant_question, SearchConfig(n_expansion=3), model,
+                          restaurant_catalog, None)
     with pytest.raises(TransportError):
         action_runner.run_action(ActionKind.SQL_GENERATE, NodeState(), ctx)
     assert model.calls == [0, 1]

@@ -10,7 +10,7 @@ from sqlscout.action_model import build_action_prompt
 from sqlscout.core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
 from sqlscout.errors import ContractViolation, TransportError
 from sqlscout.llm_client import ScriptedModel
-from sqlscout.mcts import RolloutContext, SearchDeps, prepare_context
+from sqlscout.mcts import RolloutContext, prepare_context
 from sqlscout.reward_select import compute_reward, select_final
 from sqlscout.sql_exec import execute_sql
 
@@ -29,9 +29,9 @@ A = ActionKind
 
 
 def node_after(parent: SearchNode, action: ActionKind, *, sql=None,
-               revision_context=None, raw="") -> SearchNode:
+               revision_context=None) -> SearchNode:
     state = parent.state.copy()
-    state.reasoning_log.append((action, raw))
+    state.history += (action,)
     if sql is not None:
         state.sql = sql
     if action is A.SQL_REVISE:
@@ -58,9 +58,8 @@ def revise_terminal(bad_sql: str, fixed_sql: str, feedback: tuple | None):
 
 def make_ctx(model, catalog, executor, **cfg_kw) -> RolloutContext:
     cfg = SearchConfig(n_reward=5, t_reward=1.0, sql_timeout_secs=5.0, **cfg_kw)
-    deps = SearchDeps(model=model, catalog=catalog, executor=executor)
     q = NLQuestion(question=QUESTION, hint=HINT, db_id="restaurants")
-    return prepare_context(q, deps, cfg)
+    return prepare_context(q, cfg, model, catalog, executor)
 
 
 # ---- compute_reward ----

@@ -17,7 +17,6 @@ from sqlscout.sql_exec import (
     canonical_cell,
     error_result,
     execute_sql,
-    memoize_executor,
     results_equal,
     rows_result,
     timeout_result,
@@ -226,22 +225,6 @@ def test_execute_admits_recursive_and_nested_reads(restaurant_db):
         "(SELECT id_restaurant FROM location WHERE street_name = 'shattuck ave')",
         restaurant_db)
     assert nested.rows == frozenset({("thai garden",)})
-
-
-def test_memoize_executor_runs_each_sql_once(restaurant_db):
-    ran = []
-
-    def executor(sql):
-        ran.append(sql)
-        return execute_sql(sql, restaurant_db, row_cap=1)
-
-    memo = memoize_executor(executor)
-    assert memoize_executor(memo) is memo
-    first = memo("SELECT label FROM generalinfo")
-    assert memo("SELECT label FROM generalinfo") is first
-    memo("SELECT 1")
-    assert ran == ["SELECT label FROM generalinfo", "SELECT 1"]
-    assert first.truncated and results_equal(first, memo("SELECT label FROM generalinfo"))
 
 
 def test_execute_multi_statement_rejected(restaurant_db):
