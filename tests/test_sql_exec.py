@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from sqlscout.core.types import NLQuestion, SearchConfig
 from sqlscout.errors import ContractViolation, IngestionError
+from sqlscout.mcts import RolloutContext
 from sqlscout.sql_exec import (
     CELL_BYTE_CAP,
     RESULT_BYTE_CAP,
@@ -22,7 +24,7 @@ from sqlscout.sql_exec import (
     timeout_result,
 )
 
-from conftest import GOLD_SQL, GOLD_SQL_ALT
+from conftest import GOLD_SQL, GOLD_SQL_ALT, scripted_pipeline_model
 
 
 # ---- canonicalization ----
@@ -225,6 +227,25 @@ def test_execute_admits_recursive_and_nested_reads(restaurant_db):
         "(SELECT id_restaurant FROM location WHERE street_name = 'shattuck ave')",
         restaurant_db)
     assert nested.rows == frozenset({("thai garden",)})
+
+
+def test_memoize_executor_runs_each_sql_once(restaurant_catalog, restaurant_db):
+    # the per-question memo is RolloutContext.execute
+    ran = []
+
+    def executor(sql):
+        ran.append(sql)
+        return execute_sql(sql, restaurant_db, row_cap=1)
+
+    ctx = RolloutContext(NLQuestion(question="q", db_id="restaurants"),
+                         SearchConfig(sql_timeout_secs=5.0),
+                         scripted_pipeline_model(), restaurant_catalog, executor)
+    first = ctx.execute("SELECT label FROM generalinfo")
+    assert ctx.execute("SELECT label FROM generalinfo") is first
+    ctx.execute("SELECT 1")
+    assert ran == ["SELECT label FROM generalinfo", "SELECT 1"]
+    # a truncated result equals only itself, so the repeat must be that object
+    assert first.truncated and results_equal(first, ctx.execute("SELECT label FROM generalinfo"))
 
 
 def test_execute_multi_statement_rejected(restaurant_db):
