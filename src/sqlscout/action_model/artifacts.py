@@ -13,6 +13,9 @@ import json
 
 from ..core.types import ActionKind, NodeState
 
+# an action's parsed answer: the schema map for A2, else text
+Answer = str | dict[str, list[str]]
+
 ANSWER_FIELD: dict[ActionKind, str] = {
     ActionKind.REPHRASE: "rephrased_question",
     ActionKind.SCHEMA_SELECT: "selected_schema",

@@ -4,12 +4,16 @@ Templates live as plain-text assets with {QUESTION}, {HINT} and
 {SCHEMA_CONTEXT} placeholders (the revision template also takes
 {EXECUTED_SQL} and {EXECUTION_RESULT}). They are substituted literally, never
 through str.format, because the templates themselves contain JSON braces.
-The templates are packaged with the module and fixed; each is read once.
+Substitution is a single pass over the template's own placeholders, so a
+slot value that itself reads like a placeholder (a question mentioning
+"{HINT}", a schema value "{EXECUTED_SQL}") stays as it is. The templates are
+packaged with the module and fixed; each is read once and split once.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from importlib import resources
 
 from ..core.actions import valid_next_actions
@@ -40,11 +44,22 @@ def load_template(name: str) -> str:
     return asset.read_text(encoding="utf-8")
 
 
+_PLACEHOLDER = re.compile(r"(\{\w+\})")
+
+
+@functools.lru_cache(maxsize=64)
+def _split_placeholders(template: str) -> tuple[str, ...]:
+    """Template text and placeholders alternating; placeholders at odd indices."""
+    return tuple(_PLACEHOLDER.split(template))
+
+
 def fill(template: str, slots: dict[str, str]) -> str:
-    out = template
-    for key, value in slots.items():
-        out = out.replace("{" + key + "}", value)
-    return out
+    """The template with each `{NAME}` of `slots` replaced by its value; other
+    placeholders stay literal."""
+    return "".join(
+        slots.get(part[1:-1], part) if i % 2 else part
+        for i, part in enumerate(_split_placeholders(template))
+    )
 
 
 def build_action_prompt(

@@ -5,22 +5,19 @@ per sample chain: execute the current SQL, and while it fails, feed the query
 and its failure back through the revision prompt, at most N_revision rounds.
 Termination is structural and calls no model. Actions read their inputs from
 the per-question search context `ctx` (`mcts.RolloutContext`, duck-typed),
-and draw every sample through its memo `ctx.sample`, so a prompt that two
-paths of the search build alike is asked of the model once per question.
+draw every sample through its memo `ctx.sample`, so a prompt that two paths
+of the search build alike is asked of the model once per question, and parse
+every text through its memo `ctx.parse`.
 """
 
 from __future__ import annotations
 
-import logging
-
 from ..core.types import ActionKind, NLQuestion, NodeState
-from ..errors import ContractViolation, ParseError
+from ..errors import ContractViolation
 from ..llm_client import ChatModel
 from .artifacts import advance
-from .parser import parse_action_response, parse_keyword_list, parse_sql_payload
+from .parser import parse_keyword_list
 from .prompts import build_action_prompt, build_keyword_prompt
-
-log = logging.getLogger(__name__)
 
 KEYWORD_MAX_TOKENS = 1024
 
@@ -50,12 +47,9 @@ def run_action(action: ActionKind, state: NodeState,
     out: list[tuple[NodeState, str]] = []
     for i in range(cfg.n_expansion):
         raw = ctx.sample(prompt, cfg.t_expansion, i, action.value)
-        try:
-            answer = parse_action_response(action, raw, ctx.catalog)
-        except ParseError as exc:
-            log.debug("%s sample failed to parse: %s", action.value, exc)
-            continue
-        out.append((advance(state, action, answer), raw))
+        answer = ctx.parse(action, raw)
+        if answer is not None:
+            out.append((advance(state, action, answer), raw))
     return out
 
 
@@ -85,10 +79,8 @@ def _run_revision_chain(chain: int, state: NodeState,
         )
         raw = ctx.sample(prompt, cfg.t_expansion, chain, ActionKind.SQL_REVISE.value)
         rounds += 1
-        try:
-            sql = parse_sql_payload(raw)
-        except ParseError as exc:
-            log.debug("revision round %d failed to parse: %s", rounds, exc)
+        sql = ctx.parse(ActionKind.SQL_REVISE, raw)
+        if sql is None:
             if last_raw is None:
                 return []  # no round came back parseable
             break

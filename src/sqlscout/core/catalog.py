@@ -40,13 +40,15 @@ class ForeignKey:
 class TableDef:
     name: str
     columns: list[ColumnDef]
+    # lowercase column name -> column; the first column of a name wins
+    columns_by_lower: dict[str, ColumnDef] = field(init=False, repr=False,
+                                                   compare=False)
+
+    def __post_init__(self):
+        self.columns_by_lower = {c.name.lower(): c for c in reversed(self.columns)}
 
     def column(self, name: str) -> ColumnDef | None:
-        lowered = name.lower()
-        for col in self.columns:
-            if col.name.lower() == lowered:
-                return col
-        return None
+        return self.columns_by_lower.get(name.lower())
 
     @property
     def primary_key(self) -> list[str]:
@@ -62,13 +64,15 @@ class DatabaseCatalog:
     # CREATE TABLE blocks that `render_schema_context` already rendered
     rendered_tables: dict[tuple, str] = field(default_factory=dict, repr=False,
                                               compare=False)
+    # lowercase table name -> table; the first table of a name wins
+    tables_by_lower: dict[str, TableDef] = field(init=False, repr=False,
+                                                 compare=False)
+
+    def __post_init__(self):
+        self.tables_by_lower = {t.name.lower(): t for t in reversed(self.tables)}
 
     def table(self, name: str) -> TableDef | None:
-        lowered = name.lower()
-        for t in self.tables:
-            if t.name.lower() == lowered:
-                return t
-        return None
+        return self.tables_by_lower.get(name.lower())
 
     def text_columns(self) -> list[tuple[str, str]]:
         out = []

@@ -83,12 +83,14 @@ def render_schema_context(
             t.name: {c.name for c in t.columns} for t in tables
         }
     else:
-        by_lower = {t.lower(): t for t in selected}
-        tables = [t for t in catalog.tables if t.name.lower() in by_lower]
+        # names match case-insensitively; a later spelling of a table wins
         chosen = {}
-        for t in tables:
-            wanted = {c.lower() for c in selected[by_lower[t.name.lower()]]}
-            chosen[t.name] = {c.name for c in t.columns if c.name.lower() in wanted}
+        for name, columns in selected.items():
+            table = catalog.table(name)
+            if table is not None:
+                chosen[table.name] = {col.name for col in map(table.column, columns)
+                                      if col is not None}
+        tables = [t for t in catalog.tables if t.name in chosen]
 
     included = {t.name for t in tables}
     fks_by_table: dict[str, list] = {name: [] for name in included}

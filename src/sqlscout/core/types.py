@@ -25,6 +25,11 @@ class ActionKind(Enum):
     SQL_REVISE = "A6"
     TERMINATE = "A7"
 
+    # Members compare by identity, so identity hashing agrees with equality.
+    # It runs in C, where Enum's own `hash(self._name_)` is a Python call;
+    # both vary between processes, so no output may depend on set order.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # compact in traces and test output
         return self.value
 

@@ -17,7 +17,7 @@ from ..llm_client import (
     ResponseCache,
 )
 from ..core.catalog import load_catalog
-from ..errors import IngestionError
+from ..errors import ContractViolation, IngestionError
 from ..value_index import MinHashParams, build_value_index, save_index
 from .config import load_config
 from .dataset import (
@@ -124,7 +124,10 @@ def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
         resume: bool, traces: bool, sds: bool, sds_fraction: float,
         sds_mode: str, sds_file: str | None, limit: int | None) -> None:
     """Run the benchmark and write the report artifacts."""
-    cfg, endpoint = load_config(config_path)
+    try:
+        cfg, endpoint = load_config(config_path)
+    except (ValueError, IngestionError, ContractViolation) as exc:
+        raise click.ClickException(str(exc)) from exc
     if seed is not None:
         import dataclasses
 

@@ -54,14 +54,20 @@ def load_config(path: str | Path | None) -> tuple[SearchConfig, EndpointConfig]:
             if f.name not in section:
                 continue
             raw = section[f.name]
-            if f.type in ("int", int):
-                search_kwargs[f.name] = int(raw)
-            elif f.type in ("float", float):
-                search_kwargs[f.name] = _parse_float(raw)
-            elif f.type in ("bool", bool):
-                search_kwargs[f.name] = section.getboolean(f.name)
-            else:
-                search_kwargs[f.name] = raw
+            try:
+                if f.type in ("int", int):
+                    search_kwargs[f.name] = int(raw)
+                elif f.type in ("float", float):
+                    search_kwargs[f.name] = _parse_float(raw)
+                elif f.type in ("bool", bool):
+                    search_kwargs[f.name] = section.getboolean(f.name)
+                else:
+                    search_kwargs[f.name] = raw
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad value for {f.name!r} in [{_SEARCH_SECTION}] of the "
+                    f"config file: {exc}"
+                ) from exc
     cfg = SearchConfig(**search_kwargs)
 
     if parser.has_section(_ENDPOINT_SECTION):

@@ -14,15 +14,23 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Hashable
 
-from .action_model import fingerprint, run_action
+from .action_model import fingerprint, parse_action_response, run_action
+from .action_model.artifacts import ANSWER_FIELD, Answer
 from .action_model.prompts import SchemaKey
 from .action_model.runner import extract_keywords
 from .core.actions import valid_next_actions
 from .core.catalog import DatabaseCatalog
-from .core.types import ActionKind, EdgeKey, NLQuestion, SearchConfig, SearchNode
-from .errors import ContractViolation, ProtocolError, TransportError
+from .core.types import (
+    ActionKind,
+    EdgeKey,
+    NLQuestion,
+    NodeState,
+    SearchConfig,
+    SearchNode,
+)
+from .errors import ContractViolation, ParseError, ProtocolError, TransportError
 from .llm_client import ChatModel, Embedder
 from .reward_select import compute_reward
 from .sql_exec import ExecutionResult
@@ -48,7 +56,11 @@ class RolloutContext:
     life. `samples` holds each action sample `sample` obtained, keyed by
     (prompt, temperature, sample index): actions that commute (A3 then A4,
     or A4 then A3) build the same state and so the same prompts, and each
-    is asked of the model once.
+    is asked of the model once. Such paths get the same texts back, so
+    `answers` holds each (action, text)'s parsed answer (None if it does not
+    parse) for expansion, revision and reward alike, and `fingerprints` each
+    (action, answer)'s fingerprint. States share a memoized answer; none
+    modifies it.
     """
 
     q: NLQuestion
@@ -61,6 +73,8 @@ class RolloutContext:
     schema_cache: dict[SchemaKey, str] = field(default_factory=dict)
     samples: dict[tuple[str, float, int], str] = field(default_factory=dict)
     results: dict[str, ExecutionResult] = field(default_factory=dict)
+    answers: dict[tuple[ActionKind, str], Answer | None] = field(default_factory=dict)
+    fingerprints: dict[tuple[ActionKind, Hashable], str] = field(default_factory=dict)
 
     def execute(self, sql: str) -> ExecutionResult:
         """`run_sql(sql)`, run once per distinct string of the question."""
@@ -83,6 +97,32 @@ class RolloutContext:
                                      sample_index=index, tag=tag)
             self.samples[key] = text
         return text
+
+    def parse(self, action: ActionKind, raw: str) -> Answer | None:
+        """The answer `action` parses from `raw`, or None if it does not parse."""
+        key = (action, raw)
+        if key in self.answers:
+            return self.answers[key]
+        try:
+            answer = parse_action_response(action, raw, self.catalog)
+        except ParseError as exc:
+            log.debug("%s sample failed to parse: %s", action.value, exc)
+            answer = None
+        self.answers[key] = answer
+        return answer
+
+    def fingerprint(self, action: ActionKind, state: NodeState) -> str:
+        """`fingerprint(action, state)`, keyed by the answer `action` put in
+        `state` (none for termination)."""
+        name = ANSWER_FIELD.get(action)
+        answer = None if name is None else getattr(state, name)
+        if isinstance(answer, dict):
+            answer = tuple((table, tuple(cols)) for table, cols in answer.items())
+        key = (action, answer)
+        fp = self.fingerprints.get(key)
+        if fp is None:
+            fp = self.fingerprints[key] = fingerprint(action, state)
+        return fp
 
 
 @dataclass(frozen=True)
@@ -163,7 +203,7 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
                         type(exc).__name__, exc)
             continue
         for state, _ in pairs:
-            key = (action, fingerprint(action, state))
+            key = (action, ctx.fingerprint(action, state))
             if key in node.children:
                 continue  # same answer already sampled; keep the first
             child = SearchNode(

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from .action_model import build_action_prompt
-from .action_model.parser import parse_sql_payload
 from .core.types import ActionKind, SearchNode
-from .errors import ContractViolation, ParseError, ProtocolError, TransportError
+from .errors import ContractViolation, ProtocolError, TransportError
 from .sql_exec import ExecutionResult, results_equal
 
 log = logging.getLogger(__name__)
@@ -26,15 +25,16 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     """Fraction of re-sampled queries whose results match the final SQL's.
 
     `ctx` is the per-question search context (question, config, model,
-    catalog, memoized execute). A final SQL that fails to execute scores 0
-    outright. Samples that fail to parse count as mismatches; samples lost to
-    transport or protocol errors shrink the denominator, and zero obtainable
-    samples scores 0 with a warning.
+    catalog, memoized execute and parse). A final SQL that fails to execute
+    scores 0 outright. Samples that fail to parse count as mismatches;
+    samples lost to transport or protocol errors shrink the denominator, and
+    zero obtainable samples scores 0 with a warning.
 
     The samples go to `ctx.model` directly, not through the context's
-    sample memo: the benchmark's reward check (`e2ebench/checks.py`,
-    `check_rewards`) requires n_reward endpoint calls for every scored
-    terminal, also when a sibling terminal re-sampled the same prompt.
+    sample memo (their texts do go through its parse memo): the benchmark's
+    reward check (`e2ebench/checks.py`, `check_rewards`) requires n_reward
+    endpoint calls for every scored terminal, also when a sibling terminal
+    re-sampled the same prompt.
     """
     state = terminal.state
     if not state.sql:
@@ -42,7 +42,7 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     final_result = ctx.execute(state.sql)
     if not final_result.is_rows:
         return 0.0
-    prompt = _producer_prompt(ctx, terminal)
+    producer, prompt = _producer_prompt(ctx, terminal)
     cfg = ctx.cfg
     obtained = 0
     matched = 0
@@ -54,9 +54,8 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
             log.warning("reward sample %d lost: %s: %s", i, type(exc).__name__, exc)
             continue
         obtained += 1
-        try:
-            sql = parse_sql_payload(raw)
-        except ParseError:
+        sql = ctx.parse(producer, raw)
+        if sql is None:
             continue  # counted in the denominator, never matches
         if results_equal(ctx.execute(sql), final_result):
             matched += 1
@@ -66,8 +65,8 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     return matched / obtained
 
 
-def _producer_prompt(ctx, terminal: SearchNode) -> str:
-    """Rebuild the prompt of the action that produced the final SQL.
+def _producer_prompt(ctx, terminal: SearchNode) -> tuple[ActionKind, str]:
+    """The action that produced the final SQL, and its prompt rebuilt.
 
     The producing node's parent state is exactly the state that prompt was
     built from. A revision producer is re-issued one-shot with its recorded
@@ -84,7 +83,7 @@ def _producer_prompt(ctx, terminal: SearchNode) -> str:
         feedback = producer.state.revision_context
         if feedback is None:
             raise ContractViolation("revision node lacks its execution feedback")
-    return build_action_prompt(
+    return producer.producing_action, build_action_prompt(
         producer.producing_action, ctx.q, producer.parent.state, ctx.catalog,
         retrieved_values=ctx.retrieved_map, execution_feedback=feedback,
         schema_cache=ctx.schema_cache,

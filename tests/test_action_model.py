@@ -19,6 +19,7 @@ from sqlscout.action_model.prompts import (
     build_action_prompt,
     build_baseline_prompt,
     build_keyword_prompt,
+    fill,
 )
 from sqlscout.action_model.runner import extract_keywords, run_action
 from sqlscout.core.types import ActionKind, NLQuestion, NodeState, SearchConfig
@@ -195,6 +196,28 @@ def test_retrieved_values_reach_schema_context(restaurant_catalog,
     prompt = build_action_prompt(A2, restaurant_question, state,
                                  restaurant_catalog, retrieved_values=retrieved)
     assert "'san pablo'" in prompt
+
+
+def test_fill_keeps_placeholders_inside_slot_values():
+    out = fill("Q: {QUESTION}\nH: {HINT}\n{OTHER}",
+               {"QUESTION": "what does {HINT} mean?", "HINT": "secret"})
+    assert out == "Q: what does {HINT} mean?\nH: secret\n{OTHER}"
+
+
+def test_prompt_slot_values_are_substituted_literally(restaurant_catalog, state):
+    q = NLQuestion(question="What does {HINT} stand for?", hint="a hint",
+                   db_id="restaurants")
+    prompt = build_action_prompt(A1, q, state, restaurant_catalog)
+    assert "What does {HINT} stand for?" in prompt
+    state.sql = "SELECT x FROM nope"
+    state.history += (A5,)
+    prompt = build_action_prompt(
+        A6, q, state, restaurant_catalog,
+        retrieved_values={("generalinfo", "city"): ["{EXECUTED_SQL}"]},
+        execution_feedback=("SELECT x FROM nope", "Error: no such table: nope"),
+    )
+    assert "'{EXECUTED_SQL}'" in prompt
+    assert prompt.count("SELECT x FROM nope") == 1
 
 
 # ---- parsing ----

@@ -1,8 +1,10 @@
 """Action-space structure: legal transitions and exhaustive trajectory count."""
 
+import itertools
+
 import pytest
 
-from sqlscout.core.actions import enumerate_trajectories, valid_next_actions
+from sqlscout.core.actions import LEGAL_NEXT, enumerate_trajectories, valid_next_actions
 from sqlscout.core.types import ActionKind
 from sqlscout.errors import ContractViolation
 
@@ -110,3 +112,58 @@ def test_illegal_histories_raise(history):
 def test_terminate_closes_the_trajectory():
     # nothing may follow A7
     assert valid_next_actions([A5, A7]) == []
+
+
+CANONICAL = list(ActionKind)
+
+
+def walk_next_actions(history):
+    """The history walk the lookup table replaced, with its error messages."""
+    seen = []
+    allowed = ORACLE_SUCCESSORS[None]
+    for step in history:
+        if step in seen:
+            raise ContractViolation(f"action {step.value} repeated in history")
+        if step not in allowed:
+            raise ContractViolation(
+                f"action {step.value} is not a valid successor at its position")
+        seen.append(step)
+        allowed = ORACLE_SUCCESSORS[step]
+    return sorted((a for a in allowed if a not in seen), key=CANONICAL.index)
+
+
+def outcome(fn, history):
+    try:
+        return fn(history)
+    except ContractViolation as exc:
+        return f"raises: {exc}"
+
+
+def test_table_holds_exactly_the_legal_histories():
+    assert len(LEGAL_NEXT) == 160
+    for history, nxt in LEGAL_NEXT.items():
+        assert list(nxt) == walk_next_actions(history)
+
+
+def test_lookup_matches_the_walk_on_legal_and_illegal_histories():
+    histories = [h for n in range(5) for h in itertools.product(CANONICAL, repeat=n)]
+    histories += [h + (a,) for h in LEGAL_NEXT for a in CANONICAL]
+    for history in histories:
+        for form in (tuple(history), list(history)):
+            assert outcome(valid_next_actions, form) == \
+                outcome(walk_next_actions, history), history
+
+
+def test_enumeration_is_depth_first_in_canonical_order():
+    expected = []
+
+    def descend(prefix):
+        nxt = walk_next_actions(prefix)
+        if not nxt:
+            expected.append(prefix)
+        for action in nxt:
+            descend(prefix + [action])
+
+    descend([])
+    assert enumerate_trajectories() == expected
+    assert len(expected) == 64

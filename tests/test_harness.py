@@ -750,6 +750,25 @@ def test_cli_run_requires_chat_model(bird_dataset, tmp_path, cli_env,
     assert "no chat model configured" in result.output
 
 
+@pytest.mark.parametrize("line, key", [
+    ("n_rollout = abc", "n_rollout"),     # not an int
+    ("n_rollouts = 8", "n_rollouts"),     # unknown key
+    ("n_rollout = 0", "n_rollout"),       # out of range
+])
+def test_cli_run_reports_a_bad_config(bird_dataset, tmp_path, cli_env, line, key):
+    dataset, db_root = bird_dataset
+    config = tmp_path / "run.ini"
+    config.write_text(f"[search]\n{line}\n", encoding="utf-8")
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(tmp_path / "run"), "--config", str(config),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+    assert len(error) == 1 and key in error[0], result.output
+
+
 def test_cli_run_with_limit_and_baseline(bird_dataset, tmp_path, cli_env):
     dataset, db_root = bird_dataset
     out_dir = tmp_path / "run"

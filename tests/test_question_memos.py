@@ -1,5 +1,6 @@
 """Per-question memos: schema text once per slice, each action sample once per
-question, each SQL once per item."""
+question, each text parsed and each answer fingerprinted once per question,
+each SQL once per item."""
 
 import dataclasses
 from collections import Counter
@@ -8,13 +9,22 @@ import pytest
 
 import sqlscout.action_model.prompts as prompts
 import sqlscout.action_model.runner as action_runner
+import sqlscout.mcts as mcts
 import sqlscout.reward_select as reward_select
-from sqlscout.core.types import ActionKind, NLQuestion, NodeState, SearchConfig
+from sqlscout.core.types import (
+    ActionKind,
+    NLQuestion,
+    NodeState,
+    SearchConfig,
+    SearchNode,
+)
 from sqlscout.errors import TransportError
 from sqlscout.harness import RunEnvironment, load_dataset, run_one_item
-from sqlscout.mcts import prepare_context, run_search
+from sqlscout.llm_client import ScriptedModel
+from sqlscout.mcts import compute_reward, expand_node, prepare_context, run_search
 
 from conftest import (
+    A5_MARK,
     BROKEN_SQL,
     GOLD_SQL,
     GOLD_SQL_ALT,
@@ -213,3 +223,88 @@ def test_gold_query_shares_the_memo_unless_truncated(monkeypatch, bird_dataset):
                                                db_root=db_root),
                           dataclasses.replace(cfg, row_cap=0))
     assert record["sql"] == item.gold_sql and record["ex"] == 0
+
+
+def counting_parse_and_fingerprint(monkeypatch) -> tuple[Counter, Counter]:
+    """Count the parses per (action, text) and the fingerprints per value
+    that reach the parser and the hash."""
+    parses: Counter = Counter()
+    fingerprints: Counter = Counter()
+    parse, fingerprint = mcts.parse_action_response, mcts.fingerprint
+
+    def counting_parse(action, raw, catalog):
+        parses[(action, raw)] += 1
+        return parse(action, raw, catalog)
+
+    def counting_fingerprint(action, state):
+        fp = fingerprint(action, state)
+        fingerprints[(action, fp)] += 1
+        return fp
+
+    monkeypatch.setattr(mcts, "parse_action_response", counting_parse)
+    monkeypatch.setattr(mcts, "fingerprint", counting_fingerprint)
+    return parses, fingerprints
+
+
+def child(node: SearchNode, action: ActionKind) -> SearchNode:
+    return next(c for c in node.children.values() if c.producing_action is action)
+
+
+def test_transposed_states_parse_and_fingerprint_each_answer_once(
+        monkeypatch, restaurant_catalog, restaurant_executor, restaurant_question):
+    parses, fingerprints = counting_parse_and_fingerprint(monkeypatch)
+    ctx = prepare_context(restaurant_question, SearchConfig(sql_timeout_secs=5.0),
+                          scripted_pipeline_model(a5_sql=BRANCHING_A5),
+                          restaurant_catalog, restaurant_executor)
+    root = SearchNode.root()
+    expand_node(root, ctx)
+    leaves = []
+    for first, second in ((ActionKind.VALUE_IDENT, ActionKind.FUNCTION_IDENT),
+                          (ActionKind.FUNCTION_IDENT, ActionKind.VALUE_IDENT)):
+        node = child(root, first)
+        expand_node(node, ctx)
+        node = child(node, second)
+        expand_node(node, ctx)  # A2 and A5, from the same prompts both ways
+        generated = child(node, ActionKind.SQL_GENERATE)
+        expand_node(generated, ctx)  # A6 and A7
+        leaves.append((set(node.children), set(generated.children)))
+        for terminal in generated.children.values():
+            if terminal.is_terminal:
+                compute_reward(ctx, terminal)
+    assert leaves[0] == leaves[1]
+    assert ActionKind.TERMINATE in {action for action, _ in leaves[0][1]}
+    assert parses and max(parses.values()) == 1, parses
+    assert fingerprints and max(fingerprints.values()) == 1, fingerprints
+    assert set(parses) == set(ctx.answers)
+    assert len(fingerprints) == len(ctx.fingerprints)
+
+
+def test_parse_failure_is_memoized_as_a_failure(monkeypatch, restaurant_catalog,
+                                                restaurant_question):
+    parses, _ = counting_parse_and_fingerprint(monkeypatch)
+    model = ScriptedModel()
+    model.add(A5_MARK, "no query here")
+    ctx = prepare_context(restaurant_question, SearchConfig(n_expansion=3), model,
+                          restaurant_catalog, None)
+    for _ in range(2):
+        assert action_runner.run_action(ActionKind.SQL_GENERATE, NodeState(), ctx) == []
+    assert ctx.answers == {(ActionKind.SQL_GENERATE, "no query here"): None}
+    assert ctx.parse(ActionKind.SQL_GENERATE, "no query here") is None
+    assert parses == {(ActionKind.SQL_GENERATE, "no query here"): 1}
+
+
+def test_contexts_share_no_parse_or_fingerprint_memo(
+        monkeypatch, restaurant_catalog, restaurant_executor, restaurant_question):
+    parses, fingerprints = counting_parse_and_fingerprint(monkeypatch)
+    contexts = [prepare_context(restaurant_question, SearchConfig(n_expansion=3),
+                                scripted_pipeline_model(a5_sql=BRANCHING_A5),
+                                restaurant_catalog, restaurant_executor)
+                for _ in range(2)]
+    for ctx in contexts:
+        expand_node(SearchNode.root(), ctx)
+    first, second = contexts
+    assert first.answers == second.answers and first.answers is not second.answers
+    assert first.fingerprints == second.fingerprints
+    assert first.fingerprints is not second.fingerprints
+    assert parses and set(parses.values()) == {2}
+    assert fingerprints and set(fingerprints.values()) == {2}
