@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import NamedTuple
 
 from ..core.types import ActionKind, NodeState
 
 # an action's parsed answer: the schema map for A2, else text
 Answer = str | dict[str, list[str]]
+
+
+class Step(NamedTuple):
+    """What one sample of an action yields: its answer (None for termination)
+    and, for a revision, the (sql, execution result text) it was prompted with."""
+
+    answer: Answer | None
+    feedback: tuple[str, str] | None = None
+
 
 ANSWER_FIELD: dict[ActionKind, str] = {
     ActionKind.REPHRASE: "rephrased_question",
@@ -39,11 +49,11 @@ def _canonical(action: ActionKind, answer) -> str:
     return " ".join(answer.split())
 
 
-def fingerprint(action: ActionKind, state: NodeState) -> str:
-    """Fingerprint of the answer `action` put into `state`."""
+def fingerprint(action: ActionKind, answer: Answer | None) -> str:
+    """Fingerprint of `action`'s answer (ignored for termination)."""
     canonical = [action.value]
     if action in ANSWER_FIELD:
-        canonical.append(_canonical(action, getattr(state, ANSWER_FIELD[action])))
+        canonical.append(_canonical(action, answer))
     material = json.dumps(canonical, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha1(material.encode("utf-8")).hexdigest()[:16]
 

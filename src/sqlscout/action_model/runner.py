@@ -1,4 +1,4 @@
-"""Executing one action: prompt the model, parse each sample into a child state.
+"""Executing one action: prompt the model, parse each sample into a step.
 
 Plain actions draw N_expansion samples from one prompt. Revision is a loop
 per sample chain: execute the current SQL, and while it fails, feed the query
@@ -7,7 +7,9 @@ Termination is structural and calls no model. Actions read their inputs from
 the per-question search context `ctx` (`mcts.RolloutContext`, duck-typed),
 draw every sample through its memo `ctx.sample`, so a prompt that two paths
 of the search build alike is asked of the model once per question, and parse
-every text through its memo `ctx.parse`.
+every text through its memo `ctx.parse`. A step is the parsed answer (and a
+revision's feedback), not yet a state: the caller advances a state only for
+a step whose answer it has not seen.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from ..core.types import ActionKind, NLQuestion, NodeState
 from ..errors import ContractViolation
 from ..llm_client import ChatModel
-from .artifacts import advance
+from .artifacts import Step
 from .parser import parse_keyword_list
 from .prompts import build_action_prompt, build_keyword_prompt
 
@@ -23,15 +25,15 @@ KEYWORD_MAX_TOKENS = 1024
 
 
 def run_action(action: ActionKind, state: NodeState,
-               ctx) -> list[tuple[NodeState, str]]:
-    """All sampled (child state, raw response) pairs for one action at this state.
+               ctx) -> list[tuple[Step, str]]:
+    """All sampled (step, raw response) pairs for one action at this state.
 
     Samples 0 to cfg.n_expansion - 1 are drawn from one prompt; those that
     fail to parse are dropped, and an empty list means the action produced
     nothing usable. Transport errors propagate to the caller.
     """
     if action is ActionKind.TERMINATE:
-        return [(advance(state, action, None), "")]
+        return [(Step(None), "")]
     if action is ActionKind.SQL_REVISE:
         return [
             pair
@@ -44,17 +46,17 @@ def run_action(action: ActionKind, state: NodeState,
         action, ctx.q, state, ctx.catalog,
         retrieved_values=ctx.retrieved_map, schema_cache=ctx.schema_cache,
     )
-    out: list[tuple[NodeState, str]] = []
+    out: list[tuple[Step, str]] = []
     for i in range(cfg.n_expansion):
         raw = ctx.sample(prompt, cfg.t_expansion, i, action.value)
         answer = ctx.parse(action, raw)
         if answer is not None:
-            out.append((advance(state, action, answer), raw))
+            out.append((Step(answer), raw))
     return out
 
 
 def _run_revision_chain(chain: int, state: NodeState,
-                        ctx) -> list[tuple[NodeState, str]]:
+                        ctx) -> list[tuple[Step, str]]:
     """One revise-until-valid chain; the chain index separates its samples.
 
     The chain also ends at a fixed point: an answer that fails to parse, or
@@ -89,7 +91,7 @@ def _run_revision_chain(chain: int, state: NodeState,
             break
         current = sql
         result = ctx.execute(current)
-    return [(advance(state, ActionKind.SQL_REVISE, current, feedback), last_raw or "")]
+    return [(Step(current, feedback), last_raw or "")]
 
 
 def extract_keywords(q: NLQuestion, model: ChatModel) -> list[str]:

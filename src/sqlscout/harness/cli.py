@@ -165,10 +165,13 @@ def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
         embedder=embedder,
         endpoint=endpoint,
     )
-    summary = run_benchmark(
-        items, env, cfg, out_dir, mode=mode, workers=workers,
-        resume=resume, write_traces=traces,
-    )
+    try:
+        summary = run_benchmark(
+            items, env, cfg, out_dir, mode=mode, workers=workers,
+            resume=resume, write_traces=traces,
+        )
+    except IngestionError as exc:  # an unreadable value index, say
+        raise click.ClickException(str(exc)) from exc
     click.echo(json.dumps(summary["ex_by_difficulty"], indent=1, sort_keys=True))
     click.echo(f"EX overall: {summary['ex_overall']:.4f} "
                f"({summary['completed']}/{summary['total_items']} items)")

@@ -269,6 +269,12 @@ def run_benchmark(
     an interrupted run picks up where it stopped. Records append in
     completion order; the summary and predictions files are rebuilt from
     the full journal at the end and are order-independent.
+
+    In `mcts` mode the value index of every database a pending item needs
+    is loaded before the first item runs. An index that cannot be read (a
+    stale format version, say) raises `IngestionError` then, once, with no
+    record written: recording it against every item would let a resumed
+    run skip them all after the index is rebuilt.
     """
     if mode not in ("mcts", "baseline"):
         raise IngestionError(f"unknown run mode: {mode!r}")
@@ -282,6 +288,9 @@ def run_benchmark(
     pending = [item for item in items if item.question_id not in done]
     log.info("%d items, %d already complete, %d to run",
              len(items), len(items) - len(pending), len(pending))
+    if mode == "mcts":
+        for db_id in sorted({item.db_id for item in pending}):
+            env.value_index(db_id)
 
     def process(item: BenchmarkItem) -> dict:
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
-from .action_model import fingerprint, parse_action_response, run_action
-from .action_model.artifacts import ANSWER_FIELD, Answer
+from .action_model import advance, fingerprint, parse_action_response, run_action
+from .action_model.artifacts import Answer
 from .action_model.prompts import SchemaKey
 from .action_model.runner import extract_keywords
 from .core.actions import valid_next_actions
@@ -26,7 +26,6 @@ from .core.types import (
     ActionKind,
     EdgeKey,
     NLQuestion,
-    NodeState,
     SearchConfig,
     SearchNode,
 )
@@ -111,17 +110,15 @@ class RolloutContext:
         self.answers[key] = answer
         return answer
 
-    def fingerprint(self, action: ActionKind, state: NodeState) -> str:
-        """`fingerprint(action, state)`, keyed by the answer `action` put in
-        `state` (none for termination)."""
-        name = ANSWER_FIELD.get(action)
-        answer = None if name is None else getattr(state, name)
+    def fingerprint(self, action: ActionKind, answer: Answer | None) -> str:
+        """`fingerprint(action, answer)`, computed once per answer."""
+        hashable = answer
         if isinstance(answer, dict):
-            answer = tuple((table, tuple(cols)) for table, cols in answer.items())
-        key = (action, answer)
+            hashable = tuple((table, tuple(cols)) for table, cols in answer.items())
+        key = (action, hashable)
         fp = self.fingerprints.get(key)
         if fp is None:
-            fp = self.fingerprints[key] = fingerprint(action, state)
+            fp = self.fingerprints[key] = fingerprint(action, answer)
         return fp
 
 
@@ -202,12 +199,12 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
             log.warning("%s expansion failed: %s: %s", action.value,
                         type(exc).__name__, exc)
             continue
-        for state, _ in pairs:
-            key = (action, ctx.fingerprint(action, state))
+        for step, _ in pairs:
+            key = (action, ctx.fingerprint(action, step.answer))
             if key in node.children:
                 continue  # same answer already sampled; keep the first
             child = SearchNode(
-                state=state,
+                state=advance(node.state, action, *step),
                 producing_action=action,
                 fingerprint=key[1],
                 parent=node,

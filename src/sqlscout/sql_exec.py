@@ -11,11 +11,14 @@ from __future__ import annotations
 import sqlite3
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ContractViolation, IngestionError
 
 ROW_CAP = 10_000
+# characters of rows text in a result's brief form
+BRIEF_CHARS = 500
 # largest string or blob a query may build, in bytes (SQLITE_LIMIT_LENGTH)
 CELL_BYTE_CAP = 1 << 18
 # text and blob bytes fetched per result before it is marked truncated
@@ -54,8 +57,19 @@ class ExecutionResult:
     def is_rows(self) -> bool:
         return self.kind == "rows"
 
-    def brief(self, limit: int = 500) -> str:
-        """Short human-readable form, used in revision prompts and traces."""
+    def brief(self, limit: int = BRIEF_CHARS) -> str:
+        """Short human-readable form, used in revision prompts and traces.
+
+        The default form is built once per result and kept on it: a revision
+        chain asks for it every round, of the same memoized result.
+        """
+        return self._brief if limit == BRIEF_CHARS else self._render_brief(limit)
+
+    @cached_property
+    def _brief(self) -> str:
+        return self._render_brief(BRIEF_CHARS)
+
+    def _render_brief(self, limit: int) -> str:
         if self.kind == "error":
             return f"Error: {self.error}"
         if self.kind == "timeout":

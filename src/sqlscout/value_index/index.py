@@ -13,9 +13,9 @@ binary search and keeps the ids whose band values equal the query's.
 
 from __future__ import annotations
 
-import binascii
 import gc
 import json
+import os
 import sqlite3
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,7 +29,7 @@ from .minhash import MinHashParams, permutation_salts, signatures
 
 DISTINCT_VALUE_CAP = 10_000
 _FORMAT = "sqlscout-value-index"
-_VERSION = 3
+_VERSION = 4
 _BAND_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd: times an odd number stays odd
 
 
@@ -200,11 +200,12 @@ def _json_line(obj) -> bytes:
 
 
 def save_index(index: ValueIndex, path: str | Path) -> None:
-    """Write the index as five lines of JSON and base64.
+    """Write the index as four lines of JSON, then the raw signature bytes.
 
     The lines are: the header; the [table, column] list; each record's column
-    id; each record's value; and the base64 of all signatures, row after row,
-    as little-endian uint64s.
+    id; and each record's value. The signatures follow, row after row, as
+    little-endian uint64s: exactly n_records * num_permutations * 8 bytes,
+    up to the end of the file. The name keeps its historical `.jsonl`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -226,78 +227,74 @@ def save_index(index: ValueIndex, path: str | Path) -> None:
         fh.write(_json_line([list(col) for col in index.columns]))
         fh.write(_json_line(index.column_ids.tolist()))
         fh.write(_json_line(index.values))
-        fh.write(binascii.b2a_base64(sigs, newline=False))
-        fh.write(b"\n")
+        fh.write(sigs)  # the array's own buffer; an empty one writes nothing
     tmp.replace(path)
 
 
-def _lines(data: bytes) -> list[memoryview]:
-    """The lines of data without their newlines, as views rather than copies."""
-    view = memoryview(data)
-    lines: list[memoryview] = []
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        lines.append(view[start:end])
-        start = end + 1
-    return lines
-
-
 def load_index(path: str | Path) -> ValueIndex:
-    """Read an index file; the sorted band keys are rebuilt in memory."""
+    """Read an index file; the sorted band keys are rebuilt in memory.
+
+    The signature bytes are read straight into a preallocated array, so no
+    copy of the whole file is held. A file of another format version, a
+    short or overlong signature block, or a malformed line is an
+    `IngestionError`.
+    """
     path = Path(path)
-    data = path.read_bytes()
-    lines = _lines(data)
-    try:  # JSON and UTF-8 errors are ValueErrors, base64 errors too
-        header = json.loads(bytes(lines[0]))
-        if not isinstance(header, dict) or header.get("format") != _FORMAT:
-            raise IngestionError(f"not a value-index file: {path}")
-        if header.get("version") != _VERSION:
-            raise IngestionError(
-                f"value index {path} has format version {header.get('version')}, "
-                f"but this sqlscout reads version {_VERSION}; rerun "
-                "`sqlscout index build` to rebuild it"
+    with open(path, "rb") as fh:
+        try:  # JSON and UTF-8 errors are ValueErrors
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or header.get("format") != _FORMAT:
+                raise IngestionError(f"not a value-index file: {path}")
+            if header.get("version") != _VERSION:
+                raise IngestionError(
+                    f"value index {path} has format version {header.get('version')}, "
+                    f"but this sqlscout reads version {_VERSION}; rerun "
+                    "`sqlscout index build` to rebuild it"
+                )
+            params = MinHashParams(
+                num_permutations=header["num_permutations"],
+                bands=header["bands"],
+                rows_per_band=header["rows_per_band"],
+                shingle_size=header["shingle_size"],
+                seed=header["seed"],
             )
-        if len(lines) != 5 or not data.endswith(b"\n"):
-            raise IngestionError(f"truncated or overlong index file: {path}")
-        params = MinHashParams(
-            num_permutations=header["num_permutations"],
-            bands=header["bands"],
-            rows_per_band=header["rows_per_band"],
-            shingle_size=header["shingle_size"],
-            seed=header["seed"],
-        )
-        columns = json.loads(bytes(lines[1]))
-        column_ids = np.asarray(json.loads(bytes(lines[2])))
-        values = json.loads(bytes(lines[3]))
-        sig_bytes = binascii.a2b_base64(lines[4], strict_mode=True)
-    except (ValueError, KeyError, TypeError, IndexError, ContractViolation) as exc:
-        raise IngestionError(f"malformed value index {path}: {exc!r}") from exc
-    n = header.get("n_records")
-    width = 8 * params.num_permutations
-    if not (isinstance(n, int) and isinstance(values, list) and column_ids.ndim == 1):
-        raise IngestionError(f"malformed record count, values or column ids in {path}")
-    if not len(values) == len(column_ids) == n or len(sig_bytes) != n * width:
-        raise IngestionError(
-            f"record count mismatch in {path}: header {n!r}, {len(values)} values, "
-            f"{len(column_ids)} column ids, {len(sig_bytes) // width} signatures")
-    if not (isinstance(columns, list) and all(
-            isinstance(col, list) and len(col) == 2
-            and all(isinstance(name, str) for name in col) for col in columns)):
-        raise IngestionError(f"malformed column list in {path}")
-    if n and not (column_ids.dtype.kind == "i" and column_ids.min() >= 0
-                  and column_ids.max() < len(columns)):
-        raise IngestionError(f"column id out of range in {path}")
-    if not all(isinstance(value, str) and value for value in values):
-        raise IngestionError(f"empty or non-text value in {path}")
+            lines = [fh.readline() for _ in range(3)]
+            if not all(line.endswith(b"\n") for line in lines):
+                raise IngestionError(f"truncated index file: {path}")
+            columns, column_ids, values = (json.loads(line) for line in lines)
+            column_ids = np.asarray(column_ids)
+        except (ValueError, KeyError, TypeError, ContractViolation) as exc:
+            raise IngestionError(f"malformed value index {path}: {exc!r}") from exc
+        n = header.get("n_records")
+        if not (isinstance(n, int) and isinstance(values, list) and column_ids.ndim == 1):
+            raise IngestionError(f"malformed record count, values or column ids in {path}")
+        if not len(values) == len(column_ids) == n:
+            raise IngestionError(
+                f"record count mismatch in {path}: header {n!r}, {len(values)} values, "
+                f"{len(column_ids)} column ids")
+        if not (isinstance(columns, list) and all(
+                isinstance(col, list) and len(col) == 2
+                and all(isinstance(name, str) for name in col) for col in columns)):
+            raise IngestionError(f"malformed column list in {path}")
+        if n and not (column_ids.dtype.kind == "i" and column_ids.min() >= 0
+                      and column_ids.max() < len(columns)):
+            raise IngestionError(f"column id out of range in {path}")
+        if not all(isinstance(value, str) and value for value in values):
+            raise IngestionError(f"empty or non-text value in {path}")
+        sigs = np.empty((n, params.num_permutations), dtype="<u8")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != sigs.nbytes:  # checked before reading: no short read, no tail
+            raise IngestionError(
+                f"signature block of {path} holds {left} bytes, but {n} records of "
+                f"{params.num_permutations} permutations need {sigs.nbytes}")
+        if fh.readinto(sigs) != sigs.nbytes:
+            raise IngestionError(f"truncated index file: {path}")
     return ValueIndex(
         db_id=header.get("db_id", ""),
         params=params,
         columns=[(table, column) for table, column in columns],
         column_ids=column_ids.astype(np.int32),
         values=values,
-        signatures=np.frombuffer(sig_bytes, dtype="<u8").astype(
-            np.uint64, copy=False).reshape(n, params.num_permutations),
+        signatures=sigs.astype(np.uint64, copy=False),
         salts=permutation_salts(params),
     )

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 import sqlscout.action_model.runner as action_runner
-from sqlscout.action_model.artifacts import advance, fingerprint, normalize_sql
+from sqlscout.action_model.artifacts import Step, advance, fingerprint, normalize_sql
 from sqlscout.action_model.parser import (
     extract_json_object,
     parse_action_response,
@@ -323,7 +323,7 @@ def test_parse_baseline_sql_tag_then_fence():
 # ---- answers and fingerprints ----
 
 def answer_fp(action, answer) -> str:
-    return fingerprint(action, advance(NodeState(), action, answer))
+    return fingerprint(action, answer)
 
 
 def test_fingerprint_ignores_sql_whitespace_and_semicolon():
@@ -390,6 +390,13 @@ def a5_state(sql: str) -> NodeState:
     return state
 
 
+def run_states(action, state, ctx) -> list[tuple[NodeState, str]]:
+    """run_action's (step, raw) pairs as (child state, raw), as expansion
+    advances a new step."""
+    return [(advance(state, action, *step), raw)
+            for step, raw in run_action(action, state, ctx)]
+
+
 def test_run_action_samples_and_drops_bad_parses(restaurant_catalog,
                                                  restaurant_question):
     model = ScriptedModel()
@@ -397,7 +404,9 @@ def test_run_action_samples_and_drops_bad_parses(restaurant_catalog,
     cfg = SearchConfig(n_expansion=3)
     ctx = action_ctx(restaurant_question, restaurant_catalog, cfg, model)
     out = run_action(A5, NodeState(), ctx)
-    assert len(out) == 2
+    # each parsed sample is a step, not yet a state
+    assert [step for step, _ in out] == [Step("SELECT 1"), Step("SELECT 1")]
+    out = run_states(A5, NodeState(), ctx)
     assert all(state.sql == "SELECT 1" for state, _ in out)
     assert all(state.history == (A5,) for state, _ in out)
     # samples 0, 1, 2 of one prompt at the expansion temperature
@@ -424,14 +433,14 @@ def test_run_action_drops_only_the_too_deep_samples(restaurant_catalog,
     ctx = action_ctx(restaurant_question, restaurant_catalog,
                      SearchConfig(n_expansion=4), model)
     out = run_action(A5, NodeState(), ctx)
-    assert [state.sql for state, _ in out] == ["SELECT 1", "SELECT 2"]
+    assert [step.answer for step, _ in out] == ["SELECT 1", "SELECT 2"]
 
 
 def test_run_action_terminate_calls_no_model(restaurant_catalog,
                                              restaurant_question):
     model = ScriptedModel()  # would raise on any call
     ctx = action_ctx(restaurant_question, restaurant_catalog, SearchConfig(), model)
-    out = run_action(A7, a5_state("SELECT 1"), ctx)
+    out = run_states(A7, a5_state("SELECT 1"), ctx)
     assert len(out) == 1
     state, raw = out[0]
     assert raw == ""
@@ -442,7 +451,7 @@ def test_run_action_terminate_calls_no_model(restaurant_catalog,
 
 def revise(q, catalog, executor, model, sql: str, **cfg_kw):
     cfg = SearchConfig(sql_timeout_secs=5.0, **cfg_kw)
-    return run_action(A6, a5_state(sql),
+    return run_states(A6, a5_state(sql),
                       action_ctx(q, catalog, cfg, model, executor))
 
 

@@ -582,6 +582,49 @@ def test_run_benchmark_no_resume_restarts(bird_dataset, tmp_path):
     assert len(load_report_records(out / REPORT_NAME)) == 2
 
 
+def stale_index_dir(tmp_path, db_root):
+    """An index directory whose restaurants index has an older format version."""
+    index_dir = tmp_path / "indexes"
+    catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
+                           db_id="restaurants")
+    save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
+    path = index_dir / "restaurants.jsonl"
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(header), "version": 3}).encode()
+                     + b"\n" + rest)
+    return index_dir
+
+
+def test_run_benchmark_stale_index_fails_once_and_writes_nothing(
+        bird_dataset, tmp_path, monkeypatch):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+    index_dir = stale_index_dir(tmp_path, db_root)
+    loads = []
+    load_index = runner_module.load_index
+
+    def counting_load(path):
+        loads.append(path)
+        return load_index(path)
+
+    monkeypatch.setattr(runner_module, "load_index", counting_load)
+    out = tmp_path / "run"
+    env = RunEnvironment(model=scripted_benchmark_model(), db_root=db_root,
+                         index_dir=index_dir)
+    with pytest.raises(IngestionError, match="rerun `sqlscout index build`"):
+        run_benchmark(items, env, bench_cfg(), out, mode="mcts")
+    assert len(loads) == 1
+    assert load_report_records(out / REPORT_NAME) == {}
+    # after a rebuild, the default resume runs every item
+    catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
+                           db_id="restaurants")
+    save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
+    env = RunEnvironment(model=scripted_benchmark_model(), db_root=db_root,
+                         index_dir=index_dir)
+    summary = run_benchmark(items, env, bench_cfg(), out, mode="mcts")
+    assert summary["completed"] == 4 and summary["item_errors"] == 0
+
+
 def test_run_benchmark_summary_is_reproducible(bird_dataset, tmp_path):
     dataset, db_root = bird_dataset
     items = load_dataset(dataset)
@@ -767,6 +810,21 @@ def test_cli_run_reports_a_bad_config(bird_dataset, tmp_path, cli_env, line, key
     assert isinstance(result.exception, SystemExit), result.exception  # no traceback
     error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
     assert len(error) == 1 and key in error[0], result.output
+
+
+def test_cli_run_reports_a_stale_index(bird_dataset, tmp_path, cli_env):
+    dataset, db_root = bird_dataset
+    index_dir = stale_index_dir(tmp_path, db_root)
+    out_dir = tmp_path / "run"
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(out_dir), "--index-dir", str(index_dir),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+    assert len(error) == 1 and "sqlscout index build" in error[0], result.output
+    assert load_report_records(out_dir / REPORT_NAME) == {}
 
 
 def test_cli_run_with_limit_and_baseline(bird_dataset, tmp_path, cli_env):

@@ -153,7 +153,7 @@ def test_lost_action_sample_is_asked_again(restaurant_catalog, restaurant_questi
     out = action_runner.run_action(ActionKind.SQL_GENERATE, NodeState(), ctx)
     # sample 0 comes from the memo; the lost sample 1 reaches the model again
     assert model.calls == [0, 1, 1, 2]
-    assert [a.sql for a, _ in out] == BRANCHING_A5[:3]
+    assert [step.answer for step, _ in out] == BRANCHING_A5[:3]
     action_runner.run_action(ActionKind.SQL_GENERATE, NodeState(), ctx)
     assert model.calls == [0, 1, 1, 2]
 
@@ -236,8 +236,8 @@ def counting_parse_and_fingerprint(monkeypatch) -> tuple[Counter, Counter]:
         parses[(action, raw)] += 1
         return parse(action, raw, catalog)
 
-    def counting_fingerprint(action, state):
-        fp = fingerprint(action, state)
+    def counting_fingerprint(action, answer):
+        fp = fingerprint(action, answer)
         fingerprints[(action, fp)] += 1
         return fp
 
@@ -277,6 +277,26 @@ def test_transposed_states_parse_and_fingerprint_each_answer_once(
     assert fingerprints and max(fingerprints.values()) == 1, fingerprints
     assert set(parses) == set(ctx.answers)
     assert len(fingerprints) == len(ctx.fingerprints)
+
+
+def test_expansion_builds_a_state_only_for_a_new_answer(
+        monkeypatch, restaurant_catalog, restaurant_question):
+    built: list[ActionKind] = []
+    advance = mcts.advance
+
+    def counting_advance(state, action, *args):
+        built.append(action)
+        return advance(state, action, *args)
+
+    monkeypatch.setattr(mcts, "advance", counting_advance)
+    # every sample of an action answers alike: three steps, one child each
+    ctx = prepare_context(restaurant_question, SearchConfig(n_expansion=3),
+                          scripted_pipeline_model(), restaurant_catalog, None)
+    root = SearchNode.root()
+    created = expand_node(root, ctx)
+    assert len(created) == len(root.children) > 1
+    assert built == [child.producing_action for child in created]
+    assert len(ctx.samples) == 3 * len(created)
 
 
 def test_parse_failure_is_memoized_as_a_failure(monkeypatch, restaurant_catalog,

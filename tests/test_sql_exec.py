@@ -303,6 +303,26 @@ def test_brief_rendering(restaurant_db):
     assert "truncated" in long.brief()
 
 
+def test_brief_is_built_once_per_result(monkeypatch):
+    limits: list[int] = []
+    render = ExecutionResult._render_brief
+
+    def counting_render(self, limit):
+        limits.append(limit)
+        return render(self, limit)
+
+    monkeypatch.setattr(ExecutionResult, "_render_brief", counting_render)
+    res = rows_result([(i, "x" * 40) for i in range(30)])
+    assert res.brief() is res.brief()
+    assert limits == [500]
+    res.brief(limit=200)  # another length is built each time it is asked
+    res.brief(limit=200)
+    assert limits == [500, 200, 200]
+    # the kept text is no field: equality and hash are the result's own
+    fresh = rows_result([(i, "x" * 40) for i in range(30)])
+    assert res == fresh and hash(res) == hash(fresh)
+
+
 def test_distinct_row_order_ignored(tmp_path):
     db = tmp_path / "o.sqlite"
     conn = sqlite3.connect(db)

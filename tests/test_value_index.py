@@ -287,21 +287,26 @@ def test_load_rejects_foreign_files(tmp_path):
         load_index(path)
 
 
-def test_index_file_stores_signatures_as_base64(restaurant_index, tmp_path):
+def _parts(path) -> tuple[list[bytes], bytes]:
+    """An index file's four JSON lines (without newlines) and the bytes after them."""
+    *lines, sigs = path.read_bytes().split(b"\n", 4)
+    return lines, sigs
+
+
+def test_index_file_stores_signatures_as_raw_bytes(restaurant_index, tmp_path):
     path = tmp_path / "restaurants.jsonl"
     save_index(restaurant_index, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 5
-    header, columns, column_ids, values, sigs = lines
-    assert json.loads(header)["version"] == 3
-    assert json.loads(header)["n_records"] == len(restaurant_index.values)
-    assert [tuple(c) for c in json.loads(columns)] == restaurant_index.columns
-    assert json.loads(column_ids) == restaurant_index.column_ids.tolist()
-    assert json.loads(values) == restaurant_index.values
-    raw = base64.b64decode(sigs, validate=True)
-    assert len(raw) == 1024 * len(restaurant_index.values)
+    lines, sigs = _parts(path)
+    header, columns, column_ids, values = (json.loads(line) for line in lines)
+    assert header["version"] == 4
+    assert header["n_records"] == len(restaurant_index.values)
+    assert [tuple(c) for c in columns] == restaurant_index.columns
+    assert column_ids == restaurant_index.column_ids.tolist()
+    assert values == restaurant_index.values
+    # n_records x num_permutations little-endian uint64s, up to end of file
+    assert len(sigs) == 8 * 128 * len(restaurant_index.values)
     np.testing.assert_array_equal(
-        np.frombuffer(raw, dtype="<u8").reshape(-1, 128), restaurant_index.signatures)
+        np.frombuffer(sigs, dtype="<u8").reshape(-1, 128), restaurant_index.signatures)
 
 
 def test_load_rejects_version_1_with_rebuild_hint(tmp_path):
@@ -327,38 +332,54 @@ def test_load_rejects_version_2_with_rebuild_hint(tmp_path):
         load_index(path)
 
 
+def test_load_rejects_version_3_with_rebuild_hint(restaurant_index, tmp_path):
+    path = tmp_path / "old.jsonl"
+    save_index(restaurant_index, path)
+    lines, sigs = _parts(path)
+    header = {**json.loads(lines[0]), "version": 3}
+    text = "\n".join([json.dumps(header), *(line.decode() for line in lines[1:]),
+                      base64.b64encode(sigs).decode()]) + "\n"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestionError, match="rerun `sqlscout index build`"):
+        load_index(path)
+
+
 def _edit(lines, i, edit):
-    """The file's lines with line i (0 header, 1 columns, 2 column ids,
-    3 values, 4 signatures) replaced by edit(its JSON, or its base64 text)."""
+    """The file's JSON lines (0 header, 1 columns, 2 column ids, 3 values)
+    with line i replaced by edit(its JSON)."""
     lines = list(lines)
-    lines[i] = edit(lines[i] if i == 4 else json.loads(lines[i]))
+    lines[i] = edit(json.loads(lines[i])).encode()
     return lines
 
 
+# each takes and returns (JSON lines, signature bytes)
 @pytest.mark.parametrize("corrupt", [
-    lambda lines: _edit(lines, 4, lambda s: s[:-12]),  # one signature short
-    lambda lines: _edit(lines, 4, lambda s: "not base64!" + s),
-    lambda lines: _edit(lines, 3, lambda vs: json.dumps(vs[:-1])),  # a value short
-    lambda lines: _edit(lines, 3, lambda vs: json.dumps([""] + vs[1:])),
-    lambda lines: [lines[0], "{not json", *lines[2:]],
-    lambda lines: _edit(lines, 2, lambda ids: json.dumps(ids[:-1])),  # an id short
-    lambda lines: _edit(lines, 2, lambda ids: json.dumps([99] + ids[1:])),
-    lambda lines: _edit(lines, 2, lambda ids: json.dumps([-1] + ids[1:])),
-    lambda lines: _edit(lines, 2, lambda ids: json.dumps([0.5] + ids[1:])),
-    lambda lines: _edit(lines, 2, lambda ids: json.dumps([[0]] + ids[1:])),
-    lambda lines: _edit(lines, 1, lambda cols: json.dumps(["ab"] + cols[1:])),
-    lambda lines: _edit(lines, 3, lambda vs: json.dumps([7] + vs[1:])),
-    lambda lines: _edit(lines, 4, lambda s: s[:-4] + "@@@@"),  # same length
-    lambda lines: _edit(lines, 0, lambda h: json.dumps({**h, "n_records": "21"})),
-    lambda lines: _edit(lines, 0, lambda h: json.dumps(
-        {k: v for k, v in h.items() if k != "bands"})),
-    lambda lines: [*lines, lines[-1]],  # trailing data
+    lambda lines, sigs: (lines, sigs[:-1]),  # signature block one byte short
+    lambda lines, sigs: (lines, sigs + b"\0"),  # one byte extra
+    lambda lines, sigs: (_edit(lines, 3, lambda vs: json.dumps(vs[:-1])), sigs),
+    lambda lines, sigs: (_edit(lines, 3, lambda vs: json.dumps([""] + vs[1:])), sigs),
+    lambda lines, sigs: ([lines[0], b"{not json", *lines[2:]], sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps(ids[:-1])), sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps([99] + ids[1:])), sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps([-1] + ids[1:])), sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps([0.5] + ids[1:])), sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps([[0]] + ids[1:])), sigs),
+    lambda lines, sigs: (_edit(lines, 1, lambda cols: json.dumps(["ab"] + cols[1:])), sigs),
+    lambda lines, sigs: (_edit(lines, 3, lambda vs: json.dumps([7] + vs[1:])), sigs),
+    lambda lines, sigs: (_edit(lines, 0, lambda h: json.dumps(  # one record too many
+        {**h, "n_records": h["n_records"] + 1})), sigs + sigs[-1024:]),
+    lambda lines, sigs: (_edit(lines, 0, lambda h: json.dumps({**h, "n_records": "21"})), sigs),
+    lambda lines, sigs: (_edit(lines, 0, lambda h: json.dumps(
+        {k: v for k, v in h.items() if k != "bands"})), sigs),
+    lambda lines, sigs: (lines, sigs + b"\n"),  # a trailing newline, as version 3 had
+    lambda lines, sigs: (lines, sigs[:-1024]),  # a whole signature short
+    lambda lines, sigs: (lines[:3], sigs),  # the values line lost
 ])
 def test_load_rejects_malformed_records(restaurant_index, tmp_path, corrupt):
     path = tmp_path / "bad.jsonl"
     save_index(restaurant_index, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(corrupt(lines)) + "\n", encoding="utf-8")
+    lines, sigs = corrupt(*_parts(path))
+    path.write_bytes(b"".join(line + b"\n" for line in lines) + sigs)
     with pytest.raises(IngestionError):
         load_index(path)
 
@@ -368,10 +389,13 @@ def test_load_rejects_truncation(restaurant_catalog, tmp_path):
     path = tmp_path / "cut.jsonl"
     save_index(index, path)
     data = path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    # whole lines lost, or the signature line cut short
-    for cut in [*(b"".join(lines[:keep]) for keep in range(1, 5)), data[:-100]]:
-        path.write_bytes(cut)
+    head = len(data) - 8 * 128 * len(index.values)
+    # cut inside each JSON line, at each line end, or inside the signatures
+    newlines = [i for i in range(head) if data[i] == ord("\n")]
+    cuts = [0, *newlines, *(i + 1 for i in newlines),
+            *(i - 5 for i in newlines), head + 8, len(data) - 1]
+    for cut in cuts:
+        path.write_bytes(data[:cut])
         with pytest.raises(IngestionError):
             load_index(path)
 
@@ -392,8 +416,14 @@ def test_empty_index_is_valid(tmp_path):
         signatures=np.empty((0, params.num_permutations), dtype=np.uint64))
     assert index.candidate_ids(signature("x", index.salts)) == []
     assert index.records == [] and index.buckets == {}
-    save_index(index, tmp_path / "empty.jsonl")
-    loaded = load_index(tmp_path / "empty.jsonl")
+    # the empty signature block: a zero-size array has no byte view
+    # (memoryview(...).cast("B") raises TypeError), so it must round trip too
+    with pytest.raises(TypeError):
+        memoryview(index.signatures).cast("B")
+    path = tmp_path / "empty.jsonl"
+    save_index(index, path)
+    assert path.read_bytes().endswith(b"[]\n")  # four JSON lines, no signature byte
+    loaded = load_index(path)
     assert loaded.values == [] and loaded.signatures.shape == (0, 128)
     assert loaded.candidate_ids(signature("x", index.salts)) == []
 
