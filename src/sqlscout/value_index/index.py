@@ -149,9 +149,13 @@ def build_value_index(
 ) -> ValueIndex:
     """Scan distinct values of every TEXT column and index their signatures.
 
-    Values are lowercased for hashing but stored verbatim. Scan order (and
-    hence the serialized file) is deterministic: catalog table/column order,
-    values ascending.
+    Each column is deduplicated first, in a subquery, and only its distinct
+    values are sorted: written as one `SELECT DISTINCT ... ORDER BY`, SQLite
+    would sort every row of the table to group it. The first `value_cap`
+    values in the column's own collation are kept. Values are lowercased for
+    hashing but stored verbatim, and are signed in one `signatures` batch.
+    Scan order (and hence the serialized file) is deterministic: catalog
+    table/column order, values ascending.
     """
     params = params or MinHashParams()
     salts = permutation_salts(params)
@@ -167,8 +171,8 @@ def build_value_index(
         for table, column in catalog.text_columns():
             try:
                 rows = conn.execute(
-                    f'SELECT DISTINCT "{column}" FROM "{table}" '
-                    f'WHERE "{column}" IS NOT NULL ORDER BY 1 LIMIT ?',
+                    f'SELECT v FROM (SELECT DISTINCT "{column}" AS v FROM "{table}" '
+                    f'WHERE "{column}" IS NOT NULL) ORDER BY 1 LIMIT ?',
                     (value_cap,),
                 ).fetchall()
             except sqlite3.Error as exc:
@@ -279,7 +283,7 @@ def load_index(path: str | Path) -> ValueIndex:
         if n and not (column_ids.dtype.kind == "i" and column_ids.min() >= 0
                       and column_ids.max() < len(columns)):
             raise IngestionError(f"column id out of range in {path}")
-        if not all(isinstance(value, str) and value for value in values):
+        if not (set(map(type, values)) <= {str} and all(values)):  # loops in C
             raise IngestionError(f"empty or non-text value in {path}")
         sigs = np.empty((n, params.num_permutations), dtype="<u8")
         left = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -24,7 +24,9 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
 _M2 = np.uint64(0xC4CEB9FE1A85EC53)
 _S33 = np.uint64(33)
-# texts per slice of a batch, and shingles per step of the mix
+# a code point takes 1 byte of utf-8 below 0x80, 2 below 0x800, 3 below 0x10000
+_UTF8_LIMITS = np.array([0x80, 0x800, 0x10000], dtype=np.uint64)
+# texts per chunk of a batch, and shingles per step of the mix
 _BLOCK = 2048
 
 
@@ -49,26 +51,77 @@ def permutation_salts(params: MinHashParams) -> np.ndarray:
     return rng.integers(0, 2**64, size=params.num_permutations, dtype=np.uint64)
 
 
-def _shingles(text: str, size: int) -> set[str]:
-    if len(text) < size:
-        return {text}
-    return {text[i : i + size] for i in range(len(text) - size + 1)}
-
-
 def shingle_set(text: str, size: int = 3) -> set[bytes]:
     """Distinct character n-grams, utf-8 encoded. Short texts yield themselves."""
-    return {s.encode("utf-8") for s in _shingles(text, size)}
+    if len(text) < size:
+        return {text.encode("utf-8")}
+    return {text[i : i + size].encode("utf-8") for i in range(len(text) - size + 1)}
 
 
-def _fnv1a64(items: list[bytes]) -> np.ndarray:
-    """64-bit FNV-1a of each byte string, one byte position at a time."""
-    lens = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
-    data = np.frombuffer(b"".join(items), dtype=np.uint8)
-    starts = np.cumsum(lens) - lens
-    hashes = np.full(len(items), _FNV_OFFSET, dtype=np.uint64)
-    for pos in range(int(lens.max(initial=0))):
-        live = np.flatnonzero(lens > pos)
-        hashes[live] = (hashes[live] ^ data[starts[live] + pos]) * _FNV_PRIME
+def _utf8_tables() -> list[tuple[np.ndarray, ...]]:
+    """Shift, mask, mark and multiplier of utf-8 byte m of a code point, by kind.
+
+    Entry m holds four rows indexed by kind c, the byte count less one. Byte
+    m of a code point of kind c is ((cp >> shift) & mask) | mark, and its
+    FNV-1a step multiplies by the prime. Where m > c, and in column 4 (the
+    sentinel), all is 0 but the multiplier, which is 1: that step changes no
+    hash.
+    """
+    shift, mask, mark = (np.zeros((4, 5), dtype=np.uint64) for _ in range(3))
+    mul = np.ones((4, 5), dtype=np.uint64)
+    for kind in range(4):
+        for m in range(kind + 1):
+            shift[m, kind] = 6 * (kind - m)
+            mask[m, kind] = 0x3F if m else 0xFF
+            mark[m, kind] = 0x80 if m else (0, 0xC0, 0xE0, 0xF0)[kind]
+            mul[m, kind] = _FNV_PRIME
+    return list(zip(shift, mask, mark, mul))
+
+
+_UTF8_BYTES = _utf8_tables()
+
+
+def _utf8_steps(text: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (xor, multiplier) of each FNV-1a step over the utf-8 bytes of `text`.
+
+    Each is an array with one entry per code point and a sentinel last. Step
+    m takes byte m of each code point. A code point with fewer bytes gets
+    xor 0 and multiplier 1 there, which leaves a hash as it was, and so does
+    the sentinel. All-ASCII text takes one step: the code points as they are.
+    """
+    cps = np.zeros(len(text) + 1, dtype=np.uint64)
+    cps[:-1] = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    if text.isascii():
+        mul = np.full(len(cps), _FNV_PRIME)
+        mul[-1] = 1
+        return [(cps, mul)]
+    kind = _UTF8_LIMITS.searchsorted(cps, side="right")
+    kind[-1] = 4
+    return [(((cps >> shift[kind]) & mask[kind]) | mark[kind], mul[kind])
+            for shift, mask, mark, mul in _UTF8_BYTES[: kind[:-1].max() + 1]]
+
+
+def _shingle_hashes(texts: list[str], lens: np.ndarray, counts: np.ndarray,
+                    size: int) -> np.ndarray:
+    """64-bit FNV-1a of the utf-8 bytes of every shingle, text after text.
+
+    A text of n >= size code points has counts = n - size + 1 shingles,
+    repeats included; a shorter one is its own single shingle.
+    """
+    steps = _utf8_steps("".join(texts))
+    sentinel = len(steps[0][0]) - 1
+    offsets = counts.cumsum() - counts
+    total = int(offsets[-1] + counts[-1])
+    starts = (lens.cumsum() - lens - offsets).repeat(counts) + np.arange(total)
+    widths = lens.repeat(counts) if lens.min() < size else None
+    hashes = np.full(total, _FNV_OFFSET, dtype=np.uint64)
+    for j in range(size):
+        at = starts + j
+        if widths is not None:  # past its end, a short shingle reads the sentinel
+            at[widths <= j] = sentinel
+        for xor, mul in steps:
+            hashes ^= xor[at]
+            hashes *= mul[at]
     return hashes
 
 
@@ -91,43 +144,38 @@ def signatures(
 ) -> np.ndarray:
     """MinHash signatures of many texts: (len(texts), k) uint64, row i for texts[i].
 
-    Case-sensitive; callers lowercase first. Each distinct shingle is hashed
-    once. Texts are then taken in slices of _BLOCK, and a slice mixes only
-    the shingles it uses, so memory follows the slice, not the whole batch.
-    A text with more than _BLOCK shingles is signed alone instead, _BLOCK
-    mixed shingles at a time: in a slice it would take one step per shingle.
+    Case-sensitive; callers lowercase first. Texts are taken in chunks of
+    _BLOCK, fewest shingles first. A chunk hashes its texts' shingles in
+    arrays (from the code points, with no Python object per shingle), mixes
+    each distinct hash once, and folds shingle r into the minimum of the
+    texts with more than r shingles; so memory follows the chunk, not the
+    whole batch. A shingle repeated within a text is folded in again, which
+    leaves the minimum as it was. A text with more than _BLOCK shingles is
+    signed alone instead, _BLOCK mixed shingles at a time: in a chunk it
+    would take one step per shingle.
     """
-    ids: dict[str, int] = {}
-    flat: list[int] = []
-    counts = np.empty(len(texts), dtype=np.intp)
-    for i, text in enumerate(texts):
-        shingles = _shingles(text, shingle_size)
-        counts[i] = len(shingles)
-        for s in shingles:
-            flat.append(ids.setdefault(s, len(ids)))
-    hashes = _fnv1a64([s.encode("utf-8") for s in ids])
-    shingle_ids = np.asarray(flat, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
+    lens = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    counts = np.maximum(lens - (shingle_size - 1), 1)
+    order = counts.argsort(kind="stable")
+    n_short = int(counts[order].searchsorted(_BLOCK, side="right"))
     out = np.empty((len(texts), len(salts)), dtype=np.uint64)
-    # texts sorted by shingle count: in each slice, those with more than r
-    # shingles form a tail, and the minimum folds in shingle r for that tail
-    order = np.argsort(counts, kind="stable")
-    short = order[: np.searchsorted(counts[order], _BLOCK, side="right")]
-    for lo in range(0, len(short), _BLOCK):
-        rows = short[lo : lo + _BLOCK]
+    for lo in range(0, n_short, _BLOCK):
+        rows = order[lo : lo + _BLOCK]
         n_shingles = counts[rows]
-        offsets = np.cumsum(n_shingles) - n_shingles
-        positions = (np.repeat(starts[rows] - offsets, n_shingles)
-                     + np.arange(offsets[-1] + n_shingles[-1]))
-        used, local = np.unique(shingle_ids[positions], return_inverse=True)
-        mixed = _mix(hashes[used], salts)
+        hashes = _shingle_hashes([texts[i] for i in rows.tolist()], lens[rows],
+                                 n_shingles, shingle_size)
+        offsets = n_shingles.cumsum() - n_shingles
+        used, local = np.unique(hashes, return_inverse=True)
+        mixed = _mix(used, salts)
         sig = mixed[local[offsets]]
-        for rank in range(1, int(n_shingles[-1])):
-            tail = int(np.searchsorted(n_shingles, rank, side="right"))
+        # the texts from tails[r - 1] on have more than r shingles
+        tails = n_shingles.searchsorted(np.arange(1, n_shingles[-1]), side="right")
+        for rank, tail in enumerate(tails.tolist(), start=1):
             np.minimum(sig[tail:], mixed[local[offsets[tail:] + rank]], out=sig[tail:])
         out[rows] = sig
-    for i in order[len(short):]:
-        own = hashes[shingle_ids[starts[i] : starts[i] + counts[i]]]
+    for i in order[n_short:].tolist():
+        own = np.unique(_shingle_hashes([texts[i]], lens[i : i + 1], counts[i : i + 1],
+                                        shingle_size))
         out[i] = np.min([_mix(own[lo : lo + _BLOCK], salts).min(axis=0)
                          for lo in range(0, len(own), _BLOCK)], axis=0)
     return out

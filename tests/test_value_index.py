@@ -143,6 +143,50 @@ def test_signatures_do_not_depend_on_block_size(monkeypatch):
     assert signatures([], salts).shape == (0, 128)
 
 
+# code points of 1, 2, 3 and 4 utf-8 bytes, each at the ends of its range
+_WIDTHS = ["a", "\x7f", "é", "\x80", "\u07ff", "中", "\u0800", "\uffff",
+           "😀", "\U00010000", "\U0010ffff"]
+
+
+def _mixed_width_texts(seed: int, n: int) -> list[str]:
+    rng = random.Random(seed)
+    alphabet = _WIDTHS + list("b ")
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+             for _ in range(n)]
+    # short texts and "", repeated shingles, and one text signed alone
+    return texts + ["", "a", "é", "中😀", "aaaaaa", "😀😀😀😀", "ab" * 3000, *_WIDTHS]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_signatures_match_reference_loop_at_every_shingle_size(size):
+    salts = permutation_salts(MinHashParams())[:16]
+    texts = _mixed_width_texts(size, 40)
+    got = signatures(texts, salts, size)
+    for text, row in zip(texts, got):
+        assert row.tolist() == oracle_signature(text, salts, size), (size, text)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_signatures_match_reference_loop_in_small_chunks(monkeypatch, block):
+    # with tiny chunks, "aaaaaa" and every text past `block` shingles is
+    # signed alone, and each chunk holds a few texts of mixed widths
+    salts = permutation_salts(MinHashParams())[:16]
+    texts = _mixed_width_texts(block, 30)
+    whole = signatures(texts, salts)
+    monkeypatch.setattr(minhash, "_BLOCK", block)
+    got = signatures(texts, salts)
+    np.testing.assert_array_equal(got, whole)
+    for text, row in zip(texts, got):
+        assert row.tolist() == oracle_signature(text, salts), (block, text)
+
+
+def test_signatures_reject_lone_surrogates():
+    # no utf-8 form, so no shingle hash: the same error as encoding the text
+    salts = permutation_salts(MinHashParams())
+    with pytest.raises(UnicodeEncodeError):
+        signatures(["ok", "\ud800x"], salts)
+
+
 def test_salts_depend_on_seed():
     a = permutation_salts(MinHashParams(seed=0))
     b = permutation_salts(MinHashParams(seed=1))
@@ -263,6 +307,60 @@ def test_build_respects_value_cap(tmp_path):
     assert len(index.records) == 10
     # deterministic scan order: ascending
     assert [r.value for r in index.records] == [f"v{i:04d}" for i in range(10)]
+
+
+def _scan_oracle(db, catalog, value_cap):
+    """Columns, column ids and values of the plain one-statement scan."""
+    conn = sqlite3.connect(db)
+    conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
+    columns, column_ids, values = [], [], []
+    for table, column in catalog.text_columns():
+        rows = conn.execute(
+            f'SELECT DISTINCT "{column}" FROM "{table}" '
+            f'WHERE "{column}" IS NOT NULL ORDER BY 1 LIMIT ?', (value_cap,)).fetchall()
+        kept = [value for value in (str(raw) for (raw,) in rows) if value]
+        column_ids += [len(columns)] * len(kept)
+        values += kept
+        columns.append((table, column))
+    conn.close()
+    return columns, column_ids, values
+
+
+def test_scan_matches_one_statement_distinct_order_by(tmp_path):
+    db = tmp_path / "collations.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE t (nocase TEXT COLLATE NOCASE, "
+                 "rtrim TEXT COLLATE RTRIM, plain TEXT, any_value)")
+    rows = [("apple", "x ", "kept", 1), ("Apple", "x", "", 1.0),
+            ("Banana", "y", None, 2.5), ("banana", "y  ", "Kept", "1"),
+            ("", "", "kept", "a"), (None, None, "zz", b"blob"),
+            ("cherry", " z", "é", ""), ("APPLE", "x\t", "a", None),
+            ("Cherry", "z", "kept", -3), ("date", "w", "b", 10)]
+    conn.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
+    conn.commit()
+    conn.close()
+    catalog = load_catalog(db)
+    # a column with no declared type is scanned as text, but its rows keep
+    # their storage class: integer, real, text and blob
+    assert len(catalog.text_columns()) == 4
+    for value_cap in (1, 2, 3, 4, 100):  # below and above each column's distinct count
+        index = build_value_index(catalog, value_cap=value_cap)
+        columns, column_ids, values = _scan_oracle(db, catalog, value_cap)
+        assert index.columns == columns
+        assert index.column_ids.tolist() == column_ids
+        assert index.values == values
+    # "" is among the first 3 and dropped after the cap: that column keeps 2
+    capped = build_value_index(catalog, value_cap=3)
+    assert capped.values[:2] == ["apple", "Banana"] and capped.column_ids[2] == 1
+    assert list(zip(index.column_ids.tolist(), index.values)) == [
+        # NOCASE and RTRIM: one value per group, the first row's spelling,
+        # in the column's order ("apple" before "Banana", "x " before "x\t")
+        (0, "apple"), (0, "Banana"), (0, "cherry"), (0, "date"),
+        (1, " z"), (1, "w"), (1, "x "), (1, "x\t"), (1, "y"), (1, "z"),
+        (2, "Kept"), (2, "a"), (2, "b"), (2, "kept"), (2, "zz"), (2, "é"),
+        # numbers before text before blobs; 1 and 1.0 are one value, "1" another
+        (3, "-3"), (3, "1"), (3, "2.5"), (3, "10"), (3, "1"), (3, "a"), (3, "b'blob'"),
+    ]
 
 
 def test_save_load_roundtrip(restaurant_catalog, tmp_path):
