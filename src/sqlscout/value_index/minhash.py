@@ -24,8 +24,6 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
 _M2 = np.uint64(0xC4CEB9FE1A85EC53)
 _S33 = np.uint64(33)
-# a code point takes 1 byte of utf-8 below 0x80, 2 below 0x800, 3 below 0x10000
-_UTF8_LIMITS = np.array([0x80, 0x800, 0x10000], dtype=np.uint64)
 # texts per chunk of a batch, and shingles per step of the mix
 _BLOCK = 2048
 
@@ -58,70 +56,33 @@ def shingle_set(text: str, size: int = 3) -> set[bytes]:
     return {text[i : i + size].encode("utf-8") for i in range(len(text) - size + 1)}
 
 
-def _utf8_tables() -> list[tuple[np.ndarray, ...]]:
-    """Shift, mask, mark and multiplier of utf-8 byte m of a code point, by kind.
-
-    Entry m holds four rows indexed by kind c, the byte count less one. Byte
-    m of a code point of kind c is ((cp >> shift) & mask) | mark, and its
-    FNV-1a step multiplies by the prime. Where m > c, and in column 4 (the
-    sentinel), all is 0 but the multiplier, which is 1: that step changes no
-    hash.
-    """
-    shift, mask, mark = (np.zeros((4, 5), dtype=np.uint64) for _ in range(3))
-    mul = np.ones((4, 5), dtype=np.uint64)
-    for kind in range(4):
-        for m in range(kind + 1):
-            shift[m, kind] = 6 * (kind - m)
-            mask[m, kind] = 0x3F if m else 0xFF
-            mark[m, kind] = 0x80 if m else (0, 0xC0, 0xE0, 0xF0)[kind]
-            mul[m, kind] = _FNV_PRIME
-    return list(zip(shift, mask, mark, mul))
-
-
-_UTF8_BYTES = _utf8_tables()
-
-
-def _utf8_steps(text: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (xor, multiplier) of each FNV-1a step over the utf-8 bytes of `text`.
-
-    Each is an array with one entry per code point and a sentinel last. Step
-    m takes byte m of each code point. A code point with fewer bytes gets
-    xor 0 and multiplier 1 there, which leaves a hash as it was, and so does
-    the sentinel. All-ASCII text takes one step: the code points as they are.
-    """
-    cps = np.zeros(len(text) + 1, dtype=np.uint64)
-    cps[:-1] = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
-    if text.isascii():
-        mul = np.full(len(cps), _FNV_PRIME)
-        mul[-1] = 1
-        return [(cps, mul)]
-    kind = _UTF8_LIMITS.searchsorted(cps, side="right")
-    kind[-1] = 4
-    return [(((cps >> shift[kind]) & mask[kind]) | mark[kind], mul[kind])
-            for shift, mask, mark, mul in _UTF8_BYTES[: kind[:-1].max() + 1]]
-
-
 def _shingle_hashes(texts: list[str], lens: np.ndarray, counts: np.ndarray,
                     size: int) -> np.ndarray:
     """64-bit FNV-1a of the utf-8 bytes of every shingle, text after text.
 
     A text of n >= size code points has counts = n - size + 1 shingles,
-    repeats included; a shorter one is its own single shingle.
+    repeats included; a shorter one is its own single shingle. The texts are
+    encoded once, and a shingle is a byte range of that buffer: a code point
+    starts at every byte that is not a continuation byte (0b10xxxxxx). Step
+    `pos` hashes byte `pos` of every shingle and keeps the result for the
+    shingles that long. The zero padding (a shingle has at most 4 * size
+    bytes) keeps every read inside the buffer, and since a zero byte starts
+    a code point, it also marks where the last code point ends.
     """
-    steps = _utf8_steps("".join(texts))
-    sentinel = len(steps[0][0]) - 1
+    data = np.frombuffer("".join(texts).encode("utf-8") + bytes(4 * size),
+                         dtype=np.uint8)
+    bounds = np.flatnonzero((data & 0xC0) != 0x80)
     offsets = counts.cumsum() - counts
     total = int(offsets[-1] + counts[-1])
-    starts = (lens.cumsum() - lens - offsets).repeat(counts) + np.arange(total)
-    widths = lens.repeat(counts) if lens.min() < size else None
+    first = (lens.cumsum() - lens - offsets).repeat(counts) + np.arange(total)
+    at = bounds[first]
+    nbytes = bounds[first + np.minimum(lens, size).repeat(counts)] - at
     hashes = np.full(total, _FNV_OFFSET, dtype=np.uint64)
-    for j in range(size):
-        at = starts + j
-        if widths is not None:  # past its end, a short shingle reads the sentinel
-            at[widths <= j] = sentinel
-        for xor, mul in steps:
-            hashes ^= xor[at]
-            hashes *= mul[at]
+    for pos in range(int(nbytes.max())):
+        step = hashes ^ data[at]
+        step *= _FNV_PRIME
+        np.copyto(hashes, step, where=nbytes > pos)
+        at += 1
     return hashes
 
 
@@ -146,10 +107,10 @@ def signatures(
 
     Case-sensitive; callers lowercase first. Texts are taken in chunks of
     _BLOCK, fewest shingles first. A chunk hashes its texts' shingles in
-    arrays (from the code points, with no Python object per shingle), mixes
-    each distinct hash once, and folds shingle r into the minimum of the
-    texts with more than r shingles; so memory follows the chunk, not the
-    whole batch. A shingle repeated within a text is folded in again, which
+    arrays (byte ranges of the chunk's utf-8 encoding, with no Python object
+    per shingle), mixes each distinct hash once, and folds shingle r into
+    the minimum of the texts with more than r shingles; so memory follows
+    the chunk, not the whole batch. A shingle repeated within a text is folded in again, which
     leaves the minimum as it was. A text with more than _BLOCK shingles is
     signed alone instead, _BLOCK mixed shingles at a time: in a chunk it
     would take one step per shingle.

@@ -180,13 +180,6 @@ def test_signatures_match_reference_loop_in_small_chunks(monkeypatch, block):
         assert row.tolist() == oracle_signature(text, salts), (block, text)
 
 
-def test_signatures_reject_lone_surrogates():
-    # no utf-8 form, so no shingle hash: the same error as encoding the text
-    salts = permutation_salts(MinHashParams())
-    with pytest.raises(UnicodeEncodeError):
-        signatures(["ok", "\ud800x"], salts)
-
-
 def test_salts_depend_on_seed():
     a = permutation_salts(MinHashParams(seed=0))
     b = permutation_salts(MinHashParams(seed=1))
