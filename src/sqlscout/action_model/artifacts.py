@@ -2,8 +2,9 @@
 
 Each action A1–A6 fills one `NodeState` field with its parsed answer
 (`ANSWER_FIELD`); termination fills none. A fingerprint identifies that
-answer (normalized SQL, sorted schema map, collapsed text) so that expansion
-samples which say the same thing collapse into one search-tree child.
+answer (normalized SQL, sorted schema selection, collapsed text) so that
+expansion samples which say the same thing collapse into one search-tree
+child.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import hashlib
 import json
 from typing import NamedTuple
 
-from ..core.types import ActionKind, NodeState
+from ..core.types import ActionKind, NodeState, SchemaKey
 
-# an action's parsed answer: the schema map for A2, else text
-Answer = str | dict[str, list[str]]
+# an action's parsed answer: the schema selection for A2, else text
+Answer = str | SchemaKey
 
 
 class Step(NamedTuple):
@@ -42,7 +43,7 @@ def normalize_sql(sql: str) -> str:
 
 def _canonical(action: ActionKind, answer) -> str:
     if action is ActionKind.SCHEMA_SELECT:
-        ordered = {t: sorted(cols) for t, cols in sorted(answer.items())}
+        ordered = {t: sorted(cols) for t, cols in answer}
         return json.dumps(ordered, sort_keys=True, separators=(",", ":"))
     if action in (ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
         return normalize_sql(answer)

@@ -19,7 +19,7 @@ import logging
 import re
 
 from ..core.catalog import DatabaseCatalog
-from ..core.types import ActionKind
+from ..core.types import ActionKind, SchemaKey
 from ..errors import ContractViolation, ParseError
 
 log = logging.getLogger(__name__)
@@ -113,9 +113,10 @@ def parse_rephrase(raw: str) -> str:
     return text
 
 
-def parse_schema_subset(raw: str, catalog: DatabaseCatalog) -> dict[str, list[str]]:
+def parse_schema_subset(raw: str, catalog: DatabaseCatalog) -> SchemaKey:
+    """((table, (column, ...)), ...) in catalog spelling, in first-named order."""
     obj = extract_json_object(raw)
-    tables: dict[str, list[str]] = {}
+    tables: dict[str, tuple[str, ...]] = {}
     for key, value in obj.items():
         if key == "chain_of_thought_reasoning" or not isinstance(value, list):
             continue
@@ -135,10 +136,10 @@ def parse_schema_subset(raw: str, catalog: DatabaseCatalog) -> dict[str, list[st
             if col.name not in kept:
                 kept.append(col.name)
         if kept:
-            tables[table.name] = kept
+            tables[table.name] = tuple(kept)
     if not tables:
         raise ParseError("schema selection kept no usable tables")
-    return tables
+    return tuple(tables.items())
 
 
 def parse_sql_payload(raw: str) -> str:
@@ -157,8 +158,8 @@ def _parse_notes(raw: str) -> str:
 
 
 def parse_action_response(action: ActionKind, raw: str,
-                          catalog: DatabaseCatalog) -> str | dict[str, list[str]]:
-    """The answer of an A1–A6 response: a schema map for A2, else text."""
+                          catalog: DatabaseCatalog) -> str | SchemaKey:
+    """The answer of an A1–A6 response: a schema selection for A2, else text."""
     if action is ActionKind.REPHRASE:
         return parse_rephrase(raw)
     if action is ActionKind.SCHEMA_SELECT:

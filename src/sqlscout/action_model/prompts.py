@@ -19,7 +19,7 @@ from importlib import resources
 from ..core.actions import valid_next_actions
 from ..core.catalog import DatabaseCatalog
 from ..core.render import render_schema_context
-from ..core.types import ActionKind, NLQuestion, NodeState
+from ..core.types import ActionKind, NLQuestion, NodeState, SchemaKey
 from ..errors import ContractViolation
 
 ACTION_ASSETS: dict[ActionKind, str] = {
@@ -32,10 +32,6 @@ ACTION_ASSETS: dict[ActionKind, str] = {
 }
 KEYWORD_ASSET = "keyword_extract.txt"
 BASELINE_ASSET = "baseline.txt"
-
-# a schema slice as a cache key: None for the full catalog, else
-# ((table, (column, ...)), ...) in selection order
-SchemaKey = tuple[tuple[str, tuple[str, ...]], ...] | None
 
 
 @functools.cache
@@ -69,7 +65,7 @@ def build_action_prompt(
     catalog: DatabaseCatalog,
     retrieved_values: dict[tuple[str, str], list[str]] | None = None,
     execution_feedback: tuple[str, str] | None = None,
-    schema_cache: dict[SchemaKey, str] | None = None,
+    schema_cache: dict[SchemaKey | None, str] | None = None,
 ) -> str:
     """Instantiate the template for `action` against the current state.
 
@@ -80,8 +76,9 @@ def build_action_prompt(
     execution_feedback = (executed sql, execution result text).
 
     `schema_cache`, if given, keeps the rendered schema text per slice (keyed
-    as `SchemaKey`). It is only valid for one catalog and one
-    `retrieved_values` map; the prompt is the same with or without it.
+    by the selection, None for the full catalog). It is only valid for one
+    catalog and one `retrieved_values` map; the prompt is the same with or
+    without it.
     """
     if action is ActionKind.TERMINATE:
         raise ContractViolation("termination is structural; it has no prompt")
@@ -118,20 +115,17 @@ def build_action_prompt(
 
 def _schema_text(
     catalog: DatabaseCatalog,
-    selected: dict[str, list[str]] | None,
+    selected: SchemaKey | None,
     retrieved_values: dict[tuple[str, str], list[str]] | None,
-    cache: dict[SchemaKey, str] | None,
+    cache: dict[SchemaKey | None, str] | None,
 ) -> str:
     """The rendered slice; with a cache, each distinct slice renders once."""
     cache = {} if cache is None else cache
-    key = None if selected is None else tuple(
-        (table, tuple(columns)) for table, columns in selected.items()
-    )
-    if key not in cache:
-        cache[key] = render_schema_context(
+    if selected not in cache:
+        cache[selected] = render_schema_context(
             catalog, selected=selected, retrieved_values=retrieved_values
         )
-    return cache[key]
+    return cache[selected]
 
 
 def build_keyword_prompt(q: NLQuestion) -> str:

@@ -10,7 +10,6 @@ from .catalog import (
 from .render import render_schema_context
 from .types import (
     ActionKind,
-    ActionStats,
     NLQuestion,
     NodeState,
     SearchConfig,
@@ -19,7 +18,6 @@ from .types import (
 
 __all__ = [
     "ActionKind",
-    "ActionStats",
     "ColumnDef",
     "DatabaseCatalog",
     "ForeignKey",

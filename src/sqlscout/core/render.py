@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 
 from .catalog import ColumnDef, DatabaseCatalog, TableDef
+from .types import SchemaKey
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _EXAMPLE_CAP = 5
@@ -57,14 +58,15 @@ def _column_line(col: ColumnDef, inline_pk: bool,
 
 def render_schema_context(
     catalog: DatabaseCatalog,
-    selected: dict[str, list[str]] | None = None,
+    selected: SchemaKey | None = None,
     retrieved_values: dict[tuple[str, str], list[str]] | None = None,
 ) -> str:
     """Deterministic CREATE TABLE text for the given schema slice.
 
-    With `selected`, only the named tables appear and each table shows the
-    selected columns plus its primary key and the endpoints of foreign keys
-    whose both tables are included; other foreign key lines are dropped.
+    With `selected` (a `SchemaKey`, as schema selection answers), only the
+    named tables appear and each table shows the selected columns plus its
+    primary key and the endpoints of foreign keys whose both tables are
+    included; other foreign key lines are dropped.
     Table and column order follow the catalog, not the selection.
 
     `retrieved_values` maps (table, column) to values worth surfacing; they
@@ -85,7 +87,7 @@ def render_schema_context(
     else:
         # names match case-insensitively; a later spelling of a table wins
         chosen = {}
-        for name, columns in selected.items():
+        for name, columns in selected:
             table = catalog.table(name)
             if table is not None:
                 chosen[table.name] = {col.name for col in map(table.column, columns)

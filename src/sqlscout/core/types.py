@@ -2,7 +2,7 @@
 
 The search tree is built from SearchNode values; each node carries the
 accumulated reasoning state (NodeState) produced by the action that created
-it, plus the per-action visit/value statistics the selection rule reads.
+it, plus the visit count and value sum the selection rule reads.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ class NLQuestion:
             raise ContractViolation("question must be non-empty")
 
 
+# a schema selection (the A2 answer): ((table, (column, ...)), ...) in
+# selection order
+SchemaKey = tuple[tuple[str, tuple[str, ...]], ...]
+
+
 @dataclass
 class NodeState:
     """Answers accumulated along one root-to-node path.
@@ -58,7 +63,7 @@ class NodeState:
     """
 
     rephrased_question: str | None = None
-    selected_schema: dict[str, list[str]] | None = None
+    selected_schema: SchemaKey | None = None
     value_notes: str | None = None
     function_notes: str | None = None
     sql: str | None = None
@@ -68,22 +73,13 @@ class NodeState:
     def copy(self) -> NodeState:
         return NodeState(
             rephrased_question=self.rephrased_question,
-            selected_schema=None if self.selected_schema is None
-            else {t: list(cols) for t, cols in self.selected_schema.items()},
+            selected_schema=self.selected_schema,
             value_notes=self.value_notes,
             function_notes=self.function_notes,
             sql=self.sql,
             revision_context=self.revision_context,
             history=self.history,
         )
-
-
-@dataclass
-class ActionStats:
-    """Value sum Q and visit count N for one edge out of a node."""
-
-    q: float = 0.0
-    n: int = 0
 
 
 EdgeKey = tuple[ActionKind, str]  # (action, answer fingerprint)
@@ -95,8 +91,9 @@ class SearchNode:
 
     Children are keyed by (action, answer fingerprint) so that expansion
     samples whose parsed answers coincide collapse into a single child.
-    Each child is one action instance; the per-edge Q/N statistics used by
-    the selection rule live on the parent under the same key.
+    Each child is one action instance, so the edge statistics the selection
+    rule reads, Q(v, a) and N(v, a), are the child's own `value_sum` and
+    `visit_count`. A node is dead once expansion gave it no children.
     """
 
     state: NodeState
@@ -105,9 +102,8 @@ class SearchNode:
     parent: SearchNode | None = field(default=None, repr=False)
     children: dict[EdgeKey, SearchNode] = field(default_factory=dict)
     visit_count: int = 0
-    action_stats: dict[EdgeKey, ActionStats] = field(default_factory=dict)
+    value_sum: float = 0.0
     expanded: bool = False
-    dead: bool = False
     reward: float | None = None
 
     @classmethod
@@ -119,13 +115,8 @@ class SearchNode:
         return self.producing_action is ActionKind.TERMINATE
 
     @property
-    def edge_key(self) -> EdgeKey:
-        if self.producing_action is None:
-            raise ContractViolation("the root node has no incoming edge")
-        return (self.producing_action, self.fingerprint)
-
-    def stats_for(self, edge: EdgeKey) -> ActionStats:
-        return self.action_stats.setdefault(edge, ActionStats())
+    def dead(self) -> bool:
+        return self.expanded and not self.children
 
     def path_from_root(self) -> list[SearchNode]:
         path: list[SearchNode] = []

@@ -203,21 +203,16 @@ def _condition_count(s: str) -> int:
 
 # ---- subsampling ----
 
-@dataclass(frozen=True)
-class SubsampleSpec:
-    fraction: float = 0.10
-    seed: int = 0
-    mode: str = "ceil"
-
-    def size_for(self, group_size: int) -> int:
-        raw = group_size * self.fraction
-        if self.mode == "ceil":
-            k = math.ceil(raw)
-        elif self.mode == "round":
-            k = round(raw)
-        else:
-            raise IngestionError(f"unknown subsample mode: {self.mode!r}")
-        return max(1, min(group_size, k)) if group_size else 0
+def _subsample_size(group_size: int, fraction: float, mode: str) -> int:
+    """Items drawn from a group: the fraction rounded by `mode`, at least one."""
+    raw = group_size * fraction
+    if mode == "ceil":
+        k = math.ceil(raw)
+    elif mode == "round":
+        k = round(raw)
+    else:
+        raise IngestionError(f"unknown subsample mode: {mode!r}")
+    return max(1, min(group_size, k)) if group_size else 0
 
 
 def subsample_sds(
@@ -231,7 +226,6 @@ def subsample_sds(
     Deterministic for a given (items, fraction, seed, mode); output keeps
     the original item order.
     """
-    spec = SubsampleSpec(fraction=fraction, seed=seed, mode=mode)
     groups: dict[str, list[int]] = {}
     for pos, item in enumerate(items):
         groups.setdefault(item.db_id, []).append(pos)
@@ -239,7 +233,7 @@ def subsample_sds(
     rng = random.Random(seed)
     for db_id in sorted(groups):
         positions = groups[db_id]
-        k = spec.size_for(len(positions))
+        k = _subsample_size(len(positions), fraction, mode)
         chosen.update(rng.sample(positions, k))
     return [item for pos, item in enumerate(items) if pos in chosen]
 

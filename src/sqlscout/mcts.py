@@ -14,18 +14,17 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Callable
 
 from .action_model import advance, fingerprint, parse_action_response, run_action
 from .action_model.artifacts import Answer
-from .action_model.prompts import SchemaKey
 from .action_model.runner import extract_keywords
 from .core.actions import valid_next_actions
 from .core.catalog import DatabaseCatalog
 from .core.types import (
     ActionKind,
-    EdgeKey,
     NLQuestion,
+    SchemaKey,
     SearchConfig,
     SearchNode,
 )
@@ -49,7 +48,7 @@ class RolloutContext:
     runs a string once and a repeat returns the very same object (a
     truncated result equals only itself under `results_equal`).
     `schema_cache` holds the rendered schema text per slice (None for the
-    full catalog, else the selected (table, columns) items in order), so
+    full catalog, else the selection as the state holds it), so
     every prompt built from the same slice renders it once; it is valid
     because the catalog and `retrieved_map` stay fixed for the context's
     life. `samples` holds each action sample `sample` obtained, keyed by
@@ -69,11 +68,11 @@ class RolloutContext:
     run_sql: Callable[[str], ExecutionResult]
     retrieved_map: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     keywords: list[str] = field(default_factory=list)
-    schema_cache: dict[SchemaKey, str] = field(default_factory=dict)
+    schema_cache: dict[SchemaKey | None, str] = field(default_factory=dict)
     samples: dict[tuple[str, float, int], str] = field(default_factory=dict)
     results: dict[str, ExecutionResult] = field(default_factory=dict)
     answers: dict[tuple[ActionKind, str], Answer | None] = field(default_factory=dict)
-    fingerprints: dict[tuple[ActionKind, Hashable], str] = field(default_factory=dict)
+    fingerprints: dict[tuple[ActionKind, Answer | None], str] = field(default_factory=dict)
 
     def execute(self, sql: str) -> ExecutionResult:
         """`run_sql(sql)`, run once per distinct string of the question."""
@@ -112,10 +111,7 @@ class RolloutContext:
 
     def fingerprint(self, action: ActionKind, answer: Answer | None) -> str:
         """`fingerprint(action, answer)`, computed once per answer."""
-        hashable = answer
-        if isinstance(answer, dict):
-            hashable = tuple((table, tuple(cols)) for table, cols in answer.items())
-        key = (action, hashable)
+        key = (action, answer)
         fp = self.fingerprints.get(key)
         if fp is None:
             fp = self.fingerprints[key] = fingerprint(action, answer)
@@ -148,13 +144,6 @@ def uct_value(q_sum: float, edge_n: int, node_n: int, c: float) -> float:
     return q_sum / edge_n + c * math.sqrt(math.log(node_n) / edge_n)
 
 
-def uct_score(node: SearchNode, edge: EdgeKey, c: float) -> float:
-    stats = node.action_stats.get(edge)
-    if stats is None or stats.n < 1:
-        raise ContractViolation("UCT is undefined for an unvisited edge")
-    return uct_value(stats.q, stats.n, node.visit_count, c)
-
-
 def select_path(root: SearchNode, cfg: SearchConfig, rng: random.Random) -> SearchNode:
     """Walk argmax-UCT from the root until a frontier node.
 
@@ -173,7 +162,8 @@ def select_path(root: SearchNode, cfg: SearchConfig, rng: random.Random) -> Sear
         best_score = -math.inf
         best: list[SearchNode] = []
         for child in children:
-            score = uct_score(node, child.edge_key, cfg.uct_c)
+            score = uct_value(child.value_sum, child.visit_count,
+                              node.visit_count, cfg.uct_c)
             if score > best_score:
                 best_score, best = score, [child]
             elif score == best_score:
@@ -186,8 +176,7 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
 
     Actions run in canonical order; randomness enters only at selection. A
     transport or protocol failure on one action drops that action for this
-    expansion. A node no action can extend is marked dead (terminal with
-    reward 0).
+    expansion. A node no action can extend is dead (terminal with reward 0).
     """
     if node.is_terminal:
         raise ContractViolation("cannot expand a terminal node")
@@ -212,8 +201,7 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
             node.children[key] = child
             created.append(child)
     node.expanded = True
-    if not node.children:
-        node.dead = True
+    if node.dead:
         log.warning("node with history %s is dead: no action produced children",
                     [a.value for a in node.state.history])
     return created
@@ -235,28 +223,26 @@ def simulate(node: SearchNode, ctx: RolloutContext,
 
 
 def backpropagate(terminal: SearchNode, reward: float) -> None:
-    """Increment N along the path and fold the reward into each taken edge."""
-    node = terminal
-    while node.parent is not None:
-        stats = node.parent.stats_for(node.edge_key)
-        stats.q += reward
-        stats.n += 1
+    """Add the reward to Q and 1 to N of every node on the path; a node's
+    Q and N are its incoming edge's, and the root's N counts the rollouts."""
+    node: SearchNode | None = terminal
+    while node is not None:
+        node.value_sum += reward
         node.visit_count += 1
         node = node.parent
-    node.visit_count += 1  # the root's own visit; root N = completed rollouts
 
 
 def run_search(ctx: RolloutContext) -> list[Trajectory]:
     """Full search for one question; returns each distinct terminal trajectory.
 
     Keywords and retrieved values come from `prepare_context` and feed every
-    prompt. Rewards are computed once per terminal and cached on the node.
+    prompt. Rewards are computed once per terminal and cached on the node;
+    a terminal joins the trajectories when its reward is first computed.
     """
     cfg = ctx.cfg
     rng = random.Random(cfg.rng_seed)
     root = SearchNode.root()
     trajectories: list[Trajectory] = []
-    seen_terminals: set[int] = set()
     for rollout in range(cfg.n_rollout):
         node = select_path(root, cfg, rng)
         terminal = simulate(node, ctx, rng)
@@ -265,8 +251,6 @@ def run_search(ctx: RolloutContext) -> list[Trajectory]:
             continue
         if terminal.reward is None:
             terminal.reward = compute_reward(ctx, terminal)
-        if id(terminal) not in seen_terminals:
-            seen_terminals.add(id(terminal))
             trajectories.append(Trajectory(
                 nodes=tuple(terminal.path_from_root()),
                 final_sql=terminal.state.sql or "",
@@ -310,14 +294,14 @@ def audit_tree(root: SearchNode) -> None:
     while stack:
         node = stack.pop()
         valid_next_actions(node.state.history)  # raises on an illegal history
-        for edge, stats in node.action_stats.items():
-            if stats.q < 0 or stats.q > stats.n:
-                raise ContractViolation(
-                    f"edge {edge} has Q={stats.q} outside [0, N={stats.n}]"
-                )
         for (action, fp), child in node.children.items():
             if child.producing_action is not action or child.fingerprint != fp:
                 raise ContractViolation("child keyed under the wrong edge")
+            if not 0 <= child.value_sum <= child.visit_count:
+                raise ContractViolation(
+                    f"edge {(action, fp)} has Q={child.value_sum} outside "
+                    f"[0, N={child.visit_count}]"
+                )
             if child.parent is not node:
                 raise ContractViolation("child has a foreign parent")
             stack.append(child)
@@ -336,18 +320,15 @@ def serialize_tree(root: SearchNode) -> dict:
         stack.extend(reversed(list(node.children.values())))
     for node in order:
         parent_id = ids[id(node.parent)] if node.parent is not None else None
-        stats = (
-            node.parent.action_stats.get(node.edge_key)
-            if node.parent is not None else None
-        )
+        visited = parent_id is not None and node.visit_count > 0
         nodes.append({
             "id": ids[id(node)],
             "parent": parent_id,
             "action": node.producing_action.value if node.producing_action else None,
             "fingerprint": node.fingerprint or None,
             "visits": node.visit_count,
-            "edge_q": round(stats.q, 6) if stats else None,
-            "edge_n": stats.n if stats else None,
+            "edge_q": round(node.value_sum, 6) if visited else None,
+            "edge_n": node.visit_count if visited else None,
             "expanded": node.expanded,
             "dead": node.dead,
             "terminal": node.is_terminal,

@@ -68,16 +68,15 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
 def _producer_prompt(ctx, terminal: SearchNode) -> tuple[ActionKind, str]:
     """The action that produced the final SQL, and its prompt rebuilt.
 
-    The producing node's parent state is exactly the state that prompt was
-    built from. A revision producer is re-issued one-shot with its recorded
-    execution feedback; no internal revision loop runs here.
+    Termination only follows generation or revision, so the producer is the
+    terminal's parent, and the producer's parent state is exactly the state
+    that prompt was built from. A revision producer is re-issued one-shot
+    with its recorded execution feedback; no internal revision loop runs here.
     """
-    producer: SearchNode | None = None
-    for node in terminal.path_from_root():
-        if node.producing_action in (ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
-            producer = node
-    if producer is None or producer.parent is None:
-        raise ContractViolation("terminal path contains no SQL-producing action")
+    producer = terminal.parent
+    if producer is None or producer.producing_action not in (
+            ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
+        raise ContractViolation("terminal does not follow an SQL-producing action")
     feedback = None
     if producer.producing_action is ActionKind.SQL_REVISE:
         feedback = producer.state.revision_context

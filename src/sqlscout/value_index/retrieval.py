@@ -60,10 +60,13 @@ def retrieve_values(
     Output is deterministic: semantic similarity descending, edit similarity
     descending, then (table, column, value), capped at cfg.top_m_per_column
     rows per column. If the embedder fails (or is None), filtering degrades
-    to the edit gate alone with semantic_sim reported as 0.
+    to the edit gate alone with semantic_sim reported as 0. A keyword with
+    no utf-8 form (one holding a lone surrogate) has no signature and is
+    dropped.
     """
     best: dict[ValueRecord, tuple[float, float]] = {}  # record -> (sem, edit)
-    kws = [kw for kw in (keyword.strip() for keyword in keywords) if kw]
+    kws = [kw for kw in (keyword.strip() for keyword in keywords)
+           if kw and _has_utf8(kw)]
     sigs = signatures([kw.lower() for kw in kws], index.salts,
                       index.params.shingle_size)
     for kw, sig in zip(kws, sigs):
@@ -107,6 +110,15 @@ def retrieve_values(
         per_column[key] = per_column.get(key, 0) + 1
         out.append(RetrievedValue(record=rec, edit_sim=ed, semantic_sim=sem))
     return out
+
+
+def _has_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        log.warning("keyword %r has no utf-8 form; dropped", text)
+        return False
+    return True
 
 
 def _semantic_sims(

@@ -115,10 +115,8 @@ def test_criterion_02_uct_and_unvisited_priority():
                                    producing_action=action, fingerprint=fp,
                                    parent=root)
                 child.state.history += (action,)
-                child.visit_count = 10
+                child.value_sum, child.visit_count = 10.0, 10
                 root.children[(action, fp)] = child
-                stats = root.stats_for((action, fp))
-                stats.q, stats.n = 10.0, 10
             fresh = SearchNode(state=root.state.copy(),
                                producing_action=A.VALUE_IDENT, fingerprint="new",
                                parent=root)
@@ -199,12 +197,12 @@ def terminal_with_sql(sql: str) -> SearchNode:
     state.sql = sql
     gen = SearchNode(state=state, producing_action=A.SQL_GENERATE,
                      fingerprint="g", parent=root)
-    root.children[gen.edge_key] = gen
+    root.children[(A.SQL_GENERATE, "g")] = gen
     term_state = gen.state.copy()
     term_state.history += (A.TERMINATE,)
     term = SearchNode(state=term_state, producing_action=A.TERMINATE,
                       fingerprint="", parent=gen)
-    gen.children[term.edge_key] = term
+    gen.children[(A.TERMINATE, "")] = term
     return term
 
 

@@ -119,7 +119,7 @@ def test_schema_select_prompt_shows_full_schema(restaurant_catalog,
 
 def test_downstream_prompts_respect_selection(restaurant_catalog,
                                               restaurant_question, state):
-    state.selected_schema = {"generalinfo": ["food_type", "city"]}
+    state.selected_schema = (("generalinfo", ("food_type", "city")),)
     prompt = build_action_prompt(A5, restaurant_question, state,
                                  restaurant_catalog)
     assert "CREATE TABLE generalinfo" in prompt
@@ -258,10 +258,10 @@ def test_parse_schema_subset_normalizes_and_drops_unknown(restaurant_catalog):
     raw = ('```json\n{"GENERALINFO": ["Food_Type", "bogus_col"], '
            '"phantom": ["x"], "location": ["street_name"]}\n```')
     answer = parse_action_response(A2, raw, restaurant_catalog)
-    assert answer == {
-        "generalinfo": ["food_type"],
-        "location": ["street_name"],
-    }
+    assert answer == (
+        ("generalinfo", ("food_type",)),
+        ("location", ("street_name",)),
+    )
 
 
 def test_parse_schema_subset_empty_raises(restaurant_catalog):
@@ -338,9 +338,9 @@ def test_fingerprint_distinguishes_actions():
 
 
 def test_fingerprint_ignores_schema_order():
-    a = answer_fp(A2, {"t": ["a", "b"], "u": ["c"]})
-    assert a == answer_fp(A2, {"u": ["c"], "t": ["b", "a"]})
-    assert a != answer_fp(A2, {"t": ["a"], "u": ["c"]})
+    a = answer_fp(A2, (("t", ("a", "b")), ("u", ("c",))))
+    assert a == answer_fp(A2, (("u", ("c",)), ("t", ("b", "a"))))
+    assert a != answer_fp(A2, (("t", ("a",)), ("u", ("c",))))
 
 
 def test_fingerprint_hashes_the_canonical_answer():
@@ -349,7 +349,7 @@ def test_fingerprint_hashes_the_canonical_answer():
         return hashlib.sha1(material.encode("utf-8")).hexdigest()[:16]
 
     assert answer_fp(A1, " Count  them ") == sha('["A1","Count them"]')
-    assert answer_fp(A2, {"t": ["b", "a"]}) == sha('["A2","{\\"t\\":[\\"a\\",\\"b\\"]}"]')
+    assert answer_fp(A2, (("t", ("b", "a")),)) == sha('["A2","{\\"t\\":[\\"a\\",\\"b\\"]}"]')
     assert answer_fp(A6, "SELECT 1;") == sha('["A6","SELECT 1"]')
     assert answer_fp(A7, None) == sha('["A7"]')
 
@@ -364,8 +364,8 @@ def test_advance_transitions():
     assert s1.rephrased_question == "rq"
     assert state.rephrased_question is None  # original untouched
     assert state.history == ()
-    s2 = advance(s1, A2, {"t": ["c"]})
-    assert s2.selected_schema == {"t": ["c"]}
+    s2 = advance(s1, A2, (("t", ("c",)),))
+    assert s2.selected_schema == (("t", ("c",)),)
     s3 = advance(s2, A5, "SELECT 1")
     assert s3.sql == "SELECT 1"
     s4 = advance(s3, A6, "SELECT 2", ("SELECT 1", "Error: x"))

@@ -91,7 +91,7 @@ def test_render_full_schema(restaurant_catalog):
 def test_render_selected_subset_keeps_keys(restaurant_catalog):
     # selecting a non-key column still pulls in the primary key
     text = render_schema_context(
-        restaurant_catalog, selected={"generalinfo": ["food_type"]}
+        restaurant_catalog, selected=(("generalinfo", ("food_type",)),)
     )
     assert "CREATE TABLE generalinfo" in text
     assert "food_type" in text
@@ -102,7 +102,7 @@ def test_render_selected_subset_keeps_keys(restaurant_catalog):
 
 def test_render_selection_is_case_insensitive(restaurant_catalog):
     text = render_schema_context(
-        restaurant_catalog, selected={"GeneralInfo": ["FOOD_TYPE"]}
+        restaurant_catalog, selected=(("GeneralInfo", ("FOOD_TYPE",)),)
     )
     assert "food_type" in text
 
@@ -165,10 +165,10 @@ def make_orders_db(path: Path) -> Path:
 
 SLICES = [
     None,
-    {"items": ["qty"]},  # its foreign key is pruned: orders is not shown
-    {"items": ["qty"], "orders": ["status"]},
-    {"shipments": ["carrier"], "items": ["product"]},  # composite key both ways
-    {"orders": ["customer"]},
+    (("items", ("qty",)),),  # its foreign key is pruned: orders is not shown
+    (("items", ("qty",)), ("orders", ("status",))),
+    (("shipments", ("carrier",)), ("items", ("product",))),  # composite key both ways
+    (("orders", ("customer",)),),
 ]
 # what two questions on the same database retrieved, and a third
 QUESTION_VALUES = [
@@ -198,8 +198,8 @@ def test_cached_blocks_render_byte_identical(tmp_path):
 
 def test_cached_blocks_match_on_the_restaurant_catalog(restaurant_catalog):
     retrieved = {("generalinfo", "city"): ["san leandro", "albany"]}
-    for selected in (None, {"location": ["street_name"]},
-                     {"generalinfo": ["city"], "location": ["city"]}):
+    for selected in (None, (("location", ("street_name",)),),
+                     (("generalinfo", ("city",)), ("location", ("city",)))):
         for values in (None, retrieved, None):
             assert render_schema_context(
                 restaurant_catalog, selected=selected, retrieved_values=values,
@@ -224,8 +224,8 @@ def test_blocks_render_once_per_key(tmp_path, monkeypatch):
     render_schema_context(catalog, retrieved_values=QUESTION_VALUES[1])
     assert rendered[3:] == ["items", "orders"]
     # values for a column the slice hides do not change the block
-    render_schema_context(catalog, selected={"orders": ["customer"]})
-    render_schema_context(catalog, selected={"orders": ["customer"]},
+    render_schema_context(catalog, selected=(("orders", ("customer",)),))
+    render_schema_context(catalog, selected=(("orders", ("customer",)),),
                           retrieved_values=QUESTION_VALUES[1])
     assert rendered[5:] == ["orders"]
 

@@ -39,7 +39,7 @@ from sqlscout.harness.runner import (
     SUMMARY_NAME,
     TRACES_DIR,
 )
-from sqlscout.llm_client import ScriptedModel
+from sqlscout.llm_client import HashEmbedder, ScriptedModel
 from sqlscout.mcts import audit_tree, prepare_context, run_search
 from sqlscout.sql_exec import Sandbox
 from sqlscout.value_index import build_value_index, save_index
@@ -48,6 +48,7 @@ from conftest import (
     BASELINE_MARK,
     BENCH_QUESTIONS,
     GOLD_SQL,
+    KEYWORD_MARK,
     QUESTION,
     make_bird_dataset,
     make_restaurant_db,
@@ -514,6 +515,42 @@ def test_run_one_item_survives_protocol_errors(bird_dataset, tmp_path):
     trajectories = run_search(ctx)
     assert trajectories
     audit_tree(trajectories[0].nodes[0])
+
+
+def test_a_keyword_with_no_utf8_form_costs_only_that_keyword(bird_dataset,
+                                                             tmp_path):
+    # "\ud83d" is half of an escaped emoji: a lone surrogate, which has no
+    # utf-8 form and so no MinHash signature
+    dataset, db_root = bird_dataset
+    index_dir = tmp_path / "indexes"
+    catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
+                           db_id="restaurants")
+    save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
+    item = load_dataset(dataset)[0]
+    cfg = SearchConfig(sql_timeout_secs=5.0)
+
+    def env_answering(keywords: str) -> RunEnvironment:
+        model = scripted_benchmark_model()
+        model.rules.insert(0, (KEYWORD_MARK, keywords))
+        return RunEnvironment(model=model, db_root=db_root, index_dir=index_dir,
+                              embedder=HashEmbedder(dim=64))
+
+    maps, records = [], []
+    for keywords in ('["thai", "\\ud83d", "albany"]', '["thai", "albany"]'):
+        env = env_answering(keywords)
+        ctx = prepare_context(item.question, cfg, env.model,
+                              env.catalog(item.db_id),
+                              env.executor(item.db_id, cfg),
+                              embedder=env.embedder,
+                              value_index=env.value_index(item.db_id))
+        maps.append((ctx.keywords, ctx.retrieved_map))
+        record = run_one_item(item, env_answering(keywords), cfg)
+        del record["elapsed_secs"]
+        records.append(record)
+    assert maps[0][0] == ["thai", "\ud83d", "albany"]
+    assert maps[0][1] and maps[0][1] == maps[1][1]
+    assert records[0]["error"] is None and records[0]["ex"] == 1
+    assert records[0] == records[1]
 
 
 def test_run_benchmark_end_to_end(bird_dataset, tmp_path):

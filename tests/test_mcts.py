@@ -96,9 +96,7 @@ def test_select_path_prefers_unvisited_child():
     root.expanded = True
     root.visit_count = 10
     seen = child_of(root, A.REPHRASE, "a")
-    seen.visit_count = 9
-    root.stats_for(seen.edge_key).q = 9.0
-    root.stats_for(seen.edge_key).n = 9
+    seen.value_sum, seen.visit_count = 9.0, 9
     fresh = child_of(root, A.SCHEMA_SELECT, "b")
     picked = select_path(root, SearchConfig(), random.Random(0))
     assert picked is fresh
@@ -110,13 +108,9 @@ def test_select_path_takes_uct_argmax():
     root.expanded = True
     root.visit_count = 4
     a1 = child_of(root, A.REPHRASE, "x")
-    a1.visit_count = 3
-    root.stats_for(a1.edge_key).q = 3.0
-    root.stats_for(a1.edge_key).n = 3
+    a1.value_sum, a1.visit_count = 3.0, 3
     a2 = child_of(root, A.SCHEMA_SELECT, "y")
-    a2.visit_count = 1
-    root.stats_for(a2.edge_key).q = 0.0
-    root.stats_for(a2.edge_key).n = 1
+    a2.value_sum, a2.visit_count = 0.0, 1
     c = math.sqrt(2)
     assert oracle_uct(3, 3, 4, c) > oracle_uct(0, 1, 4, c)
     picked = select_path(root, SearchConfig(), random.Random(0))
@@ -129,9 +123,7 @@ def test_select_path_breaks_ties_with_seeded_rng():
     root.visit_count = 2
     for fp, action in (("p", A.REPHRASE), ("q", A.SCHEMA_SELECT)):
         ch = child_of(root, action, fp)
-        ch.visit_count = 1
-        root.stats_for(ch.edge_key).q = 0.5
-        root.stats_for(ch.edge_key).n = 1
+        ch.value_sum, ch.visit_count = 0.5, 1
     picks = {select_path(root, SearchConfig(), random.Random(s)).fingerprint
              for s in range(20)}
     assert picks == {"p", "q"}  # both reachable across seeds
@@ -140,17 +132,31 @@ def test_select_path_breaks_ties_with_seeded_rng():
     assert one is again  # same seed, same choice
 
 
-def test_select_path_returns_terminal_and_dead_nodes():
+def test_select_path_returns_terminal_and_dead_nodes(
+        restaurant_catalog, restaurant_executor):
     root = SearchNode.root()
     root.expanded = True
     term = child_of(root, A.TERMINATE, "")
     term.visit_count = 1
-    root.stats_for(term.edge_key).n = 1
     root.visit_count = 1
     assert select_path(root, SearchConfig(), random.Random(0)) is term
 
     lone = SearchNode.root()
     assert select_path(lone, SearchConfig(), random.Random(0)) is lone
+
+    # a dead node: expanded, but no action gave it a child
+    root = SearchNode.root()
+    root.expanded = True
+    dead = child_of(root, A.REPHRASE, "d")
+    dead.expanded = True
+    dead.visit_count = root.visit_count = 1
+    assert dead.dead and not root.dead
+    assert select_path(root, SearchConfig(), random.Random(0)) is dead
+    ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, model=DownModel())
+    assert simulate(dead, ctx, random.Random(0)) is dead
+    assert simulate(root, ctx, random.Random(0)) is dead
+    flags = {n["id"]: n["dead"] for n in serialize_tree(root)["nodes"]}
+    assert flags == {0: False, 1: True}
 
 
 # ---- backpropagation accounting ----
@@ -166,15 +172,14 @@ def test_backpropagate_updates_path_only():
     assert mid.visit_count == 1
     assert term.visit_count == 1
     assert other.visit_count == 0
-    assert root.action_stats[mid.edge_key].q == 0.75
-    assert root.action_stats[mid.edge_key].n == 1
-    assert mid.action_stats[term.edge_key].q == 0.75
-    assert other.edge_key not in root.action_stats
+    assert mid.value_sum == 0.75
+    assert term.value_sum == 0.75
+    assert other.value_sum == 0.0
 
     backpropagate(term, 0.25)
     assert root.visit_count == 2
-    assert root.action_stats[mid.edge_key].q == 1.0
-    assert root.action_stats[mid.edge_key].n == 2
+    assert (mid.value_sum, mid.visit_count) == (1.0, 2)
+    assert (other.value_sum, other.visit_count) == (0.0, 0)
 
 
 # ---- expansion ----
@@ -282,9 +287,11 @@ def test_run_search_visit_accounting(restaurant_catalog, restaurant_executor):
     assert out
     root = out[0].nodes[0]
     assert root.visit_count == ctx.cfg.n_rollout
-    assert sum(s.n for s in root.action_stats.values()) == ctx.cfg.n_rollout
-    for child in root.children.values():
-        assert child.visit_count == root.action_stats[child.edge_key].n
+    children = root.children.values()
+    assert sum(child.visit_count for child in children) == ctx.cfg.n_rollout
+    # every rollout's reward is folded into the root and one child alike
+    assert sum(child.value_sum for child in children) == pytest.approx(
+        root.value_sum)
 
 
 def test_run_search_rewards_once_per_terminal(restaurant_catalog,
@@ -369,10 +376,12 @@ def test_audit_flags_misfiled_child():
 def test_audit_flags_q_outside_bounds():
     root = SearchNode.root()
     ch = child_of(root, A.REPHRASE, "fp")
-    stats = root.stats_for(ch.edge_key)
-    stats.q, stats.n = 2.0, 1
-    with pytest.raises(ContractViolation):
-        audit_tree(root)
+    ch.value_sum, ch.visit_count = 1.0, 1
+    audit_tree(root)  # Q = N is in bounds
+    for q in (2.0, -0.5):
+        ch.value_sum = q
+        with pytest.raises(ContractViolation):
+            audit_tree(root)
 
 
 def test_serialize_tree_json_ready(restaurant_catalog, restaurant_executor):

@@ -39,19 +39,13 @@ BRANCHING_A5 = [GOLD_SQL, GOLD_SQL_ALT, BROKEN_SQL, GOLD_SQL, GOLD_SQL_ALT]
 ACTION_TAGS = {kind.value for kind in ActionKind} - {ActionKind.TERMINATE.value}
 
 
-def slice_key(selected):
-    if selected is None:
-        return None
-    return tuple((t, tuple(cols)) for t, cols in selected.items())
-
-
 def test_search_renders_each_slice_once(monkeypatch, restaurant_catalog,
                                         restaurant_executor, restaurant_index):
     renders: list = []
     render = prompts.render_schema_context
 
     def counting_render(catalog, selected=None, retrieved_values=None):
-        renders.append(slice_key(selected))
+        renders.append(selected)
         return render(catalog, selected=selected, retrieved_values=retrieved_values)
 
     built: list[tuple[tuple, dict, str]] = []

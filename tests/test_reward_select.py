@@ -38,7 +38,7 @@ def node_after(parent: SearchNode, action: ActionKind, *, sql=None,
         state.revision_context = revision_context
     node = SearchNode(state=state, producing_action=action,
                       fingerprint=f"fp-{action.value}", parent=parent)
-    parent.children[node.edge_key] = node
+    parent.children[(action, node.fingerprint)] = node
     return node
 
 
@@ -134,6 +134,16 @@ def test_reward_requires_final_sql(restaurant_catalog, restaurant_executor):
     root = SearchNode.root()
     gen = node_after(root, A.SQL_GENERATE)  # no SQL recorded
     term = node_after(gen, A.TERMINATE)
+    ctx = make_ctx(ScriptedModel(), restaurant_catalog, restaurant_executor)
+    with pytest.raises(ContractViolation):
+        compute_reward(ctx, term)
+
+
+def test_reward_requires_termination_right_after_the_sql(restaurant_catalog,
+                                                         restaurant_executor):
+    root = SearchNode.root()
+    gen = node_after(root, A.SQL_GENERATE, sql=GOLD_SQL)
+    term = node_after(node_after(gen, A.VALUE_IDENT), A.TERMINATE)
     ctx = make_ctx(ScriptedModel(), restaurant_catalog, restaurant_executor)
     with pytest.raises(ContractViolation):
         compute_reward(ctx, term)
