@@ -5,10 +5,12 @@ of `rows_per_band` values; records sharing any band's values land in the same
 bucket, so lookup gathers near-duplicates without scanning every value.
 
 The index is columnar: parallel arrays of column ids, values and signatures,
-with no Python object per record. The buckets are one sorted array of band
-keys (a hash of a band's values, with the band number in the top bits) and
-the record id of each key; a lookup finds a band's run of equal keys by
-binary search and keeps the ids whose band values equal the query's.
+with no Python object per record. The buckets are one sorted array of
+packed 64-bit words, one per (record, band): the band number in the top
+bits, the high bits of a hash of the band's values in the middle, and the
+record id in the low bits. A lookup finds a band's run of words with equal
+band and hash by binary search, reads the ids from the low bits and keeps
+those whose band values equal the query's.
 """
 
 from __future__ import annotations
@@ -55,12 +57,23 @@ class ValueIndex:
     salts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        shape = self.signatures.shape
+        if len(shape) != 2 or shape[1] != self.params.num_permutations:
+            raise ContractViolation(f"signatures of shape {shape} need "
+                                    f"{self.params.num_permutations} columns")
+        n = shape[0]  # the id field's width follows from it
+        if not len(self.values) == len(self.column_ids) == n:
+            raise ContractViolation(
+                f"{len(self.values)} values, {len(self.column_ids)} column ids "
+                f"and {n} signature rows must agree")
         if self.salts is None:
             self.salts = permutation_salts(self.params)
-        keys = _band_keys(self._blocks(self.signatures), self.params.bands)
-        order = np.argsort(keys, axis=None)
-        self._keys = keys.ravel()[order]
-        self._ids = (order // self.params.bands).astype(np.int32)
+        self._id_bits = max(1, (n - 1).bit_length())
+        self._id_mask = np.uint64((1 << self._id_bits) - 1)
+        words = _band_keys(self._blocks(self.signatures), self.params.bands, self._id_bits)
+        words |= np.arange(n, dtype=np.uint64)[:, None]
+        self._words = words.ravel()
+        self._words.sort()  # a value sort; all words differ, so the order is unique
 
     def _blocks(self, sig: np.ndarray) -> np.ndarray:
         """(..., bands, rows_per_band) view of signatures."""
@@ -73,16 +86,16 @@ class ValueIndex:
     def candidate_ids(self, sig: np.ndarray) -> list[int]:
         """Ids of the records sharing one LSH band's exact values with the signature."""
         query = self._blocks(sig)
-        keys = _band_keys(query, self.params.bands)
-        lo = np.searchsorted(self._keys, keys, side="left")
-        counts = np.searchsorted(self._keys, keys, side="right") - lo
+        keys = _band_keys(query, self.params.bands, self._id_bits)  # id field 0
+        lo = np.searchsorted(self._words, keys, side="left")
+        counts = np.searchsorted(self._words, keys | self._id_mask, side="right") - lo
         total = int(counts.sum())
         if not total:
             return []
         offsets = np.cumsum(counts) - counts
         positions = np.repeat(lo - offsets, counts) + np.arange(total)
         bands = np.repeat(np.arange(self.params.bands), counts)
-        rids = self._ids[positions]
+        rids = self._words[positions] & self._id_mask
         # a key is a hash: keep only ids whose band values really are equal
         exact = (self._blocks(self.signatures)[rids, bands] == query[bands]).all(axis=1)
         return np.unique(rids[exact]).tolist()
@@ -96,21 +109,22 @@ class ValueIndex:
     def buckets(self) -> dict[tuple[int, bytes], list[int]]:
         """(band, band values as bytes) -> record ids ascending, for inspection.
 
-        Derived on first access from the sorted keys; lookups do not use it.
+        Derived on first access from the sorted words; lookups do not use it.
         It allocates one list per bucket, so the cyclic collector is paused
         while it is built: its passes over the growing dict would double the
         time and could find no cycle to free.
         """
         rows = self.params.rows_per_band
         shift = np.uint64(_band_shift(self.params.bands))
-        bounds = np.searchsorted(self._keys >> shift,
+        bounds = np.searchsorted(self._words >> shift,
                                  np.arange(self.params.bands + 1, dtype=np.uint64))
         out: dict[tuple[int, bytes], list[int]] = {}
         collecting = gc.isenabled()
         gc.disable()
         try:
             for band in range(self.params.bands):  # a band at a time: small temporaries
-                ids = np.sort(self._ids[bounds[band]:bounds[band + 1]])  # ascending
+                run = self._words[bounds[band]:bounds[band + 1]]
+                ids = np.sort(run & self._id_mask)  # ascending
                 block = np.ascontiguousarray(self._blocks(self.signatures)[ids, band])
                 keys = block.view(np.dtype((np.void, block.itemsize * rows))).ravel()
                 for key, rid in zip(keys.tolist(), ids.tolist()):
@@ -122,7 +136,7 @@ class ValueIndex:
 
 
 def _band_shift(bands: int) -> int:
-    """Bit position of the band number in a key: the top bits hold it."""
+    """Bit position of the band number in a word: the top bits hold it."""
     return 64 - max(1, (bands - 1).bit_length())
 
 
@@ -135,11 +149,19 @@ def _band_hash(blocks: np.ndarray) -> np.ndarray:
     return blocks @ (_BAND_MUL * np.arange(1, 2 * blocks.shape[-1], 2, dtype=np.uint64))
 
 
-def _band_keys(blocks: np.ndarray, bands: int) -> np.ndarray:
-    """Sort keys of each band: its hash's high bits below the band number."""
+def _band_keys(blocks: np.ndarray, bands: int, id_bits: int) -> np.ndarray:
+    """Packed word of each band with the id field 0: (..., bands) uint64.
+
+    The band number fills the top bits, the hash's high bits the middle,
+    and the low `id_bits` bits are left for a record id.
+    """
     shift = _band_shift(bands)
     band_no = np.arange(bands, dtype=np.uint64) << np.uint64(shift)
-    return (_band_hash(blocks) >> np.uint64(64 - shift)) | band_no
+    keys = _band_hash(blocks)
+    keys >>= np.uint64(64 - shift + id_bits)
+    keys <<= np.uint64(id_bits)
+    keys |= band_no
+    return keys
 
 
 def build_value_index(
@@ -236,7 +258,7 @@ def save_index(index: ValueIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> ValueIndex:
-    """Read an index file; the sorted band keys are rebuilt in memory.
+    """Read an index file; the sorted band words are rebuilt in memory.
 
     The signature bytes are read straight into a preallocated array, so no
     copy of the whole file is held. A file of another format version, a
