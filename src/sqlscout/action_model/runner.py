@@ -68,11 +68,11 @@ def _run_revision_chain(chain: int, state: NodeState,
     cfg = ctx.cfg
     current = state.sql
     result = ctx.execute(current)
-    feedback = (current, result.brief())
+    feedback = (current, result.brief)
     last_raw: str | None = None
     rounds = 0
     while not result.is_rows and rounds < cfg.n_revision:
-        feedback = (current, result.brief())
+        feedback = (current, result.brief)
         prompt = build_action_prompt(
             ActionKind.SQL_REVISE, ctx.q, state, ctx.catalog,
             retrieved_values=ctx.retrieved_map,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import IngestionError
+from ..sql_exec import open_readonly
 
 VALUE_EXAMPLE_CAP = 3
 
@@ -85,18 +86,14 @@ class DatabaseCatalog:
 
 def load_catalog(db_path: str | Path, db_id: str = "",
                  value_examples: bool = True) -> DatabaseCatalog:
-    """Read table/column/key structure from a SQLite file."""
+    """Read table/column/key structure from a SQLite file.
+
+    A file that cannot be read as a database raises `IngestionError`.
+    """
     path = Path(db_path)
-    if not path.exists():
-        raise IngestionError(f"database file not found: {path}")
     db_id = db_id or path.stem
-    uri = f"file:{path}?mode=ro"
+    conn = open_readonly(path)
     try:
-        conn = sqlite3.connect(uri, uri=True)
-    except sqlite3.Error as exc:
-        raise IngestionError(f"cannot open {path}: {exc}") from exc
-    try:
-        conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         names = [
             r[0] for r in conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table' "
@@ -136,6 +133,8 @@ def load_catalog(db_path: str | Path, db_id: str = "",
                     ref_table=ref_table,
                     ref_columns=tuple(p[2] for p in parts),
                 ))
+    except sqlite3.Error as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
     finally:
         conn.close()
     return DatabaseCatalog(db_id=db_id, db_path=str(path), tables=tables,

@@ -143,10 +143,8 @@ class SearchConfig:
     eps_semantic: float = 0.6
     sql_timeout_secs: float = 30.0
     rng_seed: int = 0
-    retrieval_mode: str = "and"  # "and" | "or": how the edit/semantic gates combine
     top_m_per_column: int = 3
     row_cap: int = 10_000
-    multiset_compare: bool = False
     max_tokens: int = 2048
 
     def __post_init__(self):
@@ -154,13 +152,13 @@ class SearchConfig:
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1")
         for name in ("t_expansion", "t_reward"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
+                raise ContractViolation(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.uct_c):
+            raise ContractViolation("uct_c must be finite")
         for name in ("eps_edit", "eps_semantic"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ContractViolation(f"{name} must be in [0, 1]")
-        if self.retrieval_mode not in ("and", "or"):
-            raise ContractViolation("retrieval_mode must be 'and' or 'or'")
         if self.row_cap < 0:
             raise ContractViolation("row_cap must be >= 0")
         if not self.sql_timeout_secs > 0:  # also rejects NaN

@@ -78,11 +78,11 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
     out = Path(out_dir)
     for db_id in targets:
         try:
-            path = database_path(root, db_id)
-        except IngestionError as exc:
+            catalog = load_catalog(database_path(root, db_id), db_id=db_id,
+                                   value_examples=False)
+            built = build_value_index(catalog, params=params)
+        except IngestionError as exc:  # not a database file, say
             raise click.ClickException(str(exc)) from exc
-        catalog = load_catalog(path, db_id=db_id, value_examples=False)
-        built = build_value_index(catalog, params=params)
         target = out / f"{db_id}.jsonl"
         save_index(built, target)
         click.echo(f"{db_id}: {len(built.values)} values -> {target}")
@@ -111,10 +111,9 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
               help="Skip items already present in the report file.")
 @click.option("--traces", is_flag=True, help="Write per-question tree traces.")
 @click.option("--sds", is_flag=True,
-              help="Stratified 10% subsample per database before running.")
+              help="Stratified subsample before running: --sds-fraction of "
+                   "each database's items, rounded up.")
 @click.option("--sds-fraction", type=float, default=0.10, show_default=True)
-@click.option("--sds-mode", type=click.Choice(["ceil", "round"]),
-              default="ceil", show_default=True)
 @click.option("--sds-file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Question-id file naming the exact subsample.")
 @click.option("--limit", type=click.IntRange(min=0), default=None,
@@ -122,7 +121,7 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
 def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
         out_dir: str, config_path: str | None, seed: int | None, workers: int,
         resume: bool, traces: bool, sds: bool, sds_fraction: float,
-        sds_mode: str, sds_file: str | None, limit: int | None) -> None:
+        sds_file: str | None, limit: int | None) -> None:
     """Run the benchmark and write the report artifacts."""
     try:
         cfg, endpoint = load_config(config_path)
@@ -144,8 +143,7 @@ def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
         items = filter_by_ids(items, load_question_ids(sds_file))
         click.echo(f"id file kept {len(items)}: {difficulty_counts(items)}")
     elif sds:
-        items = subsample_sds(items, fraction=sds_fraction,
-                              seed=cfg.rng_seed, mode=sds_mode)
+        items = subsample_sds(items, fraction=sds_fraction, seed=cfg.rng_seed)
         click.echo(f"subsampled {len(items)}: {difficulty_counts(items)}")
     if limit is not None:
         items = items[:limit]

@@ -13,7 +13,7 @@ Example:
 
 Unset keys keep their defaults; environment variables fill endpoint gaps. A
 key a section does not know is an error, so a misspelt setting never runs
-silently with its default.
+silently with its default. A `;` after whitespace starts a comment.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def load_config(path: str | Path | None) -> tuple[SearchConfig, EndpointConfig]:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read(path, encoding="utf-8")
 
     for name, known in ((_SEARCH_SECTION, SearchConfig),
@@ -55,14 +55,8 @@ def load_config(path: str | Path | None) -> tuple[SearchConfig, EndpointConfig]:
                 continue
             raw = section[f.name]
             try:
-                if f.type in ("int", int):
-                    search_kwargs[f.name] = int(raw)
-                elif f.type in ("float", float):
-                    search_kwargs[f.name] = _parse_float(raw)
-                elif f.type in ("bool", bool):
-                    search_kwargs[f.name] = section.getboolean(f.name)
-                else:
-                    search_kwargs[f.name] = raw
+                search_kwargs[f.name] = (int(raw) if f.type in ("int", int)
+                                         else _parse_float(raw))
             except ValueError as exc:
                 raise ValueError(
                     f"bad value for {f.name!r} in [{_SEARCH_SECTION}] of the "

@@ -203,28 +203,16 @@ def _condition_count(s: str) -> int:
 
 # ---- subsampling ----
 
-def _subsample_size(group_size: int, fraction: float, mode: str) -> int:
-    """Items drawn from a group: the fraction rounded by `mode`, at least one."""
-    raw = group_size * fraction
-    if mode == "ceil":
-        k = math.ceil(raw)
-    elif mode == "round":
-        k = round(raw)
-    else:
-        raise IngestionError(f"unknown subsample mode: {mode!r}")
-    return max(1, min(group_size, k)) if group_size else 0
-
-
 def subsample_sds(
     items: list[BenchmarkItem],
     fraction: float = 0.10,
     seed: int = 0,
-    mode: str = "ceil",
 ) -> list[BenchmarkItem]:
     """Stratified subsample: the same fraction drawn from every database.
 
-    Deterministic for a given (items, fraction, seed, mode); output keeps
-    the original item order.
+    Each database gives its item count times `fraction`, rounded up, at
+    least one and at most all of its items. Deterministic for a given
+    (items, fraction, seed); output keeps the original item order.
     """
     groups: dict[str, list[int]] = {}
     for pos, item in enumerate(items):
@@ -233,7 +221,7 @@ def subsample_sds(
     rng = random.Random(seed)
     for db_id in sorted(groups):
         positions = groups[db_id]
-        k = _subsample_size(len(positions), fraction, mode)
+        k = max(1, min(len(positions), math.ceil(len(positions) * fraction)))
         chosen.update(rng.sample(positions, k))
     return [item for pos, item in enumerate(items) if pos in chosen]
 

@@ -121,7 +121,6 @@ class RunEnvironment:
             db_path=self.db_path(db_id),
             timeout_secs=cfg.sql_timeout_secs,
             row_cap=cfg.row_cap,
-            multiset=cfg.multiset_compare,
             sandbox=sandbox,
         )
 

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from urllib.parse import quote
 
 from .errors import ContractViolation, IngestionError
 
@@ -43,7 +44,7 @@ class ExecutionResult:
     """Outcome of one query: 'rows' | 'error' | 'timeout'."""
 
     kind: str
-    rows: frozenset | tuple = frozenset()
+    rows: frozenset = frozenset()
     error: str = ""
     truncated: bool = False
 
@@ -57,39 +58,28 @@ class ExecutionResult:
     def is_rows(self) -> bool:
         return self.kind == "rows"
 
-    def brief(self, limit: int = BRIEF_CHARS) -> str:
+    @cached_property
+    def brief(self) -> str:
         """Short human-readable form, used in revision prompts and traces.
 
-        The default form is built once per result and kept on it: a revision
-        chain asks for it every round, of the same memoized result.
+        Built once per result and kept on it: a revision chain asks for it
+        every round, of the same memoized result.
         """
-        return self._brief if limit == BRIEF_CHARS else self._render_brief(limit)
-
-    @cached_property
-    def _brief(self) -> str:
-        return self._render_brief(BRIEF_CHARS)
-
-    def _render_brief(self, limit: int) -> str:
         if self.kind == "error":
             return f"Error: {self.error}"
         if self.kind == "timeout":
             return "Error: query timed out"
-        shown = sorted(self.rows, key=repr)[:20] if isinstance(self.rows, frozenset) \
-            else list(self.rows)[:20]
-        text = repr([tuple(r) for r in shown])
-        if len(text) > limit:
-            text = text[: limit - 3] + "..."
+        text = repr([tuple(r) for r in sorted(self.rows, key=repr)[:20]])
+        if len(text) > BRIEF_CHARS:
+            text = text[: BRIEF_CHARS - 3] + "..."
         suffix = " (truncated)" if self.truncated or len(self.rows) > 20 else ""
         return f"Rows: {text}{suffix}"
 
 
-def rows_result(raw_rows: list[tuple], truncated: bool = False,
-                multiset: bool = False) -> ExecutionResult:
-    canon = [canonical_row(r) for r in raw_rows]
-    if multiset:
-        return ExecutionResult(kind="rows", rows=tuple(sorted(canon, key=repr)),
-                               truncated=truncated)
-    return ExecutionResult(kind="rows", rows=frozenset(canon), truncated=truncated)
+def rows_result(raw_rows: list[tuple], truncated: bool = False) -> ExecutionResult:
+    return ExecutionResult(kind="rows",
+                           rows=frozenset(canonical_row(r) for r in raw_rows),
+                           truncated=truncated)
 
 
 def error_result(message: str) -> ExecutionResult:
@@ -139,6 +129,31 @@ def canonical_row(row) -> tuple:
     return tuple(canonical_cell(c) for c in row)
 
 
+def open_readonly(db_path: str | Path) -> sqlite3.Connection:
+    """A read-only connection to an existing database file.
+
+    Every reader of a database opens it here: the catalog loader, the
+    value-index build and `Sandbox`. The path is percent-encoded into the
+    URI, so a `#` or `?` in it cannot cut off the path or `mode=ro`. Text is
+    decoded as utf-8 with undecodable bytes replaced. A file that is not a
+    database opens without error; the first statement on it raises
+    `sqlite3.DatabaseError`, which each reader turns into an `IngestionError`.
+    """
+    path = Path(db_path)
+    if not path.exists():
+        raise IngestionError(f"database file not found: {path}")
+    try:
+        conn = sqlite3.connect(f"file:{quote(str(path))}?mode=ro", uri=True)
+    except sqlite3.Error as exc:
+        raise IngestionError(f"cannot open {path}: {exc}") from exc
+    conn.text_factory = _decode_text
+    return conn
+
+
+def _decode_text(raw: bytes) -> str:
+    return raw.decode("utf-8", errors="replace")
+
+
 class Sandbox:
     """One read-only connection to a database, configured once for many statements.
 
@@ -155,16 +170,9 @@ class Sandbox:
 
     def __init__(self, db_path: str | Path):
         path = Path(db_path)
-        if not path.exists():
-            raise IngestionError(f"database file not found: {path}")
-        try:
-            self._conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-        except sqlite3.Error as exc:
-            raise IngestionError(f"cannot open {path}: {exc}") from exc
+        self._conn = conn = open_readonly(path)
         self._deadline = 0.0
-        conn = self._conn
         try:
-            conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
             conn.execute("PRAGMA query_only = ON")
             conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
             conn.set_authorizer(_authorize_read)
@@ -175,8 +183,8 @@ class Sandbox:
             conn.close()
             raise IngestionError(f"cannot configure {path}: {exc}") from exc
 
-    def run(self, sql: str, timeout_secs: float = 30.0, row_cap: int = ROW_CAP,
-            multiset: bool = False) -> ExecutionResult:
+    def run(self, sql: str, timeout_secs: float = 30.0,
+            row_cap: int = ROW_CAP) -> ExecutionResult:
         """One statement under its own deadline; see `execute_sql`."""
         if not sql or not sql.strip():
             return error_result("empty SQL")
@@ -192,7 +200,7 @@ class Sandbox:
                     truncated = True
                     break
                 raw.append(row)
-            return rows_result(raw, truncated=truncated, multiset=multiset)
+            return rows_result(raw, truncated=truncated)
         except sqlite3.OperationalError as exc:
             if "interrupted" in str(exc).lower():
                 return timeout_result()
@@ -218,7 +226,6 @@ def execute_sql(
     db_path: str | Path,
     timeout_secs: float = 30.0,
     row_cap: int = ROW_CAP,
-    multiset: bool = False,
     sandbox: Sandbox | None = None,
 ) -> ExecutionResult:
     """Run one statement read-only with a wall-clock timeout.
@@ -239,9 +246,9 @@ def execute_sql(
     in characters).
     """
     if sandbox is not None:
-        return sandbox.run(sql, timeout_secs, row_cap, multiset)
+        return sandbox.run(sql, timeout_secs, row_cap)
     with Sandbox(db_path) as one_shot:
-        return one_shot.run(sql, timeout_secs, row_cap, multiset)
+        return one_shot.run(sql, timeout_secs, row_cap)
 
 
 def _authorize_read(action: int, *_: object) -> int:

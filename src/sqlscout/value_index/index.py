@@ -27,6 +27,7 @@ import numpy as np
 
 from ..core.catalog import DatabaseCatalog
 from ..errors import ContractViolation, IngestionError
+from ..sql_exec import open_readonly
 from .minhash import MinHashParams, permutation_salts, signatures
 
 DISTINCT_VALUE_CAP = 10_000
@@ -181,11 +182,7 @@ def build_value_index(
     """
     params = params or MinHashParams()
     salts = permutation_salts(params)
-    path = Path(catalog.db_path)
-    if not path.exists():
-        raise IngestionError(f"database file not found: {path}")
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
+    conn = open_readonly(catalog.db_path)
     columns: list[tuple[str, str]] = []
     column_ids: list[int] = []
     values: list[str] = []

@@ -1,10 +1,9 @@
 """Online value retrieval: LSH candidates filtered by edit and semantic similarity.
 
-For each keyword the LSH buckets supply candidate values; candidates then
-pass through two gates. Under "and" the edit gate runs first and only its
-survivors are embedded; under "or" every candidate is embedded and passing
-either gate suffices. Results are deduplicated, sorted by semantic then edit
-similarity, and capped per column.
+For each keyword the LSH buckets supply candidate values; a candidate is
+kept only if it passes both gates. The edit gate runs first and only its
+survivors are embedded for the semantic gate. Results are deduplicated,
+sorted by semantic then edit similarity, and capped per column.
 """
 
 from __future__ import annotations
@@ -72,20 +71,15 @@ def retrieve_values(
     for kw, sig in zip(kws, sigs):
         candidates = [index.record(rid) for rid in index.candidate_ids(sig)]
         pool = [(rec, edit_similarity(kw, rec.value)) for rec in candidates]
-        if cfg.retrieval_mode == "and":
-            pool = [(rec, ed) for rec, ed in pool if ed >= cfg.eps_edit]
+        pool = [(rec, ed) for rec, ed in pool if ed >= cfg.eps_edit]
         if not pool:
             continue
         sems = _semantic_sims(embedder, kw, [rec.value for rec, _ in pool])
         if sems is None:
-            kept = [(rec, ed, 0.0) for rec, ed in pool if ed >= cfg.eps_edit]
+            kept = [(rec, ed, 0.0) for rec, ed in pool]
         else:
-            either = cfg.retrieval_mode == "or"
-            kept = [
-                (rec, ed, sem)
-                for (rec, ed), sem in zip(pool, sems)
-                if sem >= cfg.eps_semantic or (either and ed >= cfg.eps_edit)
-            ]
+            kept = [(rec, ed, sem) for (rec, ed), sem in zip(pool, sems)
+                    if sem >= cfg.eps_semantic]
         for rec, ed, sem in kept:
             prev = best.get(rec)
             if prev is None or (sem, ed) > prev:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sqlite3
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import sqlscout.core.render as render_module
 from sqlscout.core.catalog import attach_descriptions, load_catalog
 from sqlscout.core.render import render_schema_context
 from sqlscout.errors import IngestionError
+from sqlscout.sql_exec import Sandbox, open_readonly
 
 
 def test_tables_and_columns_read(restaurant_catalog):
@@ -59,6 +61,31 @@ def test_lookup_is_case_insensitive(restaurant_catalog):
 def test_missing_database_raises(tmp_path):
     with pytest.raises(IngestionError):
         load_catalog(tmp_path / "absent.sqlite")
+
+
+def test_a_file_that_is_no_database_raises_ingestion_error(tmp_path):
+    # SQLite opens any file; the first read is what fails on one
+    path = tmp_path / "notes.sqlite"
+    path.write_bytes(b"plain text, not a database\n" * 100)
+    with pytest.raises(IngestionError, match="notes.sqlite.*not a database"):
+        load_catalog(path)
+
+
+def test_a_path_with_uri_characters_opens_that_file_read_only(restaurant_db,
+                                                              tmp_path):
+    # unescaped, "#" ends the URI's path and drops "?mode=ro" with it
+    odd = tmp_path / "runs #1?" / "restaurants.sqlite"
+    odd.parent.mkdir()
+    odd.write_bytes(Path(restaurant_db).read_bytes())
+    before = sorted(tmp_path.rglob("*"))
+    assert [t.name for t in load_catalog(odd).tables] == [
+        t.name for t in load_catalog(restaurant_db).tables]
+    with Sandbox(odd) as sandbox:
+        assert sandbox.run("SELECT COUNT(*) FROM location").rows == {(7,)}
+    assert sorted(tmp_path.rglob("*")) == before  # no stray file was created
+    with closing(open_readonly(odd)) as conn:
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("CREATE TABLE t (x)")
 
 
 def test_descriptions_merge(restaurant_db, tmp_path):

@@ -2,7 +2,8 @@
 
 Each schedule wraps the scripted restaurants model and decides, call by
 call, whether the call answers, raises `TransportError` or `ProtocolError`,
-or returns text no action can parse. Whatever the schedule, the search and
+returns text no action can parse, or answers a query-writing call with SQL
+that runs until its deadline stops it. Whatever the schedule, the search and
 `run_one_item` must not raise, the search's closing `audit_tree` must hold,
 and the record must carry every key.
 """
@@ -11,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import sqlscout.harness.runner as runner
 import sqlscout.mcts as mcts
 from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import SearchConfig
@@ -19,16 +21,22 @@ from sqlscout.harness import RunEnvironment, load_dataset, run_one_item
 from sqlscout.mcts import prepare_context, run_search
 from sqlscout.value_index import build_value_index, save_index
 
-from conftest import make_bird_dataset, scripted_benchmark_model
+from conftest import make_bird_dataset, scripted_benchmark_model, sql_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-FAULTS = ("ok", "transport", "protocol", "unparseable")
+FAULTS = ("ok", "transport", "protocol", "unparseable", "slow")
 # a schedule repeats through the calls, so every stage meets its faults
 SCHEDULES = st.lists(st.sampled_from(FAULTS), min_size=1, max_size=12)
+# short, so that each slow query costs the test little time
 CFG = SearchConfig(n_rollout=6, n_expansion=2, n_reward=3, n_revision=2,
-                   sql_timeout_secs=5.0)
+                   sql_timeout_secs=0.2)
+SLOW_SQL = ("WITH RECURSIVE spin(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM spin) "
+            "SELECT COUNT(*) FROM spin")
+# a "slow" call that writes a query answers this; any other call answers as "ok"
+SLOW_ANSWERS = {"A5": sql_json(SLOW_SQL), "A6": sql_json(SLOW_SQL),
+                "reward": sql_json(SLOW_SQL), "baseline": f"<sql>{SLOW_SQL}</sql>"}
 RECORD_KEYS = {
     "question_id", "db_id", "difficulty", "mode", "sql", "ex", "broken_gold",
     "low_confidence", "class_size", "candidates", "model_calls", "error",
@@ -56,6 +64,8 @@ class ScheduledModel:
             raise ProtocolError("chat response content is not text")
         if fault == "unparseable":
             return " \n"
+        if fault == "slow" and tag in SLOW_ANSWERS:
+            return SLOW_ANSWERS[tag]
         return self.inner.sample(prompt, temperature, max_tokens, sample_index,
                                  tag=tag)
 
@@ -85,6 +95,14 @@ def test_fault_schedules_cost_samples_not_questions(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mcts, "audit_tree", recording_audit)
     seen: Counter = Counter()
+    execute_sql = runner.execute_sql
+
+    def recording_execute(*args, **kwargs):
+        result = execute_sql(*args, **kwargs)
+        seen["timeout"] += result.kind == "timeout"
+        return result
+
+    monkeypatch.setattr(runner, "execute_sql", recording_execute)
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None,
                          derandomize=True)
@@ -109,4 +127,4 @@ def test_fault_schedules_cost_samples_not_questions(tmp_path, monkeypatch):
 
     check()
     # the schedules reached the fault paths they are meant to test
-    assert seen["dead"] and seen["lost_reward"], seen
+    assert seen["dead"] and seen["lost_reward"] and seen["timeout"], seen

@@ -27,7 +27,7 @@ from conftest import make_bird_dataset, scripted_benchmark_model
 RUNS = [(seed, indexed) for seed in range(3) for indexed in (False, True)]
 
 GOLDEN_SHA256 = {
-    "summary": "8a39d49d5b3599b6ea4670b6f5a815345b1f989418f91762eb67268bae75a2e1",
+    "summary": "9dc3c318ad9a4f774e14dd5c147902a6cdb159964d269dcb9cd854498309742a",
     "predictions": "449f47c61972106fc925de4dc8ff9bf6b156403e2f20e2922c4af44db6bad747",
     "traces": "676fbfee2670716cc4473eb826dac8974f819620de402c3cd298322c492deae0",
     "report": "1e21cf79a384401d91b6b712ed7f5596fd98905a4ec0ad6e2cdfae9bdf3e7b0b",

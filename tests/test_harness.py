@@ -1,12 +1,15 @@
 """Dataset ingestion, benchmark orchestration, and the CLI."""
 
+import configparser
 import dataclasses
 import json
 import math
+import re
 import sqlite3
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -173,12 +176,11 @@ def test_subsample_preserves_dataset_order():
 
 
 def test_subsample_modes():
+    # the fraction of each group rounds up: at least one, at most the group
     items = many_items(15, ("alpha",))
-    assert len(subsample_sds(items, fraction=0.10, mode="ceil")) == 2
-    assert len(subsample_sds(items, fraction=0.10, mode="round")) == 2
+    assert len(subsample_sds(items, fraction=0.10)) == 2
     items5 = many_items(5, ("alpha",))
-    assert len(subsample_sds(items5, fraction=0.10, mode="ceil")) == 1
-    assert len(subsample_sds(items5, fraction=0.10, mode="round")) == 1
+    assert len(subsample_sds(items5, fraction=0.10)) == 1
 
 
 def test_filter_by_ids_keeps_order_and_validates():
@@ -225,8 +227,6 @@ def test_load_config_file_overrides(tmp_path, monkeypatch):
         "n_rollout = 8\n"
         "t_reward = 0.5\n"
         "uct_c = sqrt2\n"
-        "multiset_compare = true\n"
-        "retrieval_mode = or\n"
         "[endpoint]\n"
         "chat_model = file-model\n",
         encoding="utf-8",
@@ -235,10 +235,29 @@ def test_load_config_file_overrides(tmp_path, monkeypatch):
     assert cfg.n_rollout == 8
     assert cfg.t_reward == 0.5
     assert cfg.uct_c == pytest.approx(math.sqrt(2))
-    assert cfg.multiset_compare is True
-    assert cfg.retrieval_mode == "or"
     assert cfg.n_reward == 5  # untouched keys keep defaults
     assert endpoint.chat_model == "file-model"  # file beats env
+    # rows are always compared as sets; no key selects another comparison
+    path.write_text("[search]\nmultiset_compare = true\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match="'multiset_compare' in \\[search\\]"):
+        load_config(path)
+
+
+def test_readme_config_block_loads_as_the_defaults(tmp_path, monkeypatch):
+    # the README's `--config` example, inline comments and all, must load,
+    # and it lists every search setting at its default
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0], encoding="utf-8")
+    monkeypatch.delenv("SQLSCOUT_CHAT_MODEL", raising=False)
+    cfg, endpoint = load_config(path)
+    assert cfg == SearchConfig()
+    assert endpoint.chat_model == "qwen2.5-coder-32b-instruct"
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(blocks[0])
+    assert set(parser["search"]) == {f.name for f in dataclasses.fields(SearchConfig)}
 
 
 def test_load_config_missing_file(tmp_path):
@@ -773,6 +792,20 @@ def test_cli_index_build(bird_dataset, tmp_path, cli_env):
     assert result.exit_code == 0, result.output
     assert (out_dir / "restaurants.jsonl").exists()
     assert "restaurants:" in result.output
+
+
+def test_cli_index_build_reports_a_file_that_is_no_database(tmp_path, cli_env):
+    db_root = tmp_path / "databases"
+    db_root.mkdir()
+    (db_root / "broken.sqlite").write_bytes(b"plain text, not a database\n" * 100)
+    result = cli_env.invoke(cli_main, [
+        "index", "build", "--db-root", str(db_root),
+        "--out-dir", str(tmp_path / "indexes"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+    assert len(error) == 1 and "not a database" in error[0], result.output
 
 
 def test_cli_index_build_finds_both_layouts(tmp_path, cli_env):

@@ -47,6 +47,15 @@ def test_search_config_rejects_bad_sample_counts_and_temperatures():
             SearchConfig(**bad)
 
 
+@pytest.mark.parametrize("name", ["uct_c", "t_expansion", "t_reward"])
+def test_search_config_rejects_non_finite_settings(name):
+    # a NaN exploration constant leaves UCT no maximum to select, and a NaN
+    # temperature cannot be sent in a JSON request
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractViolation, match=name):
+            SearchConfig(**{name: bad})
+
+
 def test_search_config_rejects_out_of_range_sql_bounds():
     # a negative row cap would turn the cap off; a zero timeout fails every query
     for bad in ({"row_cap": -1}, {"sql_timeout_secs": 0},

@@ -65,14 +65,6 @@ def test_rows_result_set_semantics():
     assert results_equal(a, b)
 
 
-def test_rows_result_multiset_semantics():
-    a = rows_result([(1,), (1,), (2,)], multiset=True)
-    b = rows_result([(2,), (1,)], multiset=True)
-    c = rows_result([(1,), (2,), (1,)], multiset=True)
-    assert not results_equal(a, b)
-    assert results_equal(a, c)
-
-
 # ---- results_equal is an equivalence relation on row outcomes ----
 
 def random_result(rng: random.Random) -> ExecutionResult:
@@ -294,30 +286,26 @@ def test_timeout_does_not_poison_later_queries(restaurant_db):
 
 def test_brief_rendering(restaurant_db):
     res = execute_sql("SELECT COUNT(*) FROM generalinfo", restaurant_db)
-    assert res.brief().startswith("Rows:")
-    assert "(7,)" in res.brief()
-    assert error_result("boom").brief() == "Error: boom"
-    assert timeout_result().brief() == "Error: query timed out"
+    assert res.brief.startswith("Rows:")
+    assert "(7,)" in res.brief
+    assert error_result("boom").brief == "Error: boom"
+    assert timeout_result().brief == "Error: query timed out"
     long = rows_result([(i, "x" * 40) for i in range(30)])
-    assert len(long.brief(limit=200)) <= 220
-    assert "truncated" in long.brief()
+    # the rows text is cut to 500 characters, the last three "...", and 30
+    # rows, of which 20 are shown, add the suffix
+    assert len(long.brief) == len("Rows: ") + 500 + len(" (truncated)")
+    assert long.brief.endswith("... (truncated)")
+    assert rows_result([(1, "x")], truncated=True).brief == \
+        "Rows: [(1, 'x')] (truncated)"
+    assert rows_result([(1, "x")]).brief == "Rows: [(1, 'x')]"
 
 
-def test_brief_is_built_once_per_result(monkeypatch):
-    limits: list[int] = []
-    render = ExecutionResult._render_brief
-
-    def counting_render(self, limit):
-        limits.append(limit)
-        return render(self, limit)
-
-    monkeypatch.setattr(ExecutionResult, "_render_brief", counting_render)
+def test_brief_is_built_once_per_result():
+    # a revision chain reads it every round, of the same memoized result
     res = rows_result([(i, "x" * 40) for i in range(30)])
-    assert res.brief() is res.brief()
-    assert limits == [500]
-    res.brief(limit=200)  # another length is built each time it is asked
-    res.brief(limit=200)
-    assert limits == [500, 200, 200]
+    assert "brief" not in vars(res)  # built on first use
+    text = res.brief
+    assert vars(res)["brief"] is text and res.brief is text
     # the kept text is no field: equality and hash are the result's own
     fresh = rows_result([(i, "x" * 40) for i in range(30)])
     assert res == fresh and hash(res) == hash(fresh)

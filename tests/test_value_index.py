@@ -543,15 +543,6 @@ def test_retrieve_near_miss_value(restaurant_index, hash_embedder):
     assert any(r.record.value == "albany" for r in out)
 
 
-def test_retrieve_or_mode_admits_either_gate(restaurant_index, hash_embedder):
-    out_and = retrieve_values(restaurant_index, ["albany."], hash_embedder,
-                              cfg_with(retrieval_mode="and"))
-    out_or = retrieve_values(restaurant_index, ["albany."], hash_embedder,
-                             cfg_with(retrieval_mode="or"))
-    assert {r.record.value for r in out_and} <= {r.record.value for r in out_or}
-    assert any(r.record.value == "albany" for r in out_or)
-
-
 def test_retrieval_none_embedder_reports_zero_semantic(restaurant_index):
     out = retrieve_values(restaurant_index, ["thai"], None, cfg_with())
     assert out
@@ -661,10 +652,9 @@ def _sha(data: bytes) -> str:
 
 def _golden_digests(index, embedder) -> dict[str, str]:
     outs = []
-    for mode, emb in (("and", None), ("or", None), ("and", embedder),
-                      ("or", embedder)):
+    for emb in (None, embedder):
         out = retrieve_values(index, _GOLDEN_KEYWORDS, emb,
-                              cfg_with(retrieval_mode=mode, top_m_per_column=50))
+                              cfg_with(top_m_per_column=50))
         outs.append([(r.record.table, r.record.column, r.record.value,
                       r.edit_sim, r.semantic_sim) for r in out])
     return {
@@ -679,7 +669,7 @@ def test_golden_restaurant_index(restaurant_index, hash_embedder):
     assert _golden_digests(restaurant_index, hash_embedder) == {
         "signatures": "58e4bb70dbfb7cde473db233ebfdcfb94562829691a6586f35b7495d7a6348a0",
         "buckets": "011fcdc0ad3e75cb428db7f4c3a322c54d30895aa9a5e7f39692ae7aa746628c",
-        "retrieval": "453a39b98df6359822c48cf564842ecf4b8b70a0520a145ccfff84370b3fe687",
+        "retrieval": "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
     }
 
 
@@ -692,5 +682,5 @@ def test_golden_unicode_index(golden_index, hash_embedder):
     assert _golden_digests(golden_index, hash_embedder) == {
         "signatures": "f9868c602ca23d8debfc4894f564f95f51e14bcadc745ac192472a2008b13b2f",
         "buckets": "d4054e4f4b1892af797b2bef3a98442a6d39defcb4a27ba24bbae2f09390915e",
-        "retrieval": "4954187918a7fd721e1acb6725f79171163de2438ab1e9879185b1b8da670721",
+        "retrieval": "f154d93aefb6d7b4bd194ab3c6f64ed47ec020806b2e4840083b8f7442bde6b3",
     }
