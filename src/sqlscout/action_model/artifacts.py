@@ -21,10 +21,11 @@ Answer = str | SchemaKey
 
 class Step(NamedTuple):
     """What one sample of an action yields: its answer (None for termination)
-    and, for a revision, the (sql, execution result text) it was prompted with."""
+    and the prompt that sample answered, which the new node keeps for the
+    reward (None for termination and for a revision chain that ran no round)."""
 
     answer: Answer | None
-    feedback: tuple[str, str] | None = None
+    prompt: str | None = None
 
 
 ANSWER_FIELD: dict[ActionKind, str] = {
@@ -59,17 +60,10 @@ def fingerprint(action: ActionKind, answer: Answer | None) -> str:
     return hashlib.sha1(material.encode("utf-8")).hexdigest()[:16]
 
 
-def advance(state: NodeState, action: ActionKind, answer,
-            feedback: tuple[str, str] | None = None) -> NodeState:
-    """New NodeState with the answer in its field and the action in its history.
-
-    `feedback` is the (sql, execution result text) a revision was prompted
-    with; the reward stage re-issues that prompt.
-    """
+def advance(state: NodeState, action: ActionKind, answer) -> NodeState:
+    """New NodeState with the answer in its field and the action in its history."""
     new = state.copy()
     if action in ANSWER_FIELD:
         setattr(new, ANSWER_FIELD[action], answer)
-    if action is ActionKind.SQL_REVISE:
-        new.revision_context = feedback
     new.history += (action,)
     return new

@@ -7,9 +7,9 @@ Termination is structural and calls no model. Actions read their inputs from
 the per-question search context `ctx` (`mcts.RolloutContext`, duck-typed),
 draw every sample through its memo `ctx.sample`, so a prompt that two paths
 of the search build alike is asked of the model once per question, and parse
-every text through its memo `ctx.parse`. A step is the parsed answer (and a
-revision's feedback), not yet a state: the caller advances a state only for
-a step whose answer it has not seen.
+every text through its memo `ctx.parse`. A step is the parsed answer and
+the prompt it answered, not yet a state: the caller advances a state only
+for a step whose answer it has not seen.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def run_action(action: ActionKind, state: NodeState,
         raw = ctx.sample(prompt, cfg.t_expansion, i, action.value)
         answer = ctx.parse(action, raw)
         if answer is not None:
-            out.append((Step(answer), raw))
+            out.append((Step(answer, prompt), raw))
     return out
 
 
@@ -61,37 +61,36 @@ def _run_revision_chain(chain: int, state: NodeState,
 
     The chain also ends at a fixed point: an answer that fails to parse, or
     that repeats the query it was asked to revise. Every later round would
-    build the same prompt and get the same memoized answer.
+    build the same prompt and get the same memoized answer. The step carries
+    the last answer that parsed, and the prompt of that answer.
     """
     if state.sql is None:
         raise ContractViolation("revision requires a SQL query in the state")
     cfg = ctx.cfg
     current = state.sql
     result = ctx.execute(current)
-    feedback = (current, result.brief)
-    last_raw: str | None = None
+    prompt = raw = None
     rounds = 0
     while not result.is_rows and rounds < cfg.n_revision:
-        feedback = (current, result.brief)
-        prompt = build_action_prompt(
+        asked = build_action_prompt(
             ActionKind.SQL_REVISE, ctx.q, state, ctx.catalog,
             retrieved_values=ctx.retrieved_map,
-            execution_feedback=feedback,
+            execution_feedback=(current, result.brief),
             schema_cache=ctx.schema_cache,
         )
-        raw = ctx.sample(prompt, cfg.t_expansion, chain, ActionKind.SQL_REVISE.value)
+        text = ctx.sample(asked, cfg.t_expansion, chain, ActionKind.SQL_REVISE.value)
         rounds += 1
-        sql = ctx.parse(ActionKind.SQL_REVISE, raw)
+        sql = ctx.parse(ActionKind.SQL_REVISE, text)
         if sql is None:
-            if last_raw is None:
+            if raw is None:
                 return []  # no round came back parseable
             break
-        last_raw = raw
+        prompt, raw = asked, text
         if sql == current:
             break
         current = sql
         result = ctx.execute(current)
-    return [(Step(current, feedback), last_raw or "")]
+    return [(Step(current, prompt), raw or "")]
 
 
 def extract_keywords(q: NLQuestion, model: ChatModel) -> list[str]:

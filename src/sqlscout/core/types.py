@@ -57,9 +57,7 @@ class NodeState:
     """Answers accumulated along one root-to-node path.
 
     history holds the actions of the path in order; each action appears at
-    most once. revision_context records the (sql, execution result
-    text) pair the last revision prompt was built from, so the reward stage
-    can re-issue the same prompt.
+    most once.
     """
 
     rephrased_question: str | None = None
@@ -67,7 +65,6 @@ class NodeState:
     value_notes: str | None = None
     function_notes: str | None = None
     sql: str | None = None
-    revision_context: tuple[str, str] | None = None
     history: tuple[ActionKind, ...] = ()
 
     def copy(self) -> NodeState:
@@ -77,7 +74,6 @@ class NodeState:
             value_notes=self.value_notes,
             function_notes=self.function_notes,
             sql=self.sql,
-            revision_context=self.revision_context,
             history=self.history,
         )
 
@@ -94,11 +90,15 @@ class SearchNode:
     Each child is one action instance, so the edge statistics the selection
     rule reads, Q(v, a) and N(v, a), are the child's own `value_sum` and
     `visit_count`. A node is dead once expansion gave it no children.
+    `prompt` is the prompt whose sample gave this node its answer (None for
+    the root, a termination, and a revision chain that ran no round); the
+    reward re-samples the prompt of a terminal's parent.
     """
 
     state: NodeState
     producing_action: ActionKind | None = None
     fingerprint: str = ""
+    prompt: str | None = field(default=None, repr=False)
     parent: SearchNode | None = field(default=None, repr=False)
     children: dict[EdgeKey, SearchNode] = field(default_factory=dict)
     visit_count: int = 0

@@ -23,11 +23,11 @@ from pathlib import Path
 
 from ..core.catalog import DatabaseCatalog, attach_descriptions, load_catalog
 from ..core.types import SearchConfig
-from ..errors import IngestionError
+from ..errors import IngestionError, ProtocolError, TransportError
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..mcts import prepare_context, run_search, serialize_tree
 from ..reward_select import select_final
-from ..sql_exec import Sandbox, execute_sql, results_equal
+from ..sql_exec import Sandbox, execute_sql, results_equal, same_rows_sql
 from ..value_index import ValueIndex, load_index
 from .baseline import baseline_generate
 from .dataset import BenchmarkItem
@@ -142,16 +142,18 @@ def run_one_item(
 
     Never raises for model/SQL-level problems: any failure is folded into
     the record as EX=0 with the cause, so one bad item cannot sink a run.
+    When the search yields no trajectory, one single-shot call answers; if
+    that call is lost too, the item keeps no SQL and is flagged
+    low-confidence, with no error.
 
     The item's `RolloutContext`, built in both modes, owns its memos: the
     search, final selection, the chosen query and the gold query all run
     SQL through `ctx.execute`, so each string runs at most once per item.
     Only `mcts` mode passes the value index, so `baseline` mode makes no
-    keyword call. One exception: a truncated gold result is run again
-    through the raw executor. `results_equal` counts a truncated result
-    equal only to the very same object, so the chosen query must not score
-    against the memo's copy of itself. Every statement of the item runs on
-    one `Sandbox` connection, closed when the item ends, also on an error.
+    keyword call. EX compares the chosen and the gold row sets; when either
+    result is truncated, SQLite compares the whole sets (`same_rows_sql`).
+    Every statement of the item runs on one `Sandbox` connection, closed
+    when the item ends, also on an error.
     """
     started = time.time()
     record = {
@@ -209,18 +211,29 @@ def run_one_item(
             else:
                 log.warning("search yielded no trajectories for %s; "
                             "using single-shot generation", item.question_id)
-                chosen = baseline_generate(item.question, catalog, model)
+                try:
+                    chosen = baseline_generate(item.question, catalog, model)
+                except (TransportError, ProtocolError) as exc:
+                    log.warning("single-shot generation for %s lost: %s: %s",
+                                item.question_id, type(exc).__name__, exc)
+                    record["low_confidence"] = True
         else:
             chosen = baseline_generate(item.question, catalog, model)
 
         record["sql"] = chosen
         gold_result = ctx.execute(item.gold_sql)
-        if gold_result.truncated:
-            gold_result = ctx.run_sql(item.gold_sql)
         if gold_result.kind != "rows":
             record["broken_gold"] = True
         elif chosen:
-            record["ex"] = int(results_equal(ctx.execute(chosen), gold_result))
+            chosen_result = ctx.execute(chosen)
+            if chosen_result.is_rows and (chosen_result.truncated
+                                          or gold_result.truncated):
+                verdict = execute_sql(
+                    same_rows_sql(chosen, item.gold_sql), env.db_path(item.db_id),
+                    cfg.sql_timeout_secs, row_cap=1, sandbox=sandbox)
+                record["ex"] = int(verdict.rows == {(1,)})
+            else:
+                record["ex"] = int(results_equal(chosen_result, gold_result))
     except Exception as exc:  # per-item isolation: record and move on
         log.exception("item %s failed", item.question_id)
         record["error"] = f"{type(exc).__name__}: {exc}"

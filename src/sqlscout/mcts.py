@@ -193,9 +193,10 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
             if key in node.children:
                 continue  # same answer already sampled; keep the first
             child = SearchNode(
-                state=advance(node.state, action, *step),
+                state=advance(node.state, action, step.answer),
                 producing_action=action,
                 fingerprint=key[1],
+                prompt=step.prompt,
                 parent=node,
             )
             node.children[key] = child

@@ -30,6 +30,12 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     samples lost to transport or protocol errors shrink the denominator, and
     zero obtainable samples scores 0 with a warning.
 
+    Termination only follows generation or revision, so the producer of the
+    final SQL is the terminal's parent, and the samples re-issue the prompt
+    that node kept: one-shot, with no internal revision loop. A revision
+    chain that ran no round kept none, because its query already returned
+    rows; for it the prompt is the one its first round would have sent.
+
     The samples go to `ctx.model` directly, not through the context's
     sample memo (their texts do go through its parse memo): the benchmark's
     reward check (`e2ebench/checks.py`, `check_rewards`) requires n_reward
@@ -42,7 +48,21 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     final_result = ctx.execute(state.sql)
     if not final_result.is_rows:
         return 0.0
-    producer, prompt = _producer_prompt(ctx, terminal)
+    producer = terminal.parent
+    if producer is None or producer.producing_action not in (
+            ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
+        raise ContractViolation("terminal does not follow an SQL-producing action")
+    prompt = producer.prompt
+    if prompt is None:  # a revision chain that ran no round
+        if (producer.producing_action is not ActionKind.SQL_REVISE
+                or producer.parent.state.sql != state.sql):
+            raise ContractViolation("producer node lacks the prompt it answered")
+        prompt = build_action_prompt(
+            ActionKind.SQL_REVISE, ctx.q, producer.parent.state, ctx.catalog,
+            retrieved_values=ctx.retrieved_map,
+            execution_feedback=(state.sql, final_result.brief),
+            schema_cache=ctx.schema_cache,
+        )
     cfg = ctx.cfg
     obtained = 0
     matched = 0
@@ -54,7 +74,7 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
             log.warning("reward sample %d lost: %s: %s", i, type(exc).__name__, exc)
             continue
         obtained += 1
-        sql = ctx.parse(producer, raw)
+        sql = ctx.parse(producer.producing_action, raw)
         if sql is None:
             continue  # counted in the denominator, never matches
         if results_equal(ctx.execute(sql), final_result):
@@ -63,30 +83,6 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
         log.warning("no reward samples obtained; scoring 0")
         return 0.0
     return matched / obtained
-
-
-def _producer_prompt(ctx, terminal: SearchNode) -> tuple[ActionKind, str]:
-    """The action that produced the final SQL, and its prompt rebuilt.
-
-    Termination only follows generation or revision, so the producer is the
-    terminal's parent, and the producer's parent state is exactly the state
-    that prompt was built from. A revision producer is re-issued one-shot
-    with its recorded execution feedback; no internal revision loop runs here.
-    """
-    producer = terminal.parent
-    if producer is None or producer.producing_action not in (
-            ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
-        raise ContractViolation("terminal does not follow an SQL-producing action")
-    feedback = None
-    if producer.producing_action is ActionKind.SQL_REVISE:
-        feedback = producer.state.revision_context
-        if feedback is None:
-            raise ContractViolation("revision node lacks its execution feedback")
-    return producer.producing_action, build_action_prompt(
-        producer.producing_action, ctx.q, producer.parent.state, ctx.catalog,
-        retrieved_values=ctx.retrieved_map, execution_feedback=feedback,
-        schema_cache=ctx.schema_cache,
-    )
 
 
 class _TrajectoryLike(Protocol):

@@ -255,6 +255,20 @@ def _authorize_read(action: int, *_: object) -> int:
     return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
 
 
+def same_rows_sql(a: str, b: str) -> str:
+    """A query that returns 1 if queries `a` and `b` return the same set of
+    rows and 0 if not: EXCEPT in both directions, each query a subquery.
+
+    This is BIRD's execution-accuracy rule, `set(pred) == set(gold)` over
+    the raw rows, decided by SQLite, so it also holds for results too large
+    to fetch. A trailing `;` is stripped, and each subquery closes on a new
+    line, so that a trailing `--` comment cannot swallow the parenthesis.
+    Queries of different arity make it an error.
+    """
+    a, b = (f"SELECT * FROM ({sql.strip().rstrip(';')}\n)" for sql in (a, b))
+    return f"SELECT NOT EXISTS ({a} EXCEPT {b}) AND NOT EXISTS ({b} EXCEPT {a})"
+
+
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
     """Row-set equality under canonicalization; failures never match.
 

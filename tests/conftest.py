@@ -247,8 +247,12 @@ def bird_dataset(tmp_path: Path) -> tuple[Path, Path]:
     return make_bird_dataset(tmp_path)
 
 
-def scripted_benchmark_model() -> ScriptedModel:
-    """Scripted answers for all four benchmark questions, search and baseline."""
+def scripted_benchmark_model(broken_a5_sample: int | None = None) -> ScriptedModel:
+    """Scripted answers for all four benchmark questions, search and baseline.
+
+    With `broken_a5_sample`, that sample index of every generation prompt
+    (indices 0 to 4 are scripted) answers BROKEN_SQL, which revision repairs.
+    """
     model = ScriptedModel()
     model.add(KEYWORD_MARK, '["thai", "albany", "review"]')
     model.add(
@@ -263,7 +267,11 @@ def scripted_benchmark_model() -> ScriptedModel:
         model.add(_marked(A1_MARK, marker),
                   f"Conditions split out.\nRephrased Question: {q['rephrased']}")
         model.add(_marked(A6_MARK, marker), sql_json(sql))
-        model.add(_marked(A5_MARK, marker), sql_json(sql))
+        a5 = sql_json(sql)
+        if broken_a5_sample is not None:
+            a5 = [a5] * 5
+            a5[broken_a5_sample] = sql_json(BROKEN_SQL)
+        model.add(_marked(A5_MARK, marker), a5)
         model.add(_marked(BASELINE_MARK, marker),
                   f"<think>direct lookup</think>\n<sql>{sql}</sql>")
     return model

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sqlscout.action_model import build_action_prompt
 from sqlscout.core.actions import enumerate_trajectories
 from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
@@ -190,13 +191,14 @@ def test_criterion_03_search_converges_across_seeds(accept_db, accept_catalog):
 
 # ---- 4. reward exactness ----
 
-def terminal_with_sql(sql: str) -> SearchNode:
+def terminal_with_sql(ctx, sql: str) -> SearchNode:
     root = SearchNode.root()
     state = root.state.copy()
     state.history += (A.SQL_GENERATE,)
     state.sql = sql
+    prompt = build_action_prompt(A.SQL_GENERATE, ctx.q, root.state, ctx.catalog)
     gen = SearchNode(state=state, producing_action=A.SQL_GENERATE,
-                     fingerprint="g", parent=root)
+                     fingerprint="g", prompt=prompt, parent=root)
     root.children[(A.SQL_GENERATE, "g")] = gen
     term_state = gen.state.copy()
     term_state.history += (A.TERMINATE,)
@@ -220,13 +222,13 @@ def test_criterion_04_reward_is_exact_match_fraction(accept_db, accept_catalog):
                 question, SearchConfig(n_reward=5, sql_timeout_secs=5.0),
                 model, accept_catalog, executor,
             )
-            assert compute_reward(ctx, terminal_with_sql(GOLD_SQL)) == m / 5
+            assert compute_reward(ctx, terminal_with_sql(ctx, GOLD_SQL)) == m / 5
 
         ctx = prepare_context(
             question, SearchConfig(n_reward=5, sql_timeout_secs=5.0),
             ScriptedModel(), accept_catalog, executor,
         )
-        assert compute_reward(ctx, terminal_with_sql(BROKEN_SQL)) == 0.0
+        assert compute_reward(ctx, terminal_with_sql(ctx, BROKEN_SQL)) == 0.0
 
 
 # ---- 5. expansion deduplication ----

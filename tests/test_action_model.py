@@ -368,9 +368,8 @@ def test_advance_transitions():
     assert s2.selected_schema == (("t", ("c",)),)
     s3 = advance(s2, A5, "SELECT 1")
     assert s3.sql == "SELECT 1"
-    s4 = advance(s3, A6, "SELECT 2", ("SELECT 1", "Error: x"))
+    s4 = advance(s3, A6, "SELECT 2")
     assert s4.sql == "SELECT 2"
-    assert s4.revision_context == ("SELECT 1", "Error: x")
     s5 = advance(s4, A7, None)
     assert s5.sql == "SELECT 2"
     assert s5.history == (A1, A2, A5, A6, A7)
@@ -393,7 +392,7 @@ def a5_state(sql: str) -> NodeState:
 def run_states(action, state, ctx) -> list[tuple[NodeState, str]]:
     """run_action's (step, raw) pairs as (child state, raw), as expansion
     advances a new step."""
-    return [(advance(state, action, *step), raw)
+    return [(advance(state, action, step.answer), raw)
             for step, raw in run_action(action, state, ctx)]
 
 
@@ -404,8 +403,9 @@ def test_run_action_samples_and_drops_bad_parses(restaurant_catalog,
     cfg = SearchConfig(n_expansion=3)
     ctx = action_ctx(restaurant_question, restaurant_catalog, cfg, model)
     out = run_action(A5, NodeState(), ctx)
-    # each parsed sample is a step, not yet a state
-    assert [step for step, _ in out] == [Step("SELECT 1"), Step("SELECT 1")]
+    # each parsed sample is a step, not yet a state; it keeps its prompt
+    prompt = model.calls[0][0]
+    assert [step for step, _ in out] == [Step("SELECT 1", prompt)] * 2
     out = run_states(A5, NodeState(), ctx)
     assert all(state.sql == "SELECT 1" for state, _ in out)
     assert all(state.history == (A5,) for state, _ in out)
@@ -450,9 +450,9 @@ def test_run_action_terminate_calls_no_model(restaurant_catalog,
 
 
 def revise(q, catalog, executor, model, sql: str, **cfg_kw):
+    """The revision steps of `sql`: (answer, prompt it answered) and raw text."""
     cfg = SearchConfig(sql_timeout_secs=5.0, **cfg_kw)
-    return run_states(A6, a5_state(sql),
-                      action_ctx(q, catalog, cfg, model, executor))
+    return run_action(A6, a5_state(sql), action_ctx(q, catalog, cfg, model, executor))
 
 
 def test_revision_clean_entry_uses_zero_rounds(restaurant_catalog,
@@ -462,10 +462,9 @@ def test_revision_clean_entry_uses_zero_rounds(restaurant_catalog,
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, GOLD_SQL, n_expansion=2, n_revision=3)
     assert len(out) == 2  # one child per chain
-    for state, raw in out:
-        assert state.sql == GOLD_SQL
+    for step, raw in out:
+        assert step == Step(GOLD_SQL, None)  # no round, so no prompt
         assert raw == ""
-        assert state.revision_context[0] == GOLD_SQL
     assert model.calls == []
 
 
@@ -476,13 +475,11 @@ def test_revision_repairs_in_one_round(restaurant_catalog, restaurant_question,
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, "SELEC broken", n_expansion=1, n_revision=3)
     assert len(out) == 1
-    state = out[0][0]
-    assert state.sql == GOLD_SQL
+    step = out[0][0]
+    assert step.answer == GOLD_SQL
     assert len(model.calls) == 1
-    from_sql, from_result = state.revision_context
-    assert from_sql == "SELEC broken"
-    assert from_result.startswith("Error:")
-    assert state.history == (A5, A6)
+    assert step.prompt == model.calls[0][0]
+    assert "SELEC broken" in step.prompt and "Error:" in step.prompt
 
 
 def test_revision_multi_round_feedback_chains(restaurant_catalog,
@@ -496,11 +493,12 @@ def test_revision_multi_round_feedback_chains(restaurant_catalog,
     out = revise(restaurant_question, restaurant_catalog, restaurant_executor,
                  model, "SELEC broken", n_expansion=1, n_revision=5)
     assert len(out) == 1
-    state = out[0][0]
-    assert state.sql == GOLD_SQL
+    step = out[0][0]
+    assert step.answer == GOLD_SQL
     assert len(model.calls) == 2
-    # context records the last failing attempt, not the original
-    assert state.revision_context[0] == half_fixed
+    # the prompt that answered is the last failing attempt's, not the original's
+    assert step.prompt == model.calls[1][0]
+    assert half_fixed in step.prompt
 
 
 def test_revision_round_budget_is_hard(restaurant_catalog, restaurant_question,
@@ -512,8 +510,8 @@ def test_revision_round_budget_is_hard(restaurant_catalog, restaurant_question,
     # round 2 answers the query it was asked to revise: the chain ends there
     assert len(model.calls) == 2
     assert len(out) == 1
-    assert out[0][0].sql == "STILL broken"
-    assert out[0][0].revision_context[0] == "STILL broken"
+    # round 2's prompt answered the query the step carries
+    assert out[0][0] == Step("STILL broken", model.calls[1][0])
 
 
 def test_revision_chain_ends_at_its_fixed_point(restaurant_catalog,
@@ -535,7 +533,7 @@ def test_revision_chain_ends_at_its_fixed_point(restaurant_catalog,
                  model, "SELEC broken", n_expansion=1, n_revision=10)
     assert len(prompts) == 2  # not n_revision: later rounds could change nothing
     assert len(model.calls) == 2
-    assert [state.sql for state, _ in out] == ["STILL broken"]
+    assert [step.answer for step, _ in out] == ["STILL broken"]
 
 
 def test_revision_chain_ends_at_an_unparseable_answer(restaurant_catalog,
@@ -550,10 +548,12 @@ def test_revision_chain_ends_at_an_unparseable_answer(restaurant_catalog,
                  model, "SELEC broken", n_expansion=1, n_revision=10)
     assert len(model.calls) == 2
     assert len(out) == 1
-    state, raw = out[0]
-    assert state.sql == half_fixed
+    step, raw = out[0]
+    assert step.answer == half_fixed
     assert raw == sql_json(half_fixed)  # the last answer that parsed
-    assert state.revision_context[0] == half_fixed
+    # and the prompt it answered: round 1's, not the unparseable round 2's
+    assert step.prompt == model.calls[0][0]
+    assert "SELEC broken" in step.prompt
 
 
 def test_revision_round_budget_is_hard_for_new_answers(restaurant_catalog,
@@ -571,8 +571,8 @@ def test_revision_round_budget_is_hard_for_new_answers(restaurant_catalog,
     assert len(calls) == 4  # exactly n_revision, never more
     assert len(set(calls)) == 4
     assert len(out) == 1
-    assert out[0][0].sql == "STILL broken 4"
-    assert out[0][0].revision_context[0] == "STILL broken 3"
+    assert out[0][0] == Step("STILL broken 4", calls[3])
+    assert "STILL broken 3" in calls[3]
 
 
 def test_revision_all_unparseable_yields_nothing(restaurant_catalog,

@@ -124,6 +124,7 @@ def test_fault_schedules_cost_samples_not_questions(tmp_path, monkeypatch):
         record = run_one_item(item, env, CFG)
         assert set(record) == RECORD_KEYS
         assert record["ex"] in (0, 1)
+        assert record["error"] is None  # a lost call costs a sample, or the SQL
 
     check()
     # the schedules reached the fault paths they are meant to test

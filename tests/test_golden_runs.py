@@ -5,13 +5,22 @@ scripted benchmark model and traces on, for seeds 0-2, with and without a
 value index. Everything but the model-call counts is pinned by digest; the
 call totals are pinned as exact numbers, so a change that only saves calls
 shows up there and nowhere else.
+
+The reward gets the prompt it re-samples in one of two ways: from the
+producer node, which kept it, or, for a revision that ran no round, by
+building the prompt that round would have sent. The scripted model always
+generates working SQL, so those runs revise in no round; one more pinned
+run answers one generation sample with broken SQL, so that its search also
+scores terminals whose revision ran a round.
 """
 
 import hashlib
 import json
+from collections import Counter
 
+import sqlscout.mcts as mcts
 from sqlscout.core.catalog import load_catalog
-from sqlscout.core.types import SearchConfig
+from sqlscout.core.types import ActionKind, SearchConfig
 from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark
 from sqlscout.harness.runner import (
     PREDICTIONS_NAME,
@@ -40,7 +49,13 @@ MODEL_CALLS = {
 }
 
 
-def scripted_run(root, seed: int, indexed: bool) -> dict[str, bytes]:
+# seed 0, no index, generation sample 1 broken for every question
+REVISING_SHA256 = "ee217d842bb0a7142e0e98a2f4861bb914eb1015df5d042afa54e136ee9f9626"
+REVISING_MODEL_CALLS = 779
+
+
+def scripted_run(root, seed: int, indexed: bool,
+                 model=None) -> dict[str, bytes]:
     """Run the benchmark once; return its artifacts in a canonical byte form."""
     dataset, db_root = make_bird_dataset(root)
     index_dir = None
@@ -50,7 +65,7 @@ def scripted_run(root, seed: int, indexed: bool) -> dict[str, bytes]:
         catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
                                db_id="restaurants")
         save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
-    env = RunEnvironment(model=scripted_benchmark_model(), db_root=db_root,
+    env = RunEnvironment(model=model or scripted_benchmark_model(), db_root=db_root,
                          index_dir=index_dir,
                          embedder=HashEmbedder(dim=64) if indexed else None)
     out = root / "run"
@@ -77,7 +92,25 @@ def scripted_run(root, seed: int, indexed: bool) -> dict[str, bytes]:
     }
 
 
-def test_scripted_runs_are_golden(tmp_path):
+def count_sampled_revisions(monkeypatch) -> Counter:
+    """Revision terminals whose reward draws samples, by whether the
+    revision kept a prompt ("revised") or ran no round ("zero_round")."""
+    revisions: Counter = Counter()
+    reward = mcts.compute_reward
+
+    def counting_reward(ctx, terminal):
+        producer = terminal.parent
+        if (producer.producing_action is ActionKind.SQL_REVISE
+                and ctx.execute(terminal.state.sql).is_rows):
+            revisions["zero_round" if producer.prompt is None else "revised"] += 1
+        return reward(ctx, terminal)
+
+    monkeypatch.setattr(mcts, "compute_reward", counting_reward)
+    return revisions
+
+
+def test_scripted_runs_are_golden(tmp_path, monkeypatch):
+    revisions = count_sampled_revisions(monkeypatch)
     digests = {name: hashlib.sha256() for name in GOLDEN_SHA256}
     calls = {}
     for seed, indexed in RUNS:
@@ -89,3 +122,14 @@ def test_scripted_runs_are_golden(tmp_path):
             digests[name].update(data)
     assert {name: d.hexdigest() for name, d in digests.items()} == GOLDEN_SHA256
     assert calls == MODEL_CALLS
+    assert revisions["zero_round"] and not revisions["revised"], revisions
+
+
+def test_scripted_run_with_revision_rounds_is_golden(tmp_path, monkeypatch):
+    revisions = count_sampled_revisions(monkeypatch)
+    run = scripted_run(tmp_path, 0, False,
+                       model=scripted_benchmark_model(broken_a5_sample=1))
+    assert run.pop("model_calls") == REVISING_MODEL_CALLS
+    digest = hashlib.sha256(b"".join(run[name] for name in sorted(run)))
+    assert digest.hexdigest() == REVISING_SHA256
+    assert revisions["zero_round"] and revisions["revised"], revisions

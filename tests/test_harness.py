@@ -478,19 +478,25 @@ def test_run_one_item_broken_gold(bird_dataset):
     }
 
 
-def test_run_one_item_transport_down_falls_back(bird_dataset):
+def test_run_one_item_transport_down_falls_back(bird_dataset, caplog):
     # a dead endpoint yields no trajectories; the item degrades to the
-    # single-shot path, which also fails, and the record captures EX=0
+    # single-shot path, which also fails: the item loses its SQL, not itself
     dataset, db_root = bird_dataset
-
-    class DownModel:
-        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
-            raise TransportError("refused")
-
     item = load_dataset(dataset)[0]
-    record = run_one_item(item, bench_env(db_root, DownModel()), bench_cfg())
-    assert record["ex"] == 0
-    assert record["error"]
+    for lost in (TransportError("refused"),
+                 ProtocolError("chat response content is not text")):
+
+        class DownModel:
+            def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+                raise lost
+
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            record = run_one_item(item, bench_env(db_root, DownModel()), bench_cfg())
+        assert (record["sql"], record["ex"], record["error"]) == ("", 0, None)
+        assert record["low_confidence"] is True
+        assert any(item.question_id in r.message
+                   and type(lost).__name__ in r.message for r in caplog.records)
 
 
 def test_run_one_item_survives_protocol_errors(bird_dataset, tmp_path):
@@ -570,6 +576,41 @@ def test_a_keyword_with_no_utf8_form_costs_only_that_keyword(bird_dataset,
     assert maps[0][1] and maps[0][1] == maps[1][1]
     assert records[0]["error"] is None and records[0]["ex"] == 1
     assert records[0] == records[1]
+
+
+def large_result_item(root: Path, rows: int) -> tuple[BenchmarkItem, Path]:
+    """A database whose table `t` holds `rows` rows, and an item whose gold
+    query returns them all."""
+    db_root = root / "databases"
+    (db_root / "big").mkdir(parents=True)
+    conn = sqlite3.connect(db_root / "big" / "big.sqlite")
+    conn.execute("CREATE TABLE t (x INTEGER)")
+    conn.executemany("INSERT INTO t VALUES (?)", ((i,) for i in range(rows)))
+    conn.commit()
+    conn.close()
+    item = BenchmarkItem(
+        question_id="big-0", gold_sql="SELECT x FROM t",
+        question=NLQuestion(question="List every x.", db_id="big"))
+    return item, db_root
+
+
+@pytest.mark.parametrize("predicted, ex", [
+    ("SELECT x FROM t", 1),
+    ("SELECT x FROM t ORDER BY x DESC;", 1),           # order and `;` ignored
+    ("SELECT x FROM t UNION ALL SELECT 0 -- twice", 1),  # a set, as in BIRD
+    ("SELECT x FROM t WHERE x > 0", 0),
+    ("SELECT x FROM t LIMIT 5", 0),                    # not truncated itself
+    ("SELECT x, x FROM t", 0),                         # other arity: an error
+    ("SELECT x FROM nowhere", 0),
+])
+def test_truncated_results_score_as_whole_row_sets(tmp_path, predicted, ex):
+    # 12,000 rows pass the 10,000-row cap: the result is truncated
+    item, db_root = large_result_item(tmp_path, 12_000)
+    model = ScriptedModel()
+    model.add(BASELINE_MARK, f"<sql>{predicted}</sql>")
+    record = run_one_item(item, bench_env(db_root, model), bench_cfg(),
+                          mode="baseline")
+    assert (record["sql"], record["ex"], record["error"]) == (predicted, ex, None)
 
 
 def test_run_benchmark_end_to_end(bird_dataset, tmp_path):

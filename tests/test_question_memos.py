@@ -211,12 +211,14 @@ def test_gold_query_shares_the_memo_unless_truncated(monkeypatch, bird_dataset):
                                                db_root=db_root), cfg)
     assert record["sql"] == item.gold_sql and record["ex"] == 1
     assert Counter(ran)[item.gold_sql] == 1  # the search's run serves the gold too
-    # every result truncated: a truncated result equals only the same object,
-    # so the chosen query must not score against the memo's copy of itself
+    # every result truncated: SQLite compares the whole row sets, so the
+    # gold text itself scores 1
+    ran.clear()
     record = run_one_item(item, RunEnvironment(model=scripted_benchmark_model(),
                                                db_root=db_root),
                           dataclasses.replace(cfg, row_cap=0))
-    assert record["sql"] == item.gold_sql and record["ex"] == 0
+    assert record["sql"] == item.gold_sql and record["ex"] == 1
+    assert Counter(ran)[item.gold_sql] == 1  # no raw re-run of the gold
 
 
 def counting_parse_and_fingerprint(monkeypatch) -> tuple[Counter, Counter]:

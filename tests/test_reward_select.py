@@ -6,11 +6,13 @@ from functools import partial
 
 import pytest
 
+import sqlscout.mcts as mcts
+import sqlscout.reward_select as reward_select
 from sqlscout.action_model import build_action_prompt
 from sqlscout.core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
 from sqlscout.errors import ContractViolation, TransportError
 from sqlscout.llm_client import ScriptedModel
-from sqlscout.mcts import RolloutContext, prepare_context
+from sqlscout.mcts import RolloutContext, prepare_context, run_search
 from sqlscout.reward_select import compute_reward, select_final
 from sqlscout.sql_exec import execute_sql
 
@@ -22,6 +24,7 @@ from conftest import (
     GOLD_SQL_ALT,
     HINT,
     QUESTION,
+    scripted_pipeline_model,
     sql_json,
 )
 
@@ -29,30 +32,35 @@ A = ActionKind
 
 
 def node_after(parent: SearchNode, action: ActionKind, *, sql=None,
-               revision_context=None) -> SearchNode:
+               prompt=None) -> SearchNode:
     state = parent.state.copy()
     state.history += (action,)
     if sql is not None:
         state.sql = sql
-    if action is A.SQL_REVISE:
-        state.revision_context = revision_context
     node = SearchNode(state=state, producing_action=action,
-                      fingerprint=f"fp-{action.value}", parent=parent)
+                      fingerprint=f"fp-{action.value}", prompt=prompt,
+                      parent=parent)
     parent.children[(action, node.fingerprint)] = node
     return node
 
 
-def generate_terminal(final_sql: str) -> SearchNode:
+def generate_terminal(ctx, final_sql: str) -> SearchNode:
+    """Terminal after a generation node that keeps the prompt it answered."""
     root = SearchNode.root()
-    gen = node_after(root, A.SQL_GENERATE, sql=final_sql)
+    prompt = build_action_prompt(A.SQL_GENERATE, ctx.q, root.state, ctx.catalog)
+    gen = node_after(root, A.SQL_GENERATE, sql=final_sql, prompt=prompt)
     return node_after(gen, A.TERMINATE)
 
 
-def revise_terminal(bad_sql: str, fixed_sql: str, feedback: tuple | None):
+def revise_terminal(ctx, bad_sql: str, fixed_sql: str,
+                    feedback: tuple | None) -> SearchNode:
+    """Terminal after a revision of `bad_sql`; with `feedback`, the revision
+    keeps the prompt built from it, else it ran no round and keeps none."""
     root = SearchNode.root()
     gen = node_after(root, A.SQL_GENERATE, sql=bad_sql)
-    rev = node_after(gen, A.SQL_REVISE, sql=fixed_sql,
-                     revision_context=feedback)
+    prompt = None if feedback is None else build_action_prompt(
+        A.SQL_REVISE, ctx.q, gen.state, ctx.catalog, execution_feedback=feedback)
+    rev = node_after(gen, A.SQL_REVISE, sql=fixed_sql, prompt=prompt)
     return node_after(rev, A.TERMINATE)
 
 
@@ -75,7 +83,7 @@ def test_reward_counts_matches_over_obtained(restaurant_catalog,
         sql_json(BROKEN_SQL),      # executes to an error: no match
     ])
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
-    reward = compute_reward(ctx, generate_terminal(GOLD_SQL))
+    reward = compute_reward(ctx, generate_terminal(ctx, GOLD_SQL))
     assert reward == pytest.approx(2 / 5)
     reward_calls = [c for c in model.calls if c[3] == "reward"]
     assert len(reward_calls) == 5
@@ -87,14 +95,14 @@ def test_reward_unanimous_is_exactly_one(restaurant_catalog,
     model = ScriptedModel()
     model.add(A5_MARK, sql_json(GOLD_SQL))
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
-    assert compute_reward(ctx, generate_terminal(GOLD_SQL)) == 1.0
+    assert compute_reward(ctx, generate_terminal(ctx, GOLD_SQL)) == 1.0
 
 
 def test_reward_erroring_final_scores_zero_without_sampling(
         restaurant_catalog, restaurant_executor):
     model = ScriptedModel()  # no rules: any model call would raise
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
-    assert compute_reward(ctx, generate_terminal(BROKEN_SQL)) == 0.0
+    assert compute_reward(ctx, generate_terminal(ctx, BROKEN_SQL)) == 0.0
     assert model.calls == []
 
 
@@ -117,7 +125,7 @@ def test_reward_transport_losses_shrink_denominator(restaurant_catalog,
                                                     restaurant_executor):
     model = FlakyModel(sql_json(GOLD_SQL), drop={1, 3})
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
-    assert compute_reward(ctx, generate_terminal(GOLD_SQL)) == 1.0  # 3/3
+    assert compute_reward(ctx, generate_terminal(ctx, GOLD_SQL)) == 1.0  # 3/3
     assert model.calls == 5
 
 
@@ -126,7 +134,7 @@ def test_reward_zero_obtained_scores_zero(restaurant_catalog,
     model = FlakyModel(sql_json(GOLD_SQL), drop={0, 1, 2, 3, 4})
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
     with caplog.at_level(logging.WARNING):
-        assert compute_reward(ctx, generate_terminal(GOLD_SQL)) == 0.0
+        assert compute_reward(ctx, generate_terminal(ctx, GOLD_SQL)) == 0.0
     assert any("no reward samples" in r.message for r in caplog.records)
 
 
@@ -154,35 +162,110 @@ def test_reward_reissues_generator_prompt_verbatim(restaurant_catalog,
     model = ScriptedModel()
     model.add(A5_MARK, sql_json(GOLD_SQL))
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
-    terminal = generate_terminal(GOLD_SQL)
+    terminal = generate_terminal(ctx, GOLD_SQL)
     compute_reward(ctx, terminal)
-    producer_parent_state = terminal.parent.parent.state
-    expected = build_action_prompt(
-        A.SQL_GENERATE, ctx.q, producer_parent_state, restaurant_catalog)
-    assert model.calls[0][0] == expected
+    assert {c[0] for c in model.calls} == {terminal.parent.prompt}
+
+
+def test_reward_generation_without_its_prompt_rejected(restaurant_catalog,
+                                                       restaurant_executor):
+    root = SearchNode.root()
+    term = node_after(node_after(root, A.SQL_GENERATE, sql=GOLD_SQL), A.TERMINATE)
+    ctx = make_ctx(ScriptedModel(), restaurant_catalog, restaurant_executor)
+    with pytest.raises(ContractViolation):
+        compute_reward(ctx, term)
 
 
 def test_reward_revision_producer_is_one_shot(restaurant_catalog,
                                               restaurant_executor):
-    feedback = (BROKEN_SQL, 'Error: near "SELEC": syntax error')
-    terminal = revise_terminal(BROKEN_SQL, GOLD_SQL, feedback)
     model = ScriptedModel()
     model.add(A6_MARK, sql_json(GOLD_SQL))
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
+    feedback = (BROKEN_SQL, 'Error: near "SELEC": syntax error')
+    terminal = revise_terminal(ctx, BROKEN_SQL, GOLD_SQL, feedback)
     assert compute_reward(ctx, terminal) == 1.0
     reward_calls = [c for c in model.calls if c[3] == "reward"]
     assert len(reward_calls) == 5  # one call per sample, no inner repair loop
     prompt = reward_calls[0][0]
+    assert prompt == terminal.parent.prompt
     assert BROKEN_SQL in prompt
     assert 'near "SELEC"' in prompt
 
 
+def test_reward_zero_round_revision_builds_its_first_round_prompt(
+        restaurant_catalog, restaurant_executor):
+    model = ScriptedModel()
+    model.add(A6_MARK, sql_json(GOLD_SQL))
+    ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
+    terminal = revise_terminal(ctx, GOLD_SQL, GOLD_SQL, None)
+    assert compute_reward(ctx, terminal) == 1.0
+    rows = ctx.execute(GOLD_SQL)
+    expected = build_action_prompt(
+        A.SQL_REVISE, ctx.q, terminal.parent.parent.state, restaurant_catalog,
+        execution_feedback=(GOLD_SQL, rows.brief))
+    assert {c[0] for c in model.calls} == {expected}
+    assert rows.brief.startswith("Rows:") and rows.brief in expected
+
+
 def test_reward_revision_without_feedback_rejected(restaurant_catalog,
                                                    restaurant_executor):
-    terminal = revise_terminal(BROKEN_SQL, GOLD_SQL, None)
+    # no prompt kept, yet the query changed: the chain must have run a round
     ctx = make_ctx(ScriptedModel(), restaurant_catalog, restaurant_executor)
+    terminal = revise_terminal(ctx, BROKEN_SQL, GOLD_SQL, None)
     with pytest.raises(ContractViolation):
         compute_reward(ctx, terminal)
+
+
+def test_search_rewards_resample_the_prompt_each_producer_kept(
+        monkeypatch, restaurant_catalog, restaurant_executor):
+    sampled: list[SearchNode] = []  # terminals whose reward draws samples
+    reward = mcts.compute_reward
+
+    def recording_reward(ctx, terminal):
+        if ctx.execute(terminal.state.sql).is_rows:
+            sampled.append(terminal)
+        return reward(ctx, terminal)
+
+    built: list[str] = []
+    build = reward_select.build_action_prompt
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(mcts, "compute_reward", recording_reward)
+    monkeypatch.setattr(reward_select, "build_action_prompt", recording_build)
+    # one sample per index up to n_reward; the third of the three expansion
+    # samples needs one revision round, the others none
+    model = scripted_pipeline_model(
+        a5_sql=[GOLD_SQL, GOLD_SQL_ALT, BROKEN_SQL, GOLD_SQL, GOLD_SQL_ALT])
+    ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
+    run_search(ctx)
+
+    n = ctx.cfg.n_reward
+    rewards = [c for c in model.calls if c[3] == "reward"]
+    asked = {(c[0], c[3]) for c in model.calls if c[3] != "reward"}
+    assert len(rewards) == n * len(sampled)
+    zero_round: list[str] = []
+    revised = 0
+    for i, terminal in enumerate(sampled):
+        group = rewards[i * n:(i + 1) * n]
+        assert [c[1:] for c in group] == [(1.0, j, "reward") for j in range(n)]
+        prompt = group[0][0]
+        assert {c[0] for c in group} == {prompt}
+        producer = terminal.parent
+        if producer.prompt is None:  # a revision chain that ran no round
+            assert producer.producing_action is A.SQL_REVISE
+            assert producer.state.sql == producer.parent.state.sql
+            assert "Rows: " in prompt
+            zero_round.append(prompt)
+        else:
+            assert prompt is producer.prompt
+            assert (prompt, producer.producing_action.value) in asked
+            revised += producer.producing_action is A.SQL_REVISE
+    # the reward builds a prompt for the zero-round revisions only
+    assert zero_round and built == zero_round
+    assert revised
 
 
 # ---- select_final ----

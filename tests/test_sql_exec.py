@@ -21,6 +21,7 @@ from sqlscout.sql_exec import (
     execute_sql,
     results_equal,
     rows_result,
+    same_rows_sql,
     timeout_result,
 )
 
@@ -396,3 +397,49 @@ def test_one_shot_execute_matches_a_sandbox(restaurant_db):
     with Sandbox(restaurant_db) as sandbox:
         for sql in queries:
             assert execute_sql(sql, restaurant_db) == sandbox.run(sql), sql
+
+
+# ---- whole-row-set comparison in SQLite ----
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+# few distinct values, so that equal sets come up often; 1 and 1.0 are equal
+# in Python and in SQLite alike
+CELLS = st.one_of(st.none(), st.integers(-2, 2), st.sampled_from([0.5, 1.0, -2.0]),
+                  st.sampled_from(["a", "b", "1", ""]), st.sampled_from([b"a", b""]))
+ROWS = st.lists(st.tuples(CELLS, CELLS), max_size=6)
+
+
+def same_rows_in_sqlite(pred_rows, gold_rows) -> tuple[bool, set, set]:
+    conn = sqlite3.connect(":memory:")
+    try:
+        for name, rows in (("p", pred_rows), ("g", gold_rows)):
+            conn.execute(f"CREATE TABLE {name} (a, b)")  # no type affinity
+            conn.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
+        pred = set(conn.execute("SELECT a, b FROM p"))
+        gold = set(conn.execute("SELECT a, b FROM g"))
+        (same,), = conn.execute(same_rows_sql("SELECT a, b FROM p;",
+                                              "SELECT a, b FROM g"))
+    finally:
+        conn.close()
+    return bool(same), pred, gold
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(ROWS, ROWS, st.booleans())
+def test_same_rows_sql_agrees_with_python_sets(pred, gold, reuse):
+    if reuse:  # the same set in another order, with repeats
+        gold = list(reversed(pred)) + pred[:2]
+    same, pred_set, gold_set = same_rows_in_sqlite(pred, gold)
+    assert same == (pred_set == gold_set)
+
+
+def test_same_rows_sql_fails_on_other_arity_and_survives_comments(restaurant_db):
+    with Sandbox(restaurant_db) as sandbox:
+        assert sandbox.run(same_rows_sql("SELECT 1 -- one", " SELECT 1.0 ;\n"),
+                           row_cap=1).rows == {(1,)}
+        assert sandbox.run(same_rows_sql("SELECT 1", "SELECT 2")).rows == {(0,)}
+        assert sandbox.run(same_rows_sql("SELECT 1", "SELECT 1, 1")).kind == "error"
+        cte = "WITH c(n) AS (SELECT 1 UNION SELECT 2) SELECT n FROM c"
+        assert sandbox.run(same_rows_sql(cte, "SELECT 2 UNION SELECT 1")
+                           ).rows == {(1,)}
