@@ -92,14 +92,13 @@ class SearchNode:
     `visit_count`. A node is dead once expansion gave it no children.
     `prompt` is the prompt whose sample gave this node its answer (None for
     the root, a termination, and a revision chain that ran no round); the
-    reward re-samples the prompt of a terminal's parent.
+    reward re-samples the prompt of a terminal's parent. Nothing points back
+    up the tree: a rollout carries its own root-to-node path, so a finished
+    tree is freed as soon as the last reference to its root is dropped.
     """
 
     state: NodeState
-    producing_action: ActionKind | None = None
-    fingerprint: str = ""
     prompt: str | None = field(default=None, repr=False)
-    parent: SearchNode | None = field(default=None, repr=False)
     children: dict[EdgeKey, SearchNode] = field(default_factory=dict)
     visit_count: int = 0
     value_sum: float = 0.0
@@ -111,21 +110,18 @@ class SearchNode:
         return cls(state=NodeState())
 
     @property
+    def producing_action(self) -> ActionKind | None:
+        """The action that created this node: its history's last; None at the root."""
+        history = self.state.history
+        return history[-1] if history else None
+
+    @property
     def is_terminal(self) -> bool:
         return self.producing_action is ActionKind.TERMINATE
 
     @property
     def dead(self) -> bool:
         return self.expanded and not self.children
-
-    def path_from_root(self) -> list[SearchNode]:
-        path: list[SearchNode] = []
-        node: SearchNode | None = self
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        return path
 
 
 @dataclass

@@ -13,14 +13,12 @@ from ..llm_client import ChatModel
 
 log = logging.getLogger(__name__)
 
-BASELINE_MAX_TOKENS = 2048
-
 
 def baseline_generate(question: NLQuestion, catalog: DatabaseCatalog,
-                      model: ChatModel) -> str:
+                      model: ChatModel, max_tokens: int) -> str:
     """One temperature-0 call; unparseable output degrades to an empty query."""
     raw = model.sample(build_baseline_prompt(question, catalog), 0.0,
-                       BASELINE_MAX_TOKENS, 0, tag="baseline")
+                       max_tokens, 0, tag="baseline")
     try:
         return parse_baseline_sql(raw)
     except ParseError as exc:

@@ -113,7 +113,8 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
 @click.option("--sds", is_flag=True,
               help="Stratified subsample before running: --sds-fraction of "
                    "each database's items, rounded up.")
-@click.option("--sds-fraction", type=float, default=0.10, show_default=True)
+@click.option("--sds-fraction", type=click.FloatRange(0, 1, min_open=True),
+              default=0.10, show_default=True)
 @click.option("--sds-file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Question-id file naming the exact subsample.")
 @click.option("--limit", type=click.IntRange(min=0), default=None,
@@ -143,7 +144,10 @@ def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
         items = filter_by_ids(items, load_question_ids(sds_file))
         click.echo(f"id file kept {len(items)}: {difficulty_counts(items)}")
     elif sds:
-        items = subsample_sds(items, fraction=sds_fraction, seed=cfg.rng_seed)
+        try:
+            items = subsample_sds(items, fraction=sds_fraction, seed=cfg.rng_seed)
+        except ContractViolation as exc:  # NaN passes the option's range
+            raise click.ClickException(str(exc)) from exc
         click.echo(f"subsampled {len(items)}: {difficulty_counts(items)}")
     if limit is not None:
         items = items[:limit]
@@ -211,7 +215,7 @@ def report(run_dir: str) -> None:
 @main.command()
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--question-id", required=True, help="Item whose tree to show.")
-@click.option("--max-sql", type=int, default=60, show_default=True,
+@click.option("--max-sql", type=click.IntRange(min=4), default=60, show_default=True,
               help="Truncate SQL display to this many characters.")
 def inspect(run_dir: str, question_id: str, max_sql: int) -> None:
     """Pretty-print a per-question search-tree trace."""

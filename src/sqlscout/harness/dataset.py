@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.types import NLQuestion
-from ..errors import IngestionError
+from ..errors import ContractViolation, IngestionError
 
 BIRD_DIFFICULTIES = ("simple", "moderate", "challenging")
 SPIDER_DIFFICULTIES = ("easy", "medium", "hard", "extra")
@@ -212,8 +212,11 @@ def subsample_sds(
 
     Each database gives its item count times `fraction`, rounded up, at
     least one and at most all of its items. Deterministic for a given
-    (items, fraction, seed); output keeps the original item order.
+    (items, fraction, seed); output keeps the original item order. A
+    fraction outside (0, 1], NaN included, is rejected.
     """
+    if not 0 < fraction <= 1:  # also rejects NaN
+        raise ContractViolation(f"subsample fraction must be in (0, 1], got {fraction}")
     groups: dict[str, list[int]] = {}
     for pos, item in enumerate(items):
         groups.setdefault(item.db_id, []).append(pos)

@@ -212,13 +212,14 @@ def run_one_item(
                 log.warning("search yielded no trajectories for %s; "
                             "using single-shot generation", item.question_id)
                 try:
-                    chosen = baseline_generate(item.question, catalog, model)
+                    chosen = baseline_generate(item.question, catalog, model,
+                                               cfg.max_tokens)
                 except (TransportError, ProtocolError) as exc:
                     log.warning("single-shot generation for %s lost: %s: %s",
                                 item.question_id, type(exc).__name__, exc)
                     record["low_confidence"] = True
         else:
-            chosen = baseline_generate(item.question, catalog, model)
+            chosen = baseline_generate(item.question, catalog, model, cfg.max_tokens)
 
         record["sql"] = chosen
         gold_result = ctx.execute(item.gold_sql)

@@ -290,23 +290,18 @@ class CachedEmbedder:
         self.model_name = model_name
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        rows: list[np.ndarray | None] = []
-        misses: list[str] = []
-        for text in texts:
+        """One row per text, in order; each distinct miss is fetched once."""
+        rows: dict[str, np.ndarray | None] = {}
+        for text in dict.fromkeys(texts):
             hit = self.cache.get(self.model_name, text, 0.0, 0)
-            rows.append(np.asarray(json.loads(hit)) if hit is not None else None)
-            if hit is None:
-                misses.append(text)
+            rows[text] = np.asarray(json.loads(hit)) if hit is not None else None
+        misses = [text for text, row in rows.items() if row is None]
         if misses:
-            fetched = self.inner.embed(misses)
-            it = iter(range(len(misses)))
-            for i, row in enumerate(rows):
-                if row is None:
-                    vec = fetched[next(it)]
-                    self.cache.put(self.model_name, texts[i], 0.0, 0,
-                                   json.dumps([float(x) for x in vec]))
-                    rows[i] = vec
-        return np.asarray(rows, dtype=np.float64)
+            for text, vec in zip(misses, self.inner.embed(misses)):
+                self.cache.put(self.model_name, text, 0.0, 0,
+                               json.dumps([float(x) for x in vec]))
+                rows[text] = vec
+        return np.asarray([rows[text] for text in texts], dtype=np.float64)
 
 
 # ---- test doubles ----

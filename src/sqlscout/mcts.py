@@ -3,9 +3,10 @@
 Each rollout walks the tree by UCT (unvisited children take absolute
 priority), expands the frontier by sampling the legal actions, continues with
 random unexplored children until a Terminate node, scores that terminal with
-the consistency reward, and propagates the reward up the path. After
-N_rollout rollouts every distinct terminal reached is returned as a candidate
-trajectory.
+the consistency reward, and propagates the reward along the path it took. A
+rollout carries that root-to-terminal path itself; no node points back up the
+tree. After N_rollout rollouts every distinct terminal reached is returned as
+a candidate trajectory.
 """
 
 from __future__ import annotations
@@ -120,21 +121,26 @@ class RolloutContext:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One complete root-to-Terminate path with its final SQL and reward."""
+    """One complete root-to-Terminate path; the terminal holds its SQL and reward."""
 
     nodes: tuple[SearchNode, ...]
-    final_sql: str
-    reward: float
-    rollout_index: int
 
     def __post_init__(self):
         last = self.nodes[-1]
-        if last.producing_action is not ActionKind.TERMINATE:
+        if not last.is_terminal:
             raise ContractViolation("trajectory must end at a Terminate node")
         if last.state.history.count(ActionKind.SQL_GENERATE) != 1:
             raise ContractViolation("trajectory must generate SQL exactly once")
         if not self.final_sql:
             raise ContractViolation("trajectory carries no final SQL")
+
+    @property
+    def final_sql(self) -> str:
+        return self.nodes[-1].state.sql or ""
+
+    @property
+    def reward(self) -> float:
+        return self.nodes[-1].reward
 
 
 def uct_value(q_sum: float, edge_n: int, node_n: int, c: float) -> float:
@@ -144,21 +150,24 @@ def uct_value(q_sum: float, edge_n: int, node_n: int, c: float) -> float:
     return q_sum / edge_n + c * math.sqrt(math.log(node_n) / edge_n)
 
 
-def select_path(root: SearchNode, cfg: SearchConfig, rng: random.Random) -> SearchNode:
-    """Walk argmax-UCT from the root until a frontier node.
+def select_path(root: SearchNode, cfg: SearchConfig,
+                rng: random.Random) -> list[SearchNode]:
+    """The path that argmax-UCT walks from the root to a frontier node.
 
     Unvisited children take priority over UCT: the walk stops at the first
-    node with one and returns one of them uniformly at random. Terminal,
-    dead, and unexpanded nodes return themselves.
+    node with one and ends with one of them, chosen uniformly at random. A
+    terminal, dead or unexpanded node ends the path itself.
     """
     node = root
+    path = [root]
     while True:
         if node.is_terminal or node.dead or not node.expanded:
-            return node
+            return path
         children = list(node.children.values())
         unvisited = [c for c in children if c.visit_count == 0]
         if unvisited:
-            return rng.choice(unvisited)
+            path.append(rng.choice(unvisited))
+            return path
         best_score = -math.inf
         best: list[SearchNode] = []
         for child in children:
@@ -169,9 +178,10 @@ def select_path(root: SearchNode, cfg: SearchConfig, rng: random.Random) -> Sear
             elif score == best_score:
                 best.append(child)
         node = rng.choice(best)
+        path.append(node)
 
 
-def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
+def expand_node(node: SearchNode, ctx: RolloutContext) -> None:
     """Create children for every legal action; duplicate answers collapse.
 
     Actions run in canonical order; randomness enters only at selection. A
@@ -180,7 +190,6 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
     """
     if node.is_terminal:
         raise ContractViolation("cannot expand a terminal node")
-    created: list[SearchNode] = []
     for action in valid_next_actions(node.state.history):
         try:
             pairs = run_action(action, node.state, ctx)
@@ -190,47 +199,39 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> list[SearchNode]:
             continue
         for step, _ in pairs:
             key = (action, ctx.fingerprint(action, step.answer))
-            if key in node.children:
-                continue  # same answer already sampled; keep the first
-            child = SearchNode(
-                state=advance(node.state, action, step.answer),
-                producing_action=action,
-                fingerprint=key[1],
-                prompt=step.prompt,
-                parent=node,
-            )
-            node.children[key] = child
-            created.append(child)
+            if key not in node.children:  # else keep the first such answer
+                node.children[key] = SearchNode(
+                    state=advance(node.state, action, step.answer),
+                    prompt=step.prompt,
+                )
     node.expanded = True
     if node.dead:
         log.warning("node with history %s is dead: no action produced children",
                     [a.value for a in node.state.history])
-    return created
 
 
-def simulate(node: SearchNode, ctx: RolloutContext,
-             rng: random.Random) -> SearchNode:
-    """Descend random unexplored children until a terminal (or dead) node."""
-    while True:
-        if node.is_terminal or node.dead:
-            return node
+def simulate(path: list[SearchNode], ctx: RolloutContext,
+             rng: random.Random) -> None:
+    """Extend the path with random unexplored children until it ends at a
+    terminal (or dead) node, expanding each unexpanded node on the way."""
+    node = path[-1]
+    while not (node.is_terminal or node.dead):
         if not node.expanded:
             expand_node(node, ctx)
             if node.dead:
-                return node
+                return
         unvisited = [c for c in node.children.values() if c.visit_count == 0]
-        pool = unvisited or list(node.children.values())
-        node = rng.choice(pool)
+        node = rng.choice(unvisited or list(node.children.values()))
+        path.append(node)
 
 
-def backpropagate(terminal: SearchNode, reward: float) -> None:
-    """Add the reward to Q and 1 to N of every node on the path; a node's
-    Q and N are its incoming edge's, and the root's N counts the rollouts."""
-    node: SearchNode | None = terminal
-    while node is not None:
+def backpropagate(path: list[SearchNode], reward: float) -> None:
+    """Add the reward to Q and 1 to N of every node on the rollout's path; a
+    node's Q and N are its incoming edge's, and the root's N counts the
+    rollouts."""
+    for node in path:
         node.value_sum += reward
         node.visit_count += 1
-        node = node.parent
 
 
 def run_search(ctx: RolloutContext) -> list[Trajectory]:
@@ -244,21 +245,17 @@ def run_search(ctx: RolloutContext) -> list[Trajectory]:
     rng = random.Random(cfg.rng_seed)
     root = SearchNode.root()
     trajectories: list[Trajectory] = []
-    for rollout in range(cfg.n_rollout):
-        node = select_path(root, cfg, rng)
-        terminal = simulate(node, ctx, rng)
+    for _ in range(cfg.n_rollout):
+        path = select_path(root, cfg, rng)
+        simulate(path, ctx, rng)
+        terminal = path[-1]
         if terminal.dead:
-            backpropagate(terminal, 0.0)
+            backpropagate(path, 0.0)
             continue
         if terminal.reward is None:
-            terminal.reward = compute_reward(ctx, terminal)
-            trajectories.append(Trajectory(
-                nodes=tuple(terminal.path_from_root()),
-                final_sql=terminal.state.sql or "",
-                reward=terminal.reward,
-                rollout_index=rollout,
-            ))
-        backpropagate(terminal, terminal.reward)
+            terminal.reward = compute_reward(ctx, path)
+            trajectories.append(Trajectory(nodes=tuple(path)))
+        backpropagate(path, terminal.reward)
     audit_tree(root)
     return trajectories
 
@@ -291,42 +288,43 @@ def prepare_context(q: NLQuestion, cfg: SearchConfig, model: ChatModel,
 
 def audit_tree(root: SearchNode) -> None:
     """Structural invariants over the whole tree; raises on violation."""
+    seen: set[int] = set()
     stack = [root]
     while stack:
         node = stack.pop()
-        valid_next_actions(node.state.history)  # raises on an illegal history
-        for (action, fp), child in node.children.items():
-            if child.producing_action is not action or child.fingerprint != fp:
+        if id(node) in seen:
+            raise ContractViolation("node reached by more than one edge")
+        seen.add(id(node))
+        history = node.state.history
+        valid_next_actions(history)  # raises on an illegal history
+        for edge, child in node.children.items():
+            if child.state.history != history + (edge[0],):
                 raise ContractViolation("child keyed under the wrong edge")
             if not 0 <= child.value_sum <= child.visit_count:
                 raise ContractViolation(
-                    f"edge {(action, fp)} has Q={child.value_sum} outside "
+                    f"edge {edge} has Q={child.value_sum} outside "
                     f"[0, N={child.visit_count}]"
                 )
-            if child.parent is not node:
-                raise ContractViolation("child has a foreign parent")
             stack.append(child)
 
 
 def serialize_tree(root: SearchNode) -> dict:
     """JSON-ready dump of the tree for trace files and the inspect command."""
     nodes: list[dict] = []
-    ids: dict[int, int] = {}
-    stack = [root]
-    order: list[SearchNode] = []
+    # depth-first, children in edge order; each entry carries its parent's
+    # id and its edge's fingerprint
+    stack: list[tuple[SearchNode, int | None, str]] = [(root, None, "")]
     while stack:
-        node = stack.pop()
-        ids[id(node)] = len(order)
-        order.append(node)
-        stack.extend(reversed(list(node.children.values())))
-    for node in order:
-        parent_id = ids[id(node.parent)] if node.parent is not None else None
+        node, parent_id, fp = stack.pop()
+        node_id = len(nodes)
+        stack.extend((child, node_id, child_fp) for (_, child_fp), child
+                     in reversed(node.children.items()))
         visited = parent_id is not None and node.visit_count > 0
         nodes.append({
-            "id": ids[id(node)],
+            "id": node_id,
             "parent": parent_id,
             "action": node.producing_action.value if node.producing_action else None,
-            "fingerprint": node.fingerprint or None,
+            "fingerprint": fp or None,
             "visits": node.visit_count,
             "edge_q": round(node.value_sum, 6) if visited else None,
             "edge_n": node.visit_count if visited else None,

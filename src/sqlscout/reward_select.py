@@ -21,8 +21,10 @@ from .sql_exec import ExecutionResult, results_equal
 log = logging.getLogger(__name__)
 
 
-def compute_reward(ctx, terminal: SearchNode) -> float:
+def compute_reward(ctx, path: Sequence[SearchNode]) -> float:
     """Fraction of re-sampled queries whose results match the final SQL's.
+
+    `path` is the rollout's root-to-terminal path; its last node is scored.
 
     `ctx` is the per-question search context (question, config, model,
     catalog, memoized execute and parse). A final SQL that fails to execute
@@ -31,10 +33,11 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     zero obtainable samples scores 0 with a warning.
 
     Termination only follows generation or revision, so the producer of the
-    final SQL is the terminal's parent, and the samples re-issue the prompt
-    that node kept: one-shot, with no internal revision loop. A revision
-    chain that ran no round kept none, because its query already returned
-    rows; for it the prompt is the one its first round would have sent.
+    final SQL is the terminal's parent, `path[-2]`, and the samples re-issue
+    the prompt that node kept: one-shot, with no internal revision loop. A
+    revision chain that ran no round kept none, because its query already
+    returned rows; for it the prompt is the one its first round would have
+    sent from the state before it, `path[-3]`.
 
     The samples go to `ctx.model` directly, not through the context's
     sample memo (their texts do go through its parse memo): the benchmark's
@@ -42,23 +45,23 @@ def compute_reward(ctx, terminal: SearchNode) -> float:
     endpoint calls for every scored terminal, also when a sibling terminal
     re-sampled the same prompt.
     """
-    state = terminal.state
+    state = path[-1].state
     if not state.sql:
         raise ContractViolation("reward requires a terminal state with SQL")
     final_result = ctx.execute(state.sql)
     if not final_result.is_rows:
         return 0.0
-    producer = terminal.parent
+    producer = path[-2] if len(path) > 1 else None
     if producer is None or producer.producing_action not in (
             ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
         raise ContractViolation("terminal does not follow an SQL-producing action")
     prompt = producer.prompt
     if prompt is None:  # a revision chain that ran no round
         if (producer.producing_action is not ActionKind.SQL_REVISE
-                or producer.parent.state.sql != state.sql):
+                or path[-3].state.sql != state.sql):
             raise ContractViolation("producer node lacks the prompt it answered")
         prompt = build_action_prompt(
-            ActionKind.SQL_REVISE, ctx.q, producer.parent.state, ctx.catalog,
+            ActionKind.SQL_REVISE, ctx.q, path[-3].state, ctx.catalog,
             retrieved_values=ctx.retrieved_map,
             execution_feedback=(state.sql, final_result.brief),
             schema_cache=ctx.schema_cache,

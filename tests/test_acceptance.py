@@ -112,19 +112,15 @@ def test_criterion_02_uct_and_unvisited_priority():
             root.expanded = True
             root.visit_count = 20
             for fp, action in (("hot1", A.REPHRASE), ("hot2", A.SCHEMA_SELECT)):
-                child = SearchNode(state=root.state.copy(),
-                                   producing_action=action, fingerprint=fp,
-                                   parent=root)
+                child = SearchNode(state=root.state.copy())
                 child.state.history += (action,)
                 child.value_sum, child.visit_count = 10.0, 10
                 root.children[(action, fp)] = child
-            fresh = SearchNode(state=root.state.copy(),
-                               producing_action=A.VALUE_IDENT, fingerprint="new",
-                               parent=root)
+            fresh = SearchNode(state=root.state.copy())
             fresh.state.history += (A.VALUE_IDENT,)
             root.children[(A.VALUE_IDENT, "new")] = fresh
             picked = select_path(root, SearchConfig(), random.Random(seed))
-            assert picked is fresh  # absolute priority over any UCT score
+            assert picked == [root, fresh]  # absolute priority over any UCT score
 
 
 # ---- 3. convergence on a scripted environment ----
@@ -191,21 +187,20 @@ def test_criterion_03_search_converges_across_seeds(accept_db, accept_catalog):
 
 # ---- 4. reward exactness ----
 
-def terminal_with_sql(ctx, sql: str) -> SearchNode:
+def terminal_with_sql(ctx, sql: str) -> list[SearchNode]:
+    """Root-to-terminal path through a generation node that keeps its prompt."""
     root = SearchNode.root()
     state = root.state.copy()
     state.history += (A.SQL_GENERATE,)
     state.sql = sql
     prompt = build_action_prompt(A.SQL_GENERATE, ctx.q, root.state, ctx.catalog)
-    gen = SearchNode(state=state, producing_action=A.SQL_GENERATE,
-                     fingerprint="g", prompt=prompt, parent=root)
+    gen = SearchNode(state=state, prompt=prompt)
     root.children[(A.SQL_GENERATE, "g")] = gen
     term_state = gen.state.copy()
     term_state.history += (A.TERMINATE,)
-    term = SearchNode(state=term_state, producing_action=A.TERMINATE,
-                      fingerprint="", parent=gen)
+    term = SearchNode(state=term_state)
     gen.children[(A.TERMINATE, "")] = term
-    return term
+    return [root, gen, term]
 
 
 def test_criterion_04_reward_is_exact_match_fraction(accept_db, accept_catalog):

@@ -98,12 +98,12 @@ def count_sampled_revisions(monkeypatch) -> Counter:
     revisions: Counter = Counter()
     reward = mcts.compute_reward
 
-    def counting_reward(ctx, terminal):
-        producer = terminal.parent
+    def counting_reward(ctx, path):
+        producer = path[-2]
         if (producer.producing_action is ActionKind.SQL_REVISE
-                and ctx.execute(terminal.state.sql).is_rows):
+                and ctx.execute(path[-1].state.sql).is_rows):
             revisions["zero_round" if producer.prompt is None else "revised"] += 1
-        return reward(ctx, terminal)
+        return reward(ctx, path)
 
     monkeypatch.setattr(mcts, "compute_reward", counting_reward)
     return revisions

@@ -16,7 +16,12 @@ from click.testing import CliRunner
 
 from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import NLQuestion, SearchConfig
-from sqlscout.errors import IngestionError, ProtocolError, TransportError
+from sqlscout.errors import (
+    ContractViolation,
+    IngestionError,
+    ProtocolError,
+    TransportError,
+)
 from sqlscout.harness import (
     BenchmarkItem,
     RunEnvironment,
@@ -183,6 +188,14 @@ def test_subsample_modes():
     assert len(subsample_sds(items5, fraction=0.10)) == 1
 
 
+@pytest.mark.parametrize("fraction", [math.nan, 5.0, 1.0001, 0.0, -1.0])
+def test_subsample_rejects_a_fraction_outside_zero_to_one(fraction):
+    # NaN failed inside math.ceil, 5.0 kept every item and -1 one per database
+    with pytest.raises(ContractViolation, match="fraction"):
+        subsample_sds(many_items(10, ("alpha", "beta")), fraction=fraction)
+    assert len(subsample_sds(many_items(10, ("alpha",)), fraction=1.0)) == 10
+
+
 def test_filter_by_ids_keeps_order_and_validates():
     items = many_items(5, ("alpha",))
     kept = filter_by_ids(items, ["alpha-3", "alpha-1"])
@@ -289,7 +302,7 @@ def test_item_seed_stable_and_distinct():
 def test_baseline_single_call(restaurant_catalog):
     model = scripted_benchmark_model()
     q = NLQuestion(question=QUESTION, db_id="restaurants")
-    sql = baseline_generate(q, restaurant_catalog, model)
+    sql = baseline_generate(q, restaurant_catalog, model, 2048)
     assert sql == GOLD_SQL
     assert len(model.calls) == 1
     prompt, temperature, index, tag = model.calls[0]
@@ -301,7 +314,7 @@ def test_baseline_unparseable_returns_empty(restaurant_catalog):
     model = ScriptedModel()
     model.add(BASELINE_MARK, "I cannot write SQL today.")
     q = NLQuestion(question=QUESTION, db_id="restaurants")
-    assert baseline_generate(q, restaurant_catalog, model) == ""
+    assert baseline_generate(q, restaurant_catalog, model, 2048) == ""
 
 
 # ---- run_one_item and run_benchmark ----
@@ -497,6 +510,30 @@ def test_run_one_item_transport_down_falls_back(bird_dataset, caplog):
         assert record["low_confidence"] is True
         assert any(item.question_id in r.message
                    and type(lost).__name__ in r.message for r in caplog.records)
+
+
+def test_run_one_item_sends_the_configured_max_tokens_single_shot(bird_dataset):
+    # the search loses every call and yields no trajectory; the single-shot
+    # fallback, like baseline mode, asks for SearchConfig.max_tokens
+    dataset, db_root = bird_dataset
+    item = load_dataset(dataset)[0]
+    inner = scripted_benchmark_model()
+    sent: list[tuple[str, int]] = []
+
+    class SearchDownModel:
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            sent.append((tag, max_tokens))
+            if tag != "baseline":
+                raise TransportError("refused")
+            return inner.sample(prompt, temperature, max_tokens, sample_index, tag)
+
+    cfg = bench_cfg(max_tokens=512)
+    for mode in ("mcts", "baseline"):
+        sent.clear()
+        record = run_one_item(item, bench_env(db_root, SearchDownModel()), cfg,
+                              mode=mode)
+        assert record["ex"] == 1, record
+        assert ("baseline", 512) in sent and {n for _, n in sent} == {512}
 
 
 def test_run_one_item_survives_protocol_errors(bird_dataset, tmp_path):
@@ -982,6 +1019,45 @@ def test_cli_report_empty_dir(tmp_path, cli_env):
     result = cli_env.invoke(cli_main, ["report", str(tmp_path)])
     assert result.exit_code != 0
     assert "no records" in result.output
+
+
+@pytest.mark.parametrize("value, code", [("nan", 1), ("5.0", 2), ("-1", 2), ("0", 2)])
+def test_cli_run_rejects_a_subsample_fraction_outside_zero_to_one(
+        bird_dataset, tmp_path, cli_env, value, code):
+    dataset, db_root = bird_dataset
+    out_dir = tmp_path / "run"
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(out_dir), "--mode", "baseline", "--sds",
+        "--sds-fraction", value,
+    ])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    assert "fraction" in result.output
+    assert not (out_dir / REPORT_NAME).exists()
+
+
+def test_cli_inspect_truncates_sql_to_max_sql(tmp_path, cli_env):
+    sql = "SELECT COUNT(*) FROM generalinfo WHERE id_restaurant > 7"
+    node = {"id": 0, "parent": None, "action": None, "visits": 1, "edge_q": None,
+            "edge_n": None, "reward": None, "dead": False, "sql": sql}
+    (tmp_path / TRACES_DIR).mkdir()
+    (tmp_path / TRACES_DIR / "7.json").write_text(json.dumps({"nodes": [node]}),
+                                                   encoding="utf-8")
+
+    def shown(max_sql: str):
+        return cli_env.invoke(cli_main, ["inspect", str(tmp_path),
+                                         "--question-id", "7", "--max-sql", max_sql])
+
+    for limit in (4, 10, len(sql)):
+        result = shown(str(limit))
+        assert result.exit_code == 0, result.output
+        shown_sql = re.search(r"sql='(.*)'", result.output).group(1)
+        assert len(shown_sql) == min(limit, len(sql))
+    for limit in ("3", "0", "-2"):  # `sql[:max_sql - 3]` would keep too much
+        result = shown(limit)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--max-sql'" in result.output
 
 
 def test_cli_inspect_missing_trace(tmp_path, cli_env):

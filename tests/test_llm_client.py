@@ -237,6 +237,27 @@ def test_cached_embedder_mixes_hits_and_misses(tmp_path):
     np.testing.assert_allclose(second[0], first[1], atol=1e-12)
 
 
+def test_cached_embedder_fetches_a_repeated_miss_once(tmp_path):
+    # retrieval can pass one text twice: a value in two columns, or a value
+    # equal to its keyword
+    inner = HashEmbedder(dim=8)
+    counted = []
+
+    class Spy:
+        def embed(self, texts):
+            counted.append(list(texts))
+            return inner.embed(texts)
+
+    embedder = CachedEmbedder(Spy(), ResponseCache(tmp_path), "emb")
+    rows = embedder.embed(["Paris", "Paris", "Lyon"])
+    assert counted == [["Paris", "Lyon"]]
+    np.testing.assert_allclose(rows, inner.embed(["Paris", "Paris", "Lyon"]),
+                               atol=1e-12)
+    again = embedder.embed(["Lyon", "Paris", "Lyon"])
+    assert counted == [["Paris", "Lyon"]]  # all hits now
+    np.testing.assert_allclose(again, rows[[2, 0, 2]], atol=1e-12)
+
+
 # ---- doubles ----
 
 def test_scripted_model_rules_in_order():

@@ -1,8 +1,10 @@
 """Tree search mechanics: selection math, expansion dedup, accounting."""
 
+import gc
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -94,8 +96,7 @@ def child_of(parent: SearchNode, action: ActionKind, fp: str) -> SearchNode:
     state.history += (action,)
     if action is A.SQL_GENERATE:
         state.sql = "SELECT 1"
-    node = SearchNode(state=state, producing_action=action, fingerprint=fp,
-                      parent=parent)
+    node = SearchNode(state=state)
     parent.children[(action, fp)] = node
     return node
 
@@ -107,8 +108,7 @@ def test_select_path_prefers_unvisited_child():
     seen = child_of(root, A.REPHRASE, "a")
     seen.value_sum, seen.visit_count = 9.0, 9
     fresh = child_of(root, A.SCHEMA_SELECT, "b")
-    picked = select_path(root, SearchConfig(), random.Random(0))
-    assert picked is fresh
+    assert select_path(root, SearchConfig(), random.Random(0)) == [root, fresh]
 
 
 def test_select_path_takes_uct_argmax():
@@ -123,7 +123,7 @@ def test_select_path_takes_uct_argmax():
     c = math.sqrt(2)
     assert oracle_uct(3, 3, 4, c) > oracle_uct(0, 1, 4, c)
     picked = select_path(root, SearchConfig(), random.Random(0))
-    assert picked is a1  # the higher-UCT edge, and a1 is unexpanded so it stops there
+    assert picked == [root, a1]  # the higher-UCT edge; a1 is unexpanded, so it ends there
 
 
 def test_select_path_breaks_ties_with_seeded_rng():
@@ -133,12 +133,12 @@ def test_select_path_breaks_ties_with_seeded_rng():
     for fp, action in (("p", A.REPHRASE), ("q", A.SCHEMA_SELECT)):
         ch = child_of(root, action, fp)
         ch.value_sum, ch.visit_count = 0.5, 1
-    picks = {select_path(root, SearchConfig(), random.Random(s)).fingerprint
+    picks = {select_path(root, SearchConfig(), random.Random(s))[-1].producing_action
              for s in range(20)}
-    assert picks == {"p", "q"}  # both reachable across seeds
+    assert picks == {A.REPHRASE, A.SCHEMA_SELECT}  # both reachable across seeds
     one = select_path(root, SearchConfig(), random.Random(3))
     again = select_path(root, SearchConfig(), random.Random(3))
-    assert one is again  # same seed, same choice
+    assert one[-1] is again[-1]  # same seed, same choice
 
 
 def test_select_path_returns_terminal_and_dead_nodes(
@@ -148,10 +148,10 @@ def test_select_path_returns_terminal_and_dead_nodes(
     term = child_of(root, A.TERMINATE, "")
     term.visit_count = 1
     root.visit_count = 1
-    assert select_path(root, SearchConfig(), random.Random(0)) is term
+    assert select_path(root, SearchConfig(), random.Random(0)) == [root, term]
 
     lone = SearchNode.root()
-    assert select_path(lone, SearchConfig(), random.Random(0)) is lone
+    assert select_path(lone, SearchConfig(), random.Random(0)) == [lone]
 
     # a dead node: expanded, but no action gave it a child
     root = SearchNode.root()
@@ -160,10 +160,14 @@ def test_select_path_returns_terminal_and_dead_nodes(
     dead.expanded = True
     dead.visit_count = root.visit_count = 1
     assert dead.dead and not root.dead
-    assert select_path(root, SearchConfig(), random.Random(0)) is dead
+    assert select_path(root, SearchConfig(), random.Random(0)) == [root, dead]
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, model=DownModel())
-    assert simulate(dead, ctx, random.Random(0)) is dead
-    assert simulate(root, ctx, random.Random(0)) is dead
+    path = [root, dead]
+    simulate(path, ctx, random.Random(0))
+    assert path == [root, dead]
+    path = [root]
+    simulate(path, ctx, random.Random(0))
+    assert path == [root, dead]
     flags = {n["id"]: n["dead"] for n in serialize_tree(root)["nodes"]}
     assert flags == {0: False, 1: True}
 
@@ -176,7 +180,7 @@ def test_backpropagate_updates_path_only():
     term = child_of(mid, A.TERMINATE, "")
     other = child_of(root, A.REPHRASE, "o")
 
-    backpropagate(term, 0.75)
+    backpropagate([root, mid, term], 0.75)
     assert root.visit_count == 1
     assert mid.visit_count == 1
     assert term.visit_count == 1
@@ -185,7 +189,7 @@ def test_backpropagate_updates_path_only():
     assert term.value_sum == 0.75
     assert other.value_sum == 0.0
 
-    backpropagate(term, 0.25)
+    backpropagate([root, mid, term], 0.25)
     assert root.visit_count == 2
     assert (mid.value_sum, mid.visit_count) == (1.0, 2)
     assert (other.value_sum, other.visit_count) == (0.0, 0)
@@ -206,10 +210,10 @@ def test_expand_collapses_identical_samples(restaurant_catalog, restaurant_execu
     # three expansion samples parse to the same artifact: one child per action
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, n_expansion=3)
     root = SearchNode.root()
-    created = expand_node(root, ctx)
+    expand_node(root, ctx)
     actions = sorted(a.value for a, _ in root.children)
     assert actions == ["A1", "A2", "A3", "A4", "A5"]
-    assert len(created) == 5
+    assert all(c.producing_action is a for (a, _), c in root.children.items())
     assert root.expanded and not root.dead
 
 
@@ -244,8 +248,8 @@ def test_expand_marks_dead_when_no_action_survives(
         restaurant_catalog, restaurant_executor):
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, model=DownModel())
     root = SearchNode.root()
-    created = expand_node(root, ctx)
-    assert created == []
+    expand_node(root, ctx)
+    assert root.children == {}
     assert root.dead
 
 
@@ -263,8 +267,13 @@ def test_run_search_survives_total_transport_failure(
 def test_simulate_reaches_terminal(restaurant_catalog, restaurant_executor):
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor)
     root = SearchNode.root()
-    terminal = simulate(root, ctx, random.Random(1))
+    path = [root]
+    simulate(path, ctx, random.Random(1))
+    terminal = path[-1]
     assert terminal.is_terminal
+    # each node on the path is a child of the one before it
+    assert all(child in node.children.values()
+               for node, child in zip(path, path[1:]))
     assert terminal.state.sql
     history = terminal.state.history
     assert history[-1] is A.TERMINATE
@@ -280,14 +289,14 @@ def test_run_search_trajectory_shape(restaurant_catalog, restaurant_executor):
     out = run_search(ctx)
     assert out
     for traj in out:
-        assert traj.nodes[0].parent is None  # starts at the root
+        assert traj.nodes[0] is out[0].nodes[0]  # starts at the one root
+        assert traj.nodes[0].producing_action is None
         assert traj.nodes[-1].is_terminal
         assert traj.final_sql == GOLD_SQL
         assert 0.0 <= traj.reward <= 1.0
     # distinct terminals only
     terminal_ids = [id(t.nodes[-1]) for t in out]
     assert len(terminal_ids) == len(set(terminal_ids))
-    assert [t.rollout_index for t in out] == sorted(t.rollout_index for t in out)
 
 
 def test_run_search_visit_accounting(restaurant_catalog, restaurant_executor):
@@ -307,8 +316,8 @@ def test_run_search_rewards_once_per_terminal(restaurant_catalog,
                                               restaurant_executor, monkeypatch):
     calls = []
 
-    def counting_reward(ctx, terminal):
-        calls.append(terminal)
+    def counting_reward(ctx, path):
+        calls.append(path[-1])
         return 1.0
 
     monkeypatch.setattr(mcts, "compute_reward", counting_reward)
@@ -321,14 +330,30 @@ def test_run_search_rewards_once_per_terminal(restaurant_catalog,
 def test_run_search_deterministic_per_seed(restaurant_catalog,
                                            restaurant_executor):
     ctx = search_fixture(restaurant_catalog, restaurant_executor)
-    first = [(t.final_sql, t.reward, t.rollout_index,
-              [n.producing_action for n in t.nodes[1:]])
+    first = [(t.final_sql, t.reward, [n.producing_action for n in t.nodes[1:]])
              for t in run_search(ctx)]
     ctx2 = search_fixture(restaurant_catalog, restaurant_executor)
-    second = [(t.final_sql, t.reward, t.rollout_index,
-               [n.producing_action for n in t.nodes[1:]])
+    second = [(t.final_sql, t.reward, [n.producing_action for n in t.nodes[1:]])
               for t in run_search(ctx2)]
     assert first == second
+
+
+def test_finished_tree_is_freed_without_the_cycle_collector(
+        restaurant_catalog, restaurant_executor):
+    # no node points back up the tree, so reference counting alone frees a
+    # finished tree (and the prompts its nodes keep) once its trajectories go
+    ctx = search_fixture(restaurant_catalog, restaurant_executor)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = run_search(ctx)
+        root = weakref.ref(out[0].nodes[0])
+        assert root() is not None
+        del out
+        assert root() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_prepare_context_runs_retrieval_once(restaurant_catalog, restaurant_index,
@@ -382,6 +407,17 @@ def test_audit_flags_misfiled_child():
         audit_tree(root)
 
 
+def test_audit_flags_node_reached_by_two_edges():
+    root = SearchNode.root()
+    gen = child_of(root, A.SQL_GENERATE, "g")
+    child_of(gen, A.TERMINATE, "")
+    audit_tree(root)
+    # a second A5 edge to the very same node: every check but reachability holds
+    root.children[(A.SQL_GENERATE, "h")] = gen
+    with pytest.raises(ContractViolation, match="more than one edge"):
+        audit_tree(root)
+
+
 def test_audit_flags_q_outside_bounds():
     root = SearchNode.root()
     ch = child_of(root, A.REPHRASE, "fp")
@@ -415,11 +451,13 @@ def test_trajectory_validates_shape():
     root = SearchNode.root()
     gen = child_of(root, A.SQL_GENERATE, "g")
     term = child_of(gen, A.TERMINATE, "")
-    Trajectory(nodes=(root, gen, term), final_sql="SELECT 1", reward=0.5,
-               rollout_index=0)
+    term.reward = 0.5
+    traj = Trajectory(nodes=(root, gen, term))
+    assert (traj.final_sql, traj.reward) == ("SELECT 1", 0.5)
     with pytest.raises(ContractViolation):
-        Trajectory(nodes=(root, gen), final_sql="SELECT 1", reward=0.5,
-                   rollout_index=0)
+        Trajectory(nodes=(root, gen))
+    with pytest.raises(ContractViolation):  # SQL never generated
+        Trajectory(nodes=(root, child_of(root, A.TERMINATE, "")))
+    term.state.sql = ""
     with pytest.raises(ContractViolation):
-        Trajectory(nodes=(root, gen, term), final_sql="", reward=0.5,
-                   rollout_index=0)
+        Trajectory(nodes=(root, gen, term))

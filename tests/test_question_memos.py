@@ -257,16 +257,17 @@ def test_transposed_states_parse_and_fingerprint_each_answer_once(
     leaves = []
     for first, second in ((ActionKind.VALUE_IDENT, ActionKind.FUNCTION_IDENT),
                           (ActionKind.FUNCTION_IDENT, ActionKind.VALUE_IDENT)):
-        node = child(root, first)
-        expand_node(node, ctx)
-        node = child(node, second)
+        path = [root, child(root, first)]
+        expand_node(path[-1], ctx)
+        node = child(path[-1], second)
         expand_node(node, ctx)  # A2 and A5, from the same prompts both ways
         generated = child(node, ActionKind.SQL_GENERATE)
         expand_node(generated, ctx)  # A6 and A7
+        path += [node, generated]
         leaves.append((set(node.children), set(generated.children)))
         for terminal in generated.children.values():
             if terminal.is_terminal:
-                compute_reward(ctx, terminal)
+                compute_reward(ctx, [*path, terminal])
     assert leaves[0] == leaves[1]
     assert ActionKind.TERMINATE in {action for action, _ in leaves[0][1]}
     assert parses and max(parses.values()) == 1, parses
@@ -289,8 +290,9 @@ def test_expansion_builds_a_state_only_for_a_new_answer(
     ctx = prepare_context(restaurant_question, SearchConfig(n_expansion=3),
                           scripted_pipeline_model(), restaurant_catalog, None)
     root = SearchNode.root()
-    created = expand_node(root, ctx)
-    assert len(created) == len(root.children) > 1
+    expand_node(root, ctx)
+    created = list(root.children.values())
+    assert len(created) > 1
     assert built == [child.producing_action for child in created]
     assert len(ctx.samples) == 3 * len(created)
 

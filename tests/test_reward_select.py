@@ -31,35 +31,37 @@ from conftest import (
 A = ActionKind
 
 
-def node_after(parent: SearchNode, action: ActionKind, *, sql=None,
-               prompt=None) -> SearchNode:
+def node_after(path: list[SearchNode], action: ActionKind, *, sql=None,
+               prompt=None) -> list[SearchNode]:
+    """The path extended by a new child of its last node."""
+    parent = path[-1]
     state = parent.state.copy()
     state.history += (action,)
     if sql is not None:
         state.sql = sql
-    node = SearchNode(state=state, producing_action=action,
-                      fingerprint=f"fp-{action.value}", prompt=prompt,
-                      parent=parent)
-    parent.children[(action, node.fingerprint)] = node
-    return node
+    node = SearchNode(state=state, prompt=prompt)
+    parent.children[(action, f"fp-{action.value}")] = node
+    return [*path, node]
 
 
-def generate_terminal(ctx, final_sql: str) -> SearchNode:
-    """Terminal after a generation node that keeps the prompt it answered."""
+def generate_terminal(ctx, final_sql: str) -> list[SearchNode]:
+    """Path to a terminal after a generation node that keeps the prompt it
+    answered."""
     root = SearchNode.root()
     prompt = build_action_prompt(A.SQL_GENERATE, ctx.q, root.state, ctx.catalog)
-    gen = node_after(root, A.SQL_GENERATE, sql=final_sql, prompt=prompt)
+    gen = node_after([root], A.SQL_GENERATE, sql=final_sql, prompt=prompt)
     return node_after(gen, A.TERMINATE)
 
 
 def revise_terminal(ctx, bad_sql: str, fixed_sql: str,
-                    feedback: tuple | None) -> SearchNode:
-    """Terminal after a revision of `bad_sql`; with `feedback`, the revision
-    keeps the prompt built from it, else it ran no round and keeps none."""
-    root = SearchNode.root()
-    gen = node_after(root, A.SQL_GENERATE, sql=bad_sql)
+                    feedback: tuple | None) -> list[SearchNode]:
+    """Path to a terminal after a revision of `bad_sql`; with `feedback`, the
+    revision keeps the prompt built from it, else it ran no round and keeps
+    none."""
+    gen = node_after([SearchNode.root()], A.SQL_GENERATE, sql=bad_sql)
     prompt = None if feedback is None else build_action_prompt(
-        A.SQL_REVISE, ctx.q, gen.state, ctx.catalog, execution_feedback=feedback)
+        A.SQL_REVISE, ctx.q, gen[-1].state, ctx.catalog,
+        execution_feedback=feedback)
     rev = node_after(gen, A.SQL_REVISE, sql=fixed_sql, prompt=prompt)
     return node_after(rev, A.TERMINATE)
 
@@ -139,8 +141,7 @@ def test_reward_zero_obtained_scores_zero(restaurant_catalog,
 
 
 def test_reward_requires_final_sql(restaurant_catalog, restaurant_executor):
-    root = SearchNode.root()
-    gen = node_after(root, A.SQL_GENERATE)  # no SQL recorded
+    gen = node_after([SearchNode.root()], A.SQL_GENERATE)  # no SQL recorded
     term = node_after(gen, A.TERMINATE)
     ctx = make_ctx(ScriptedModel(), restaurant_catalog, restaurant_executor)
     with pytest.raises(ContractViolation):
@@ -149,8 +150,7 @@ def test_reward_requires_final_sql(restaurant_catalog, restaurant_executor):
 
 def test_reward_requires_termination_right_after_the_sql(restaurant_catalog,
                                                          restaurant_executor):
-    root = SearchNode.root()
-    gen = node_after(root, A.SQL_GENERATE, sql=GOLD_SQL)
+    gen = node_after([SearchNode.root()], A.SQL_GENERATE, sql=GOLD_SQL)
     term = node_after(node_after(gen, A.VALUE_IDENT), A.TERMINATE)
     ctx = make_ctx(ScriptedModel(), restaurant_catalog, restaurant_executor)
     with pytest.raises(ContractViolation):
@@ -164,13 +164,13 @@ def test_reward_reissues_generator_prompt_verbatim(restaurant_catalog,
     ctx = make_ctx(model, restaurant_catalog, restaurant_executor)
     terminal = generate_terminal(ctx, GOLD_SQL)
     compute_reward(ctx, terminal)
-    assert {c[0] for c in model.calls} == {terminal.parent.prompt}
+    assert {c[0] for c in model.calls} == {terminal[-2].prompt}
 
 
 def test_reward_generation_without_its_prompt_rejected(restaurant_catalog,
                                                        restaurant_executor):
-    root = SearchNode.root()
-    term = node_after(node_after(root, A.SQL_GENERATE, sql=GOLD_SQL), A.TERMINATE)
+    gen = node_after([SearchNode.root()], A.SQL_GENERATE, sql=GOLD_SQL)
+    term = node_after(gen, A.TERMINATE)
     ctx = make_ctx(ScriptedModel(), restaurant_catalog, restaurant_executor)
     with pytest.raises(ContractViolation):
         compute_reward(ctx, term)
@@ -187,7 +187,7 @@ def test_reward_revision_producer_is_one_shot(restaurant_catalog,
     reward_calls = [c for c in model.calls if c[3] == "reward"]
     assert len(reward_calls) == 5  # one call per sample, no inner repair loop
     prompt = reward_calls[0][0]
-    assert prompt == terminal.parent.prompt
+    assert prompt == terminal[-2].prompt
     assert BROKEN_SQL in prompt
     assert 'near "SELEC"' in prompt
 
@@ -201,7 +201,7 @@ def test_reward_zero_round_revision_builds_its_first_round_prompt(
     assert compute_reward(ctx, terminal) == 1.0
     rows = ctx.execute(GOLD_SQL)
     expected = build_action_prompt(
-        A.SQL_REVISE, ctx.q, terminal.parent.parent.state, restaurant_catalog,
+        A.SQL_REVISE, ctx.q, terminal[-3].state, restaurant_catalog,
         execution_feedback=(GOLD_SQL, rows.brief))
     assert {c[0] for c in model.calls} == {expected}
     assert rows.brief.startswith("Rows:") and rows.brief in expected
@@ -218,13 +218,13 @@ def test_reward_revision_without_feedback_rejected(restaurant_catalog,
 
 def test_search_rewards_resample_the_prompt_each_producer_kept(
         monkeypatch, restaurant_catalog, restaurant_executor):
-    sampled: list[SearchNode] = []  # terminals whose reward draws samples
+    sampled: list[list[SearchNode]] = []  # paths whose reward draws samples
     reward = mcts.compute_reward
 
-    def recording_reward(ctx, terminal):
-        if ctx.execute(terminal.state.sql).is_rows:
-            sampled.append(terminal)
-        return reward(ctx, terminal)
+    def recording_reward(ctx, path):
+        if ctx.execute(path[-1].state.sql).is_rows:
+            sampled.append(path)
+        return reward(ctx, path)
 
     built: list[str] = []
     build = reward_select.build_action_prompt
@@ -248,15 +248,15 @@ def test_search_rewards_resample_the_prompt_each_producer_kept(
     assert len(rewards) == n * len(sampled)
     zero_round: list[str] = []
     revised = 0
-    for i, terminal in enumerate(sampled):
+    for i, path in enumerate(sampled):
         group = rewards[i * n:(i + 1) * n]
         assert [c[1:] for c in group] == [(1.0, j, "reward") for j in range(n)]
         prompt = group[0][0]
         assert {c[0] for c in group} == {prompt}
-        producer = terminal.parent
+        producer = path[-2]
         if producer.prompt is None:  # a revision chain that ran no round
             assert producer.producing_action is A.SQL_REVISE
-            assert producer.state.sql == producer.parent.state.sql
+            assert producer.state.sql == path[-3].state.sql
             assert "Rows: " in prompt
             zero_round.append(prompt)
         else:
