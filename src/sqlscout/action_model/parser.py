@@ -157,17 +157,27 @@ def _parse_notes(raw: str) -> str:
     return text
 
 
+def _utf8(text: str) -> str:
+    """`text`, which must have a utf-8 form: a lone surrogate (from a `\\ud800`
+    escape, say) would fail every prompt, query and file it reached."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError("answer has no utf-8 form") from None
+    return text
+
+
 def parse_action_response(action: ActionKind, raw: str,
                           catalog: DatabaseCatalog) -> str | SchemaKey:
     """The answer of an A1–A6 response: a schema selection for A2, else text."""
     if action is ActionKind.REPHRASE:
-        return parse_rephrase(raw)
+        return _utf8(parse_rephrase(raw))
     if action is ActionKind.SCHEMA_SELECT:
         return parse_schema_subset(raw, catalog)
     if action in (ActionKind.VALUE_IDENT, ActionKind.FUNCTION_IDENT):
-        return _parse_notes(raw)
+        return _utf8(_parse_notes(raw))
     if action in (ActionKind.SQL_GENERATE, ActionKind.SQL_REVISE):
-        return parse_sql_payload(raw)
+        return _utf8(parse_sql_payload(raw))
     raise ContractViolation(f"{action!r} has no response to parse")
 
 
@@ -204,5 +214,5 @@ def parse_baseline_sql(raw: str) -> str:
         matches = [m.group(1).strip() for m in pattern.finditer(raw)]
         matches = [m for m in matches if m]
         if matches:
-            return matches[-1]
+            return _utf8(matches[-1])
     raise ParseError("no SQL block in baseline response")

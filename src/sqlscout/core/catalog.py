@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import IngestionError
-from ..sql_exec import open_readonly
+from ..sql_exec import open_readonly, quote_ident
 
 VALUE_EXAMPLE_CAP = 3
 
@@ -105,7 +105,7 @@ def load_catalog(db_path: str | Path, db_id: str = "",
         for name in names:
             cols = []
             for _, cname, ctype, not_null, _default, pk in conn.execute(
-                f'PRAGMA table_info("{name}")'
+                f"PRAGMA table_info({quote_ident(name)})"
             ):
                 cols.append(ColumnDef(
                     name=cname,
@@ -120,7 +120,7 @@ def load_catalog(db_path: str | Path, db_id: str = "",
             # group multi-column foreign keys by their constraint id
             grouped: dict[int, list[tuple[str, str, str]]] = {}
             for fk_id, _seq, ref_table, col, ref_col, *_ in conn.execute(
-                f'PRAGMA foreign_key_list("{name}")'
+                f"PRAGMA foreign_key_list({quote_ident(name)})"
             ):
                 if col is None or ref_col is None:
                     continue  # shorthand REFERENCES without explicit columns
@@ -146,10 +146,11 @@ def _attach_value_examples(conn: sqlite3.Connection, table: TableDef) -> None:
         tl = col.type.lower()
         if "char" not in tl and "text" not in tl:
             continue
+        column = quote_ident(col.name)
         try:
             rows = conn.execute(
-                f'SELECT DISTINCT "{col.name}" FROM "{table.name}" '
-                f'WHERE "{col.name}" IS NOT NULL LIMIT {VALUE_EXAMPLE_CAP}'
+                f"SELECT DISTINCT {column} FROM {quote_ident(table.name)} "
+                f"WHERE {column} IS NOT NULL LIMIT {VALUE_EXAMPLE_CAP}"
             ).fetchall()
         except sqlite3.Error:
             continue

@@ -142,9 +142,10 @@ def run_one_item(
 
     Never raises for model/SQL-level problems: any failure is folded into
     the record as EX=0 with the cause, so one bad item cannot sink a run.
-    When the search yields no trajectory, one single-shot call answers; if
-    that call is lost too, the item keeps no SQL and is flagged
-    low-confidence, with no error.
+    In `baseline` mode, and when the search yields no trajectory, one
+    single-shot call answers; if that call is lost to a transport or
+    protocol error, the item keeps no SQL and is flagged low-confidence,
+    with no error.
 
     The item's `RolloutContext`, built in both modes, owns its memos: the
     search, final selection, the chosen query and the gold query all run
@@ -186,40 +187,38 @@ def run_one_item(
             value_index=env.value_index(item.db_id) if mode == "mcts" else None,
         )
         chosen = ""
-        if mode == "mcts":
-            trajectories = run_search(ctx)
-            if trajectories:
-                outcome = select_final(trajectories, ctx.execute)
-                chosen = outcome.sql
-                record["low_confidence"] = outcome.low_confidence
-                record["class_size"] = outcome.class_size
-                record["candidates"] = [
-                    {
-                        "sql": c.sql,
-                        "reward": round(c.reward, 6),
-                        "outcome": c.outcome,
-                        "class_size": c.class_size,
-                    }
-                    for c in outcome.candidates
-                ]
-                if trace_path is not None:
-                    tree = serialize_tree(trajectories[0].nodes[0])
-                    trace_path.parent.mkdir(parents=True, exist_ok=True)
-                    trace_path.write_text(
-                        json.dumps(tree, indent=1, sort_keys=True), encoding="utf-8"
-                    )
-            else:
+        trajectories = run_search(ctx) if mode == "mcts" else []
+        if trajectories:
+            outcome = select_final(trajectories, ctx.execute)
+            chosen = outcome.sql
+            record["low_confidence"] = outcome.low_confidence
+            record["class_size"] = outcome.class_size
+            record["candidates"] = [
+                {
+                    "sql": c.sql,
+                    "reward": round(c.reward, 6),
+                    "outcome": c.outcome,
+                    "class_size": c.class_size,
+                }
+                for c in outcome.candidates
+            ]
+            if trace_path is not None:
+                tree = serialize_tree(trajectories[0].nodes[0])
+                trace_path.parent.mkdir(parents=True, exist_ok=True)
+                trace_path.write_text(
+                    json.dumps(tree, indent=1, sort_keys=True), encoding="utf-8"
+                )
+        else:
+            if mode == "mcts":
                 log.warning("search yielded no trajectories for %s; "
                             "using single-shot generation", item.question_id)
-                try:
-                    chosen = baseline_generate(item.question, catalog, model,
-                                               cfg.max_tokens)
-                except (TransportError, ProtocolError) as exc:
-                    log.warning("single-shot generation for %s lost: %s: %s",
-                                item.question_id, type(exc).__name__, exc)
-                    record["low_confidence"] = True
-        else:
-            chosen = baseline_generate(item.question, catalog, model, cfg.max_tokens)
+            try:
+                chosen = baseline_generate(item.question, catalog, model,
+                                           cfg.max_tokens)
+            except (TransportError, ProtocolError) as exc:
+                log.warning("single-shot generation for %s lost: %s: %s",
+                            item.question_id, type(exc).__name__, exc)
+                record["low_confidence"] = True
 
         record["sql"] = chosen
         gold_result = ctx.execute(item.gold_sql)

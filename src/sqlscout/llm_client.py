@@ -227,7 +227,9 @@ class ResponseCache:
 
     One file per entry under two-level fan-out directories; writes go to a
     temp file first and are renamed into place, so concurrent writers are safe
-    and interrupted runs never leave partial entries.
+    and interrupted runs never leave partial entries. Prompts and texts are
+    encoded as utf-8 with `surrogatepass`, so a text holding a lone surrogate
+    is keyed and kept as it came; valid text encodes as plain utf-8.
     """
 
     def __init__(self, directory: str | Path):
@@ -236,7 +238,7 @@ class ResponseCache:
 
     @staticmethod
     def _key(model: str, prompt: str, temperature: float, sample_index: int) -> str:
-        prompt_sha = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        prompt_sha = hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
         material = json.dumps(
             [model, prompt_sha, float(temperature), int(sample_index)],
             separators=(",", ":"),
@@ -251,14 +253,14 @@ class ResponseCache:
         path = self._path(self._key(model, prompt, temperature, sample_index))
         if not path.exists():
             return None
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8", errors="surrogatepass")
 
     def put(self, model: str, prompt: str, temperature: float,
             sample_index: int, text: str) -> None:
         path = self._path(self._key(model, prompt, temperature, sample_index))
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{uuid.uuid4().hex}.tmp"
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", errors="surrogatepass")
         os.replace(tmp, path)
 
 

@@ -1,12 +1,13 @@
-"""The four-phase tree search: selection, expansion, simulation, backpropagation.
+"""The four-phase tree search, walked as one path per rollout.
 
-Each rollout walks the tree by UCT (unvisited children take absolute
-priority), expands the frontier by sampling the legal actions, continues with
-random unexplored children until a Terminate node, scores that terminal with
-the consistency reward, and propagates the reward along the path it took. A
-rollout carries that root-to-terminal path itself; no node points back up the
-tree. After N_rollout rollouts every distinct terminal reached is returned as
-a candidate trajectory.
+`rollout_path` walks from the root to a terminal (or dead) node:
+- selection: at an expanded node, `select_child` takes an unvisited child
+  uniformly at random, else the UCT argmax;
+- expansion: a non-terminal node the walk reaches unexpanded is expanded;
+- simulation: the same rule below a node just expanded, whose children are
+  all unvisited, so each step there is a uniform random one;
+- backpropagation: `run_search` adds the terminal's reward along the path.
+Every distinct terminal that N_rollout rollouts reach is a candidate.
 """
 
 from __future__ import annotations
@@ -150,35 +151,24 @@ def uct_value(q_sum: float, edge_n: int, node_n: int, c: float) -> float:
     return q_sum / edge_n + c * math.sqrt(math.log(node_n) / edge_n)
 
 
-def select_path(root: SearchNode, cfg: SearchConfig,
-                rng: random.Random) -> list[SearchNode]:
-    """The path that argmax-UCT walks from the root to a frontier node.
-
-    Unvisited children take priority over UCT: the walk stops at the first
-    node with one and ends with one of them, chosen uniformly at random. A
-    terminal, dead or unexpanded node ends the path itself.
-    """
-    node = root
-    path = [root]
-    while True:
-        if node.is_terminal or node.dead or not node.expanded:
-            return path
-        children = list(node.children.values())
-        unvisited = [c for c in children if c.visit_count == 0]
-        if unvisited:
-            path.append(rng.choice(unvisited))
-            return path
-        best_score = -math.inf
-        best: list[SearchNode] = []
-        for child in children:
-            score = uct_value(child.value_sum, child.visit_count,
-                              node.visit_count, cfg.uct_c)
-            if score > best_score:
-                best_score, best = score, [child]
-            elif score == best_score:
-                best.append(child)
-        node = rng.choice(best)
-        path.append(node)
+def select_child(node: SearchNode, cfg: SearchConfig,
+                 rng: random.Random) -> SearchNode:
+    """An expanded node's next child: an unvisited one chosen uniformly at
+    random, else the UCT argmax with ties broken at random."""
+    children = list(node.children.values())
+    unvisited = [c for c in children if c.visit_count == 0]
+    if unvisited:
+        return rng.choice(unvisited)
+    best_score = -math.inf
+    best: list[SearchNode] = []
+    for child in children:
+        score = uct_value(child.value_sum, child.visit_count,
+                          node.visit_count, cfg.uct_c)
+        if score > best_score:
+            best_score, best = score, [child]
+        elif score == best_score:
+            best.append(child)
+    return rng.choice(best)
 
 
 def expand_node(node: SearchNode, ctx: RolloutContext) -> None:
@@ -210,19 +200,20 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> None:
                     [a.value for a in node.state.history])
 
 
-def simulate(path: list[SearchNode], ctx: RolloutContext,
-             rng: random.Random) -> None:
-    """Extend the path with random unexplored children until it ends at a
-    terminal (or dead) node, expanding each unexpanded node on the way."""
-    node = path[-1]
-    while not (node.is_terminal or node.dead):
+def rollout_path(root: SearchNode, ctx: RolloutContext,
+                 rng: random.Random) -> list[SearchNode]:
+    """One rollout's path from the root to a terminal or dead node; a node
+    reached unexpanded is expanded, then left by `select_child`."""
+    node = root
+    path = [root]
+    while not node.is_terminal:
         if not node.expanded:
             expand_node(node, ctx)
-            if node.dead:
-                return
-        unvisited = [c for c in node.children.values() if c.visit_count == 0]
-        node = rng.choice(unvisited or list(node.children.values()))
+        if node.dead:
+            break
+        node = select_child(node, ctx.cfg, rng)
         path.append(node)
+    return path
 
 
 def backpropagate(path: list[SearchNode], reward: float) -> None:
@@ -246,16 +237,12 @@ def run_search(ctx: RolloutContext) -> list[Trajectory]:
     root = SearchNode.root()
     trajectories: list[Trajectory] = []
     for _ in range(cfg.n_rollout):
-        path = select_path(root, cfg, rng)
-        simulate(path, ctx, rng)
+        path = rollout_path(root, ctx, rng)
         terminal = path[-1]
-        if terminal.dead:
-            backpropagate(path, 0.0)
-            continue
-        if terminal.reward is None:
+        if not terminal.dead and terminal.reward is None:
             terminal.reward = compute_reward(ctx, path)
             trajectories.append(Trajectory(nodes=tuple(path)))
-        backpropagate(path, terminal.reward)
+        backpropagate(path, 0.0 if terminal.dead else terminal.reward)
     audit_tree(root)
     return trajectories
 

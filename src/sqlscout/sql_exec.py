@@ -150,6 +150,11 @@ def open_readonly(db_path: str | Path) -> sqlite3.Connection:
     return conn
 
 
+def quote_ident(name: str) -> str:
+    """`name` as a double-quoted SQL identifier, embedded quotes doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def _decode_text(raw: bytes) -> str:
     return raw.decode("utf-8", errors="replace")
 
@@ -208,6 +213,8 @@ class Sandbox:
         except (sqlite3.Error, sqlite3.Warning) as exc:
             # sqlite3.Warning covers multi-statement strings on older Pythons
             return error_result(str(exc))
+        except UnicodeEncodeError:  # a lone surrogate: no utf-8 form to send
+            return error_result("SQL has no utf-8 form")
         finally:
             cursor.close()  # resets a statement left mid-result
 

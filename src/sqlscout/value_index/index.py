@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.catalog import DatabaseCatalog
 from ..errors import ContractViolation, IngestionError
-from ..sql_exec import open_readonly
+from ..sql_exec import open_readonly, quote_ident
 from .minhash import MinHashParams, permutation_salts, signatures
 
 DISTINCT_VALUE_CAP = 10_000
@@ -188,10 +188,11 @@ def build_value_index(
     values: list[str] = []
     try:
         for table, column in catalog.text_columns():
+            name = quote_ident(column)
             try:
                 rows = conn.execute(
-                    f'SELECT v FROM (SELECT DISTINCT "{column}" AS v FROM "{table}" '
-                    f'WHERE "{column}" IS NOT NULL) ORDER BY 1 LIMIT ?',
+                    f"SELECT v FROM (SELECT DISTINCT {name} AS v FROM "
+                    f"{quote_ident(table)} WHERE {name} IS NOT NULL) ORDER BY 1 LIMIT ?",
                     (value_cap,),
                 ).fetchall()
             except sqlite3.Error as exc:

@@ -23,7 +23,7 @@ from sqlscout.mcts import (
     expand_node,
     prepare_context,
     run_search,
-    select_path,
+    select_child,
     uct_value,
 )
 from sqlscout.reward_select import compute_reward, select_final
@@ -119,8 +119,8 @@ def test_criterion_02_uct_and_unvisited_priority():
             fresh = SearchNode(state=root.state.copy())
             fresh.state.history += (A.VALUE_IDENT,)
             root.children[(A.VALUE_IDENT, "new")] = fresh
-            picked = select_path(root, SearchConfig(), random.Random(seed))
-            assert picked == [root, fresh]  # absolute priority over any UCT score
+            picked = select_child(root, SearchConfig(), random.Random(seed))
+            assert picked is fresh  # absolute priority over any UCT score
 
 
 # ---- 3. convergence on a scripted environment ----

@@ -295,6 +295,24 @@ def test_parse_notes_trim_and_require_content(restaurant_catalog):
         parse_action_response(A3, "   \n ", restaurant_catalog)
 
 
+def test_an_answer_without_utf8_form_does_not_parse(restaurant_catalog):
+    # a "\ud800" escape in the JSON decodes to a lone surrogate, which no
+    # prompt, query or file can encode; so can a free-text answer hold one
+    escaped = '{"sql_query": "SELECT \'\\ud800\'"}'
+    for action in (A5, A6):
+        with pytest.raises(ParseError, match="utf-8"):
+            parse_action_response(action, escaped, restaurant_catalog)
+    for action, raw in ((A1, "Rephrased Question: how many \udc80?"),
+                        (A3, "values \ud83d"), (A4, "COUNT \udfff")):
+        with pytest.raises(ParseError, match="utf-8"):
+            parse_action_response(action, raw, restaurant_catalog)
+    with pytest.raises(ParseError, match="utf-8"):
+        parse_baseline_sql("<sql>SELECT '\ud800'</sql>")
+    # a surrogate pair escape is one valid character
+    paired = '{"sql_query": "SELECT \'\\ud83d\\ude00\'"}'
+    assert parse_action_response(A5, paired, restaurant_catalog) == "SELECT '\U0001f600'"
+
+
 def test_parse_keyword_list_cases():
     raw = ('["annual revenue", "Acme Corp", "United States", "2022", '
            '"financial reports", "U.S. market performance", "fiscal year"]')

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -53,6 +54,7 @@ from sqlscout.sql_exec import Sandbox
 from sqlscout.value_index import build_value_index, save_index
 
 from conftest import (
+    A5_MARK,
     BASELINE_MARK,
     BENCH_QUESTIONS,
     GOLD_SQL,
@@ -61,6 +63,7 @@ from conftest import (
     make_bird_dataset,
     make_restaurant_db,
     scripted_benchmark_model,
+    sql_json,
 )
 
 
@@ -493,11 +496,14 @@ def test_run_one_item_broken_gold(bird_dataset):
 
 def test_run_one_item_transport_down_falls_back(bird_dataset, caplog):
     # a dead endpoint yields no trajectories; the item degrades to the
-    # single-shot path, which also fails: the item loses its SQL, not itself
+    # single-shot path, which also fails: the item loses its SQL, not itself.
+    # Baseline mode makes the same guarded single-shot call.
     dataset, db_root = bird_dataset
     item = load_dataset(dataset)[0]
-    for lost in (TransportError("refused"),
-                 ProtocolError("chat response content is not text")):
+    for mode, lost in itertools.product(
+            ("mcts", "baseline"),
+            (TransportError("refused"),
+             ProtocolError("chat response content is not text"))):
 
         class DownModel:
             def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
@@ -505,11 +511,41 @@ def test_run_one_item_transport_down_falls_back(bird_dataset, caplog):
 
         caplog.clear()
         with caplog.at_level("WARNING"):
-            record = run_one_item(item, bench_env(db_root, DownModel()), bench_cfg())
+            record = run_one_item(item, bench_env(db_root, DownModel()), bench_cfg(),
+                                  mode=mode)
         assert (record["sql"], record["ex"], record["error"]) == ("", 0, None)
         assert record["low_confidence"] is True
         assert any(item.question_id in r.message
                    and type(lost).__name__ in r.message for r in caplog.records)
+
+
+def test_a_sample_without_utf8_form_costs_that_sample(bird_dataset):
+    # one of the five samples of each generation prompt answers a query
+    # holding a lone surrogate; it is dropped as a sample that does not parse
+    dataset, db_root = bird_dataset
+    item = load_dataset(dataset)[0]
+    inner = scripted_benchmark_model()
+
+    class SurrogateSample:
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            if A5_MARK in prompt and sample_index == 1:
+                return sql_json("SELECT '\ud800'")
+            return inner.sample(prompt, temperature, max_tokens, sample_index, tag)
+
+    record = run_one_item(item, bench_env(db_root, SurrogateSample()),
+                          bench_cfg(), mode="mcts")
+    assert record["error"] is None
+    assert (record["sql"], record["ex"]) == (GOLD_SQL, 1)
+    json.dumps(record, ensure_ascii=False).encode("utf-8")  # the journal can write it
+
+
+def test_a_gold_query_without_utf8_form_is_broken_gold(bird_dataset):
+    dataset, db_root = bird_dataset
+    item = dataclasses.replace(load_dataset(dataset)[0],
+                               gold_sql="SELECT '\ud800'")
+    record = run_one_item(item, bench_env(db_root), bench_cfg(), mode="baseline")
+    assert record["error"] is None
+    assert (record["broken_gold"], record["ex"]) == (True, 0)
 
 
 def test_run_one_item_sends_the_configured_max_tokens_single_shot(bird_dataset):

@@ -198,6 +198,23 @@ def test_cache_roundtrip_and_miss(tmp_path):
     assert cache.get("m", "prompt!", 0.8, 0) is None
 
 
+def test_cache_keeps_a_text_with_a_lone_surrogate(tmp_path):
+    # an endpoint's JSON may carry a "\ud800" escape; the cache stores and
+    # returns such a text as it came, under such a prompt too
+    cache = ResponseCache(tmp_path)
+    cache.put("m", "prompt \ud800", 0.8, 0, "answer \udfff")
+    assert cache.get("m", "prompt \ud800", 0.8, 0) == "answer \udfff"
+    assert cache.get("m", "prompt", 0.8, 0) is None
+
+
+def test_cache_keys_of_valid_text_are_unchanged():
+    # the keys existing cache directories were written under
+    assert ResponseCache._key("m", "prompt", 0.8, 0) == (
+        "04c08788b0ee33943539acb8ad5a58bb7aeb570f836e10d22439e14b7d614203")
+    assert ResponseCache._key("gpt", "Wie viele Cafés? 東京", 0.8, 3) == (
+        "eded03ea32fe14c3d1dd85b8d1c4012b4a05d1dded2f45d311194b7265777500")
+
+
 def test_cached_model_shields_inner(tmp_path):
     inner = ScriptedModel()
     inner.add("q", ["first", "second"])

@@ -5,6 +5,8 @@ import json
 import math
 import random
 import weakref
+import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,15 +26,15 @@ from sqlscout.mcts import (
     backpropagate,
     expand_node,
     prepare_context,
+    rollout_path,
     run_search,
-    select_path,
+    select_child,
     serialize_tree,
-    simulate,
     uct_value,
 )
 from sqlscout.sql_exec import execute_sql
 
-from conftest import GOLD_SQL, scripted_pipeline_model
+from conftest import BROKEN_SQL, GOLD_SQL, GOLD_SQL_ALT, scripted_pipeline_model
 
 A = ActionKind
 
@@ -108,7 +110,7 @@ def test_select_path_prefers_unvisited_child():
     seen = child_of(root, A.REPHRASE, "a")
     seen.value_sum, seen.visit_count = 9.0, 9
     fresh = child_of(root, A.SCHEMA_SELECT, "b")
-    assert select_path(root, SearchConfig(), random.Random(0)) == [root, fresh]
+    assert select_child(root, SearchConfig(), random.Random(0)) is fresh
 
 
 def test_select_path_takes_uct_argmax():
@@ -122,8 +124,7 @@ def test_select_path_takes_uct_argmax():
     a2.value_sum, a2.visit_count = 0.0, 1
     c = math.sqrt(2)
     assert oracle_uct(3, 3, 4, c) > oracle_uct(0, 1, 4, c)
-    picked = select_path(root, SearchConfig(), random.Random(0))
-    assert picked == [root, a1]  # the higher-UCT edge; a1 is unexpanded, so it ends there
+    assert select_child(root, SearchConfig(), random.Random(0)) is a1
 
 
 def test_select_path_breaks_ties_with_seeded_rng():
@@ -133,25 +134,28 @@ def test_select_path_breaks_ties_with_seeded_rng():
     for fp, action in (("p", A.REPHRASE), ("q", A.SCHEMA_SELECT)):
         ch = child_of(root, action, fp)
         ch.value_sum, ch.visit_count = 0.5, 1
-    picks = {select_path(root, SearchConfig(), random.Random(s))[-1].producing_action
+    picks = {select_child(root, SearchConfig(), random.Random(s)).producing_action
              for s in range(20)}
     assert picks == {A.REPHRASE, A.SCHEMA_SELECT}  # both reachable across seeds
-    one = select_path(root, SearchConfig(), random.Random(3))
-    again = select_path(root, SearchConfig(), random.Random(3))
-    assert one[-1] is again[-1]  # same seed, same choice
+    one = select_child(root, SearchConfig(), random.Random(3))
+    again = select_child(root, SearchConfig(), random.Random(3))
+    assert one is again  # same seed, same choice
 
 
 def test_select_path_returns_terminal_and_dead_nodes(
         restaurant_catalog, restaurant_executor):
+    ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, model=DownModel())
     root = SearchNode.root()
     root.expanded = True
     term = child_of(root, A.TERMINATE, "")
     term.visit_count = 1
     root.visit_count = 1
-    assert select_path(root, SearchConfig(), random.Random(0)) == [root, term]
+    assert rollout_path(root, ctx, random.Random(0)) == [root, term]
 
+    # an unexpanded root is expanded; no action survives, so it is dead
     lone = SearchNode.root()
-    assert select_path(lone, SearchConfig(), random.Random(0)) == [lone]
+    assert rollout_path(lone, ctx, random.Random(0)) == [lone]
+    assert lone.dead
 
     # a dead node: expanded, but no action gave it a child
     root = SearchNode.root()
@@ -160,14 +164,8 @@ def test_select_path_returns_terminal_and_dead_nodes(
     dead.expanded = True
     dead.visit_count = root.visit_count = 1
     assert dead.dead and not root.dead
-    assert select_path(root, SearchConfig(), random.Random(0)) == [root, dead]
-    ctx = pipeline_ctx(restaurant_catalog, restaurant_executor, model=DownModel())
-    path = [root, dead]
-    simulate(path, ctx, random.Random(0))
-    assert path == [root, dead]
-    path = [root]
-    simulate(path, ctx, random.Random(0))
-    assert path == [root, dead]
+    assert rollout_path(root, ctx, random.Random(0)) == [root, dead]
+    assert rollout_path(root, ctx, random.Random(1)) == [root, dead]
     flags = {n["id"]: n["dead"] for n in serialize_tree(root)["nodes"]}
     assert flags == {0: False, 1: True}
 
@@ -262,13 +260,13 @@ def test_run_search_survives_total_transport_failure(
     assert out == []
 
 
-# ---- simulation and full search ----
+# ---- the rollout walk and full search ----
 
 def test_simulate_reaches_terminal(restaurant_catalog, restaurant_executor):
     ctx = pipeline_ctx(restaurant_catalog, restaurant_executor)
     root = SearchNode.root()
-    path = [root]
-    simulate(path, ctx, random.Random(1))
+    path = rollout_path(root, ctx, random.Random(1))
+    assert path[0] is root
     terminal = path[-1]
     assert terminal.is_terminal
     # each node on the path is a child of the one before it
@@ -336,6 +334,135 @@ def test_run_search_deterministic_per_seed(restaurant_catalog,
     second = [(t.final_sql, t.reward, [n.producing_action for n in t.nodes[1:]])
               for t in run_search(ctx2)]
     assert first == second
+
+
+# the two-phase descent that `rollout_path` replaced, verbatim, as the
+# reference the one walk must reproduce draw for draw
+
+def select_path(root: SearchNode, cfg: SearchConfig,
+                rng: random.Random) -> list[SearchNode]:
+    """The path that argmax-UCT walks from the root to a frontier node.
+
+    Unvisited children take priority over UCT: the walk stops at the first
+    node with one and ends with one of them, chosen uniformly at random. A
+    terminal, dead or unexpanded node ends the path itself.
+    """
+    node = root
+    path = [root]
+    while True:
+        if node.is_terminal or node.dead or not node.expanded:
+            return path
+        children = list(node.children.values())
+        unvisited = [c for c in children if c.visit_count == 0]
+        if unvisited:
+            path.append(rng.choice(unvisited))
+            return path
+        best_score = -math.inf
+        best: list[SearchNode] = []
+        for child in children:
+            score = uct_value(child.value_sum, child.visit_count,
+                              node.visit_count, cfg.uct_c)
+            if score > best_score:
+                best_score, best = score, [child]
+            elif score == best_score:
+                best.append(child)
+        node = rng.choice(best)
+        path.append(node)
+
+
+def simulate(path: list[SearchNode], ctx: RolloutContext,
+             rng: random.Random) -> None:
+    """Extend the path with random unexplored children until it ends at a
+    terminal (or dead) node, expanding each unexpanded node on the way."""
+    node = path[-1]
+    while not (node.is_terminal or node.dead):
+        if not node.expanded:
+            expand_node(node, ctx)
+            if node.dead:
+                return
+        unvisited = [c for c in node.children.values() if c.visit_count == 0]
+        node = rng.choice(unvisited or list(node.children.values()))
+        path.append(node)
+
+
+def reference_search(ctx: RolloutContext) -> tuple[dict, list, tuple]:
+    """`run_search`'s loop over `select_path` and `simulate`: its serialized
+    tree, its trajectories and its final rng state."""
+    cfg = ctx.cfg
+    rng = random.Random(cfg.rng_seed)
+    root = SearchNode.root()
+    trajectories: list[Trajectory] = []
+    for _ in range(cfg.n_rollout):
+        path = select_path(root, cfg, rng)
+        simulate(path, ctx, rng)
+        terminal = path[-1]
+        if terminal.dead:
+            backpropagate(path, 0.0)
+            continue
+        if terminal.reward is None:
+            terminal.reward = mcts.compute_reward(ctx, path)
+            trajectories.append(Trajectory(nodes=tuple(path)))
+        backpropagate(path, terminal.reward)
+    audit_tree(root)
+    return serialize_tree(root), trajectory_keys(trajectories), rng.getstate()
+
+
+def trajectory_keys(trajectories: list[Trajectory]) -> list[tuple]:
+    return [(t.final_sql, t.reward, len(t.nodes)) for t in trajectories]
+
+
+class LossyModel:
+    """The scripted model, with about one call in six lost, chosen by (salt,
+    prompt, sample index), so that some actions fail and some nodes die."""
+
+    def __init__(self, inner, salt: int):
+        self.inner = inner
+        self.salt = salt
+
+    def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+        if zlib.crc32(f"{self.salt}:{sample_index}:{prompt}".encode()) % 6 == 0:
+            raise TransportError("connection reset")
+        return self.inner.sample(prompt, temperature, max_tokens, sample_index,
+                                 tag=tag)
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_run_search_matches_the_two_phase_reference(
+        restaurant_catalog, restaurant_executor, monkeypatch, lossy):
+    made: list[random.Random] = []
+    roots: list[SearchNode] = []
+
+    class RecordedRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    def recorded_audit(root):
+        audit_tree(root)
+        roots.append(root)
+
+    monkeypatch.setattr(mcts, "random", SimpleNamespace(Random=RecordedRandom))
+    monkeypatch.setattr(mcts, "audit_tree", recorded_audit)
+
+    def context(seed):
+        model = scripted_pipeline_model(a5_sql=[
+            GOLD_SQL, BROKEN_SQL, "SELECT COUNT(*) FROM generalinfo", GOLD_SQL_ALT,
+            BROKEN_SQL])
+        return pipeline_ctx(restaurant_catalog, restaurant_executor,
+                            model=LossyModel(model, seed) if lossy else model,
+                            rng_seed=seed)
+
+    dead = 0
+    for seed in range(20):
+        tree, trajectories, rng_state = reference_search(context(seed))
+        made.clear()
+        roots.clear()
+        got = run_search(context(seed))
+        assert serialize_tree(roots[0]) == tree
+        assert trajectory_keys(got) == trajectories
+        assert [r.getstate() for r in made] == [rng_state]
+        dead += sum(n["dead"] for n in tree["nodes"])
+    assert (dead > 0) is lossy
 
 
 def test_finished_tree_is_freed_without_the_cycle_collector(

@@ -154,6 +154,14 @@ def test_execute_empty_sql(restaurant_db):
     assert execute_sql("   ", restaurant_db).kind == "error"
 
 
+def test_sql_without_utf8_form_is_an_error_result(restaurant_db):
+    result = execute_sql("SELECT '\ud800'", restaurant_db)
+    assert result.kind == "error" and "utf-8" in result.error
+    with Sandbox(restaurant_db) as sandbox:
+        assert sandbox.run("SELECT '\udfff'").kind == "error"
+        assert sandbox.run("SELECT 1").rows == {(1,)}  # the connection still serves
+
+
 def test_execute_missing_db(tmp_path):
     with pytest.raises(IngestionError):
         execute_sql("SELECT 1", tmp_path / "absent.sqlite")

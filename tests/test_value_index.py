@@ -289,6 +289,34 @@ def test_build_skips_empty_strings(tmp_path):
     assert [r.value for r in index.records] == ["kept"]
 
 
+def test_names_holding_a_double_quote_are_read_and_indexed(tmp_path):
+    # each name is quoted with its " doubled, in the catalog's PRAGMAs and
+    # value-example query as in the index scan
+    db = tmp_path / "odd.sqlite"
+    conn = sqlite3.connect(db)
+    conn.executescript("""
+        CREATE TABLE plain (id INTEGER PRIMARY KEY, city TEXT);
+        CREATE TABLE "we""ird" (
+            id INTEGER PRIMARY KEY,
+            "na""me" TEXT,
+            plain_id INTEGER REFERENCES plain (id)
+        );
+        INSERT INTO plain VALUES (1, 'albany');
+        INSERT INTO "we""ird" VALUES (1, 'quoted value', 1);
+    """)
+    conn.commit()
+    conn.close()
+    catalog = load_catalog(db)
+    table = catalog.table('we"ird')
+    assert [c.name for c in table.columns] == ["id", 'na"me', "plain_id"]
+    assert table.column('na"me').value_examples == ["quoted value"]
+    assert [(fk.table, fk.columns, fk.ref_table, fk.ref_columns)
+            for fk in catalog.foreign_keys] == [('we"ird', ("plain_id",), "plain", ("id",))]
+    index = build_value_index(catalog)
+    assert ValueRecord('we"ird', 'na"me', "quoted value") in index.records
+    assert ValueRecord("plain", "city", "albany") in index.records
+
+
 def test_build_respects_value_cap(tmp_path):
     db = tmp_path / "big.sqlite"
     conn = sqlite3.connect(db)
