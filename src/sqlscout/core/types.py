@@ -144,7 +144,8 @@ class SearchConfig:
     max_tokens: int = 2048
 
     def __post_init__(self):
-        for name in ("n_rollout", "n_expansion", "n_reward", "n_revision"):
+        for name in ("n_rollout", "n_expansion", "n_reward", "n_revision",
+                     "max_tokens"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1")
         for name in ("t_expansion", "t_reward"):
@@ -155,7 +156,8 @@ class SearchConfig:
         for name in ("eps_edit", "eps_semantic"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ContractViolation(f"{name} must be in [0, 1]")
-        if self.row_cap < 0:
-            raise ContractViolation("row_cap must be >= 0")
+        for name in ("row_cap", "top_m_per_column"):
+            if getattr(self, name) < 0:
+                raise ContractViolation(f"{name} must be >= 0")
         if not self.sql_timeout_secs > 0:  # also rejects NaN
             raise ContractViolation("sql_timeout_secs must be > 0")

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -380,6 +381,13 @@ def summarize(
     }
 
 
+# a quoted span ('…', "…" or `…`, an unclosed one running to the end) or a
+# whitespace run outside one
+_QUOTED_OR_SPACE = re.compile(r"""('[^']*'?|"[^"]*"?|`[^`]*`?)|\s+""")
+# a tab, or anything `str.splitlines` ends a line at
+_LINE_BREAK = re.compile("\r\n|[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+
+
 def write_predictions(
     items: list[BenchmarkItem], records: dict[str, dict], path: Path
 ) -> None:
@@ -388,5 +396,13 @@ def write_predictions(
     for item in items:
         record = records.get(item.question_id)
         sql = (record or {}).get("sql", "") or ""
-        lines.append(f"{item.question_id}\t{' '.join(sql.split())}")
+        lines.append(f"{item.question_id}\t{_one_line(sql)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _one_line(sql: str) -> str:
+    """`sql` on one line with its string literals intact: outside quoted
+    spans each whitespace run becomes one space; inside one, each line break
+    or tab does, and all else is kept."""
+    return _QUOTED_OR_SPACE.sub(
+        lambda m: _LINE_BREAK.sub(" ", m[1]) if m[1] else " ", sql.strip())

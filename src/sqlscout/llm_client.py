@@ -102,9 +102,11 @@ def _post_with_retries(session: requests.Session, url: str, payload: dict,
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     last_err: Exception | None = None
+    wait: float | None = None  # what the last response asked for
     for attempt in range(MAX_RETRIES + 1):
         if attempt:
-            time.sleep(BACKOFF_SECS[attempt - 1])
+            time.sleep(BACKOFF_SECS[attempt - 1] if wait is None else wait)
+        wait = None
         try:
             resp = session.post(url, json=payload, headers=headers,
                                 timeout=HTTP_TIMEOUT_SECS)
@@ -113,6 +115,8 @@ def _post_with_retries(session: requests.Session, url: str, payload: dict,
             continue
         if resp.status_code == 429 or resp.status_code >= 500:
             last_err = TransportError(f"HTTP {resp.status_code} from {url}")
+            if resp.status_code in (429, 503):
+                wait = _retry_after_secs(resp.headers.get("Retry-After"))
             continue
         if resp.status_code != 200:
             raise TransportError(
@@ -123,6 +127,16 @@ def _post_with_retries(session: requests.Session, url: str, payload: dict,
         except ValueError as exc:
             raise ProtocolError(f"non-JSON response from {url}") from exc
     raise TransportError(f"retries exhausted for {url}: {last_err}")
+
+
+def _retry_after_secs(value: str | None) -> float | None:
+    """A numeric `Retry-After` header in seconds, capped at
+    HTTP_TIMEOUT_SECS; None for an absent, HTTP-date or malformed one."""
+    try:
+        secs = float(value)
+    except (TypeError, ValueError):
+        return None
+    return min(secs, HTTP_TIMEOUT_SECS) if secs >= 0 else None
 
 
 class OpenAIChatClient:

@@ -10,6 +10,7 @@ keeps the candidate from the largest execution-equivalence class.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -98,8 +99,7 @@ class CandidateInfo:
     sql: str
     reward: float
     outcome: str  # "rows" | "error" | "timeout"
-    class_id: int | None
-    class_size: int
+    class_size: int  # 0 for a failed candidate, which joins no class
 
 
 @dataclass
@@ -117,54 +117,26 @@ def select_final(
     """Pick the final SQL by execution-result majority over the trajectories.
 
     Each trajectory contributes its final SQL (one vote each, repeats kept);
-    each distinct SQL string is executed once.
-    Candidates that execute to rows are grouped into equivalence classes;
-    the winner is the candidate of the largest class, ties broken by higher
-    trajectory reward, then shorter SQL, then lexicographic order. If every
-    candidate fails, the highest-reward one is returned flagged low-confidence.
+    each distinct SQL string is executed once. Candidates whose results share
+    a `match_key` form an equivalence class, and a failed candidate has class
+    size 0. The winner has the largest class, ties broken by higher
+    trajectory reward, then shorter SQL, then lexicographic order; it is
+    flagged low-confidence if every candidate failed. The candidates are
+    listed in trajectory order, those that returned rows first.
     """
     if not trajectories:
         raise ContractViolation("final selection requires at least one trajectory")
     results = {sql: executor(sql)
                for sql in dict.fromkeys(t.final_sql for t in trajectories)}
-    rows_candidates: list[tuple[str, float, ExecutionResult]] = []
-    failed_candidates: list[tuple[str, float, ExecutionResult]] = []
-    for traj in trajectories:
-        result = results[traj.final_sql]
-        bucket = rows_candidates if result.is_rows else failed_candidates
-        bucket.append((traj.final_sql, traj.reward, result))
-
-    # group rows candidates into result-equivalence classes
-    class_reps: list[ExecutionResult] = []
-    class_of: list[int] = []
-    for sql, reward, result in rows_candidates:
-        for cid, rep in enumerate(class_reps):
-            if results_equal(result, rep):
-                class_of.append(cid)
-                break
-        else:
-            class_of.append(len(class_reps))
-            class_reps.append(result)
-    class_sizes = [class_of.count(cid) for cid in range(len(class_reps))]
-
-    candidates: list[CandidateInfo] = []
-    for (sql, reward, result), cid in zip(rows_candidates, class_of):
-        candidates.append(CandidateInfo(
-            sql=sql, reward=reward, outcome=result.kind,
-            class_id=cid, class_size=class_sizes[cid],
-        ))
-    for sql, reward, result in failed_candidates:
-        candidates.append(CandidateInfo(
-            sql=sql, reward=reward, outcome=result.kind,
-            class_id=None, class_size=0,
-        ))
-
-    if not rows_candidates:
-        best = min(candidates, key=lambda c: (-c.reward, len(c.sql), c.sql))
-        return SelectionOutcome(sql=best.sql, class_size=0, low_confidence=True,
-                                candidates=candidates)
-    classed = [c for c in candidates if c.class_id is not None]
-    best = min(classed,
+    keys = [results[t.final_sql].match_key for t in trajectories]
+    class_sizes = Counter(key for key in keys if key is not None)
+    candidates = sorted(
+        (CandidateInfo(sql=t.final_sql, reward=t.reward,
+                       outcome=results[t.final_sql].kind, class_size=class_sizes[key])
+         for t, key in zip(trajectories, keys)),
+        key=lambda c: c.class_size == 0)
+    best = min(candidates,
                key=lambda c: (-c.class_size, -c.reward, len(c.sql), c.sql))
     return SelectionOutcome(sql=best.sql, class_size=best.class_size,
-                            low_confidence=False, candidates=candidates)
+                            low_confidence=best.class_size == 0,
+                            candidates=candidates)

@@ -59,6 +59,14 @@ class ExecutionResult:
         return self.kind == "rows"
 
     @cached_property
+    def match_key(self) -> object:
+        """What equal results share: a complete result's row set, a truncated
+        one's own token (its true rows are unknown), None for a failure."""
+        if self.kind != "rows":
+            return None
+        return object() if self.truncated else self.rows
+
+    @cached_property
     def brief(self) -> str:
         """Short human-readable form, used in revision prompts and traces.
 
@@ -279,12 +287,7 @@ def same_rows_sql(a: str, b: str) -> str:
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
     """Row-set equality under canonicalization; failures never match.
 
-    Error and Timeout outcomes equal nothing, including identical errors. A
-    truncated row set is only equal to the very same object, since its true
-    contents are unknown.
+    See `ExecutionResult.match_key`: an error or timeout equals nothing, not
+    even itself, and a truncated result equals only the very same object.
     """
-    if a.kind != "rows" or b.kind != "rows":
-        return False
-    if a.truncated or b.truncated:
-        return a is b
-    return a.rows == b.rows
+    return a.match_key is not None and a.match_key == b.match_key

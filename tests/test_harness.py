@@ -39,6 +39,7 @@ from sqlscout.harness import (
     run_one_item,
     subsample_sds,
     summarize,
+    write_predictions,
 )
 from sqlscout.harness import runner as runner_module
 from sqlscout.harness.cli import main as cli_main
@@ -710,6 +711,32 @@ def test_run_benchmark_end_to_end(bird_dataset, tmp_path):
     assert lines[0].split("\t") == ["0", GOLD_SQL]
 
 
+
+def test_write_predictions_keeps_string_literals(tmp_path):
+    # collapsing every whitespace run would turn 'New  York' into another
+    # query; inside quotes only what would break the line becomes a space
+    sqls = {
+        "0": "SELECT id\n  FROM t   WHERE city = 'New  York'  ",
+        "1": 'SELECT "two  words" FROM `a  b` WHERE x = \'a\tb\r\nc\'',
+        "2": "SELECT 'it''s  here',\t'x\u2028y'",
+        "3": "SELECT 'open  to the\nend",
+    }
+    items = [BenchmarkItem(question_id=qid,
+                           question=NLQuestion(question="q?", db_id="d"),
+                           gold_sql="SELECT 1")
+             for qid in [*sqls, "4"]]
+    path = tmp_path / PREDICTIONS_NAME
+    write_predictions(items, {qid: {"sql": sql} for qid, sql in sqls.items()},
+                      path)
+    assert path.read_text(encoding="utf-8").split("\n") == [
+        "0\tSELECT id FROM t WHERE city = 'New  York'",
+        '1\tSELECT "two  words" FROM `a  b` WHERE x = \'a b c\'',
+        "2\tSELECT 'it''s  here', 'x y'",
+        "3\tSELECT 'open  to the end",
+        "4\t",  # no record
+        "",
+    ]
+
 def test_run_benchmark_resume_skips_done(bird_dataset, tmp_path):
     dataset, db_root = bird_dataset
     items = load_dataset(dataset)
@@ -981,6 +1008,8 @@ def test_cli_run_requires_chat_model(bird_dataset, tmp_path, cli_env,
     ("n_rollout = abc", "n_rollout"),     # not an int
     ("n_rollouts = 8", "n_rollouts"),     # unknown key
     ("n_rollout = 0", "n_rollout"),       # out of range
+    ("max_tokens = 0", "max_tokens"),     # sent with every request
+    ("top_m_per_column = -1", "top_m_per_column"),  # drops every value
 ])
 def test_cli_run_reports_a_bad_config(bird_dataset, tmp_path, cli_env, line, key):
     dataset, db_root = bird_dataset

@@ -28,10 +28,11 @@ from sqlscout.llm_client import (
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -80,6 +81,27 @@ def test_retries_exhausted(monkeypatch, no_sleep):
         make_client().sample("p", 0.0, 64, 0)
     assert no_sleep == [1.0, 2.0, 4.0]
 
+
+@pytest.mark.parametrize("status, retry_after, nap", [
+    (429, "3", 3.0),
+    (503, "0.5", 0.5),
+    (429, "86400", llm.HTTP_TIMEOUT_SECS),              # capped
+    (503, "Wed, 21 Oct 2026 07:28:00 GMT", 1.0),        # HTTP-date: fixed step
+    (429, "soon", 1.0),                                 # malformed: fixed step
+    (429, "-2", 1.0),
+    (500, "3", 1.0),                                    # only 429 and 503 ask
+])
+def test_retry_after_sets_the_wait(monkeypatch, no_sleep, status, retry_after,
+                                   nap):
+    responses = iter([
+        FakeResponse(status_code=status, headers={"Retry-After": retry_after}),
+        FakeResponse(status_code=500),
+        FakeResponse(payload=chat_payload("fine")),
+    ])
+    monkeypatch.setattr(llm.requests.Session, "request",
+                        lambda *a, **k: next(responses))
+    assert make_client().sample("p", 0.0, 64, 0) == "fine"
+    assert no_sleep == [nap, 2.0]  # the next wait is the fixed step again
 
 def test_client_error_is_not_retried(monkeypatch, no_sleep):
     calls = []

@@ -69,6 +69,16 @@ def test_search_config_rejects_out_of_range_sql_bounds():
     assert SearchConfig(row_cap=0).row_cap == 0  # legal: truncates every result
 
 
+def test_search_config_rejects_out_of_range_prompt_bounds():
+    # a request for zero tokens can hold no answer, and a negative per-column
+    # budget silently drops every retrieved value
+    for bad in ({"max_tokens": 0}, {"max_tokens": -1},
+                {"top_m_per_column": -1}):
+        with pytest.raises(ContractViolation, match=next(iter(bad))):
+            SearchConfig(**bad)
+    assert SearchConfig(top_m_per_column=0).top_m_per_column == 0  # legal
+
+
 # ---- the selection formula ----
 
 def test_uct_value_known_point():

@@ -3,6 +3,7 @@
 import logging
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, Sequence
 
 import pytest
 
@@ -13,8 +14,14 @@ from sqlscout.core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
 from sqlscout.errors import ContractViolation, TransportError
 from sqlscout.llm_client import ScriptedModel
 from sqlscout.mcts import RolloutContext, prepare_context, run_search
-from sqlscout.reward_select import compute_reward, select_final
-from sqlscout.sql_exec import execute_sql
+from sqlscout.reward_select import SelectionOutcome, compute_reward, select_final
+from sqlscout.sql_exec import (
+    ExecutionResult,
+    error_result,
+    execute_sql,
+    rows_result,
+    timeout_result,
+)
 
 from conftest import (
     A5_MARK,
@@ -324,7 +331,7 @@ def test_select_failures_never_join_classes(restaurant_db):
     assert not out.low_confidence
     by_sql = {c.sql: c for c in out.candidates}
     assert by_sql[BROKEN_SQL].outcome == "error"
-    assert by_sql[BROKEN_SQL].class_id is None
+    assert by_sql[BROKEN_SQL].class_size == 0
     assert by_sql[slow].outcome == "timeout"
     assert by_sql[GOLD_SQL].outcome == "rows"
 
@@ -363,3 +370,121 @@ def test_empty_result_sets_form_a_class(restaurant_executor):
     # two empty results agree with each other and outvote the gold singleton
     assert out.class_size == 2
     assert out.sql in (a, b)
+
+
+# ---- select_final against the selection it replaced ----
+#
+# Before results had a match key, selection put candidates in two buckets,
+# grouped the ones with rows by comparing each with every class
+# representative, and took the all-failed case in a branch of its own. That
+# code is kept here verbatim, its names aside, as the reference.
+
+@dataclass(frozen=True)
+class ReferenceCandidate:
+    sql: str
+    reward: float
+    outcome: str  # "rows" | "error" | "timeout"
+    class_id: int | None
+    class_size: int
+
+
+def reference_results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
+    if a.kind != "rows" or b.kind != "rows":
+        return False
+    if a.truncated or b.truncated:
+        return a is b
+    return a.rows == b.rows
+
+
+def reference_select_final(
+    trajectories: Sequence[Cand],
+    executor: Callable[[str], ExecutionResult],
+) -> SelectionOutcome:
+    if not trajectories:
+        raise ContractViolation("final selection requires at least one trajectory")
+    results = {sql: executor(sql)
+               for sql in dict.fromkeys(t.final_sql for t in trajectories)}
+    rows_candidates: list[tuple[str, float, ExecutionResult]] = []
+    failed_candidates: list[tuple[str, float, ExecutionResult]] = []
+    for traj in trajectories:
+        result = results[traj.final_sql]
+        bucket = rows_candidates if result.is_rows else failed_candidates
+        bucket.append((traj.final_sql, traj.reward, result))
+
+    # group rows candidates into result-equivalence classes
+    class_reps: list[ExecutionResult] = []
+    class_of: list[int] = []
+    for sql, reward, result in rows_candidates:
+        for cid, rep in enumerate(class_reps):
+            if reference_results_equal(result, rep):
+                class_of.append(cid)
+                break
+        else:
+            class_of.append(len(class_reps))
+            class_reps.append(result)
+    class_sizes = [class_of.count(cid) for cid in range(len(class_reps))]
+
+    candidates: list[ReferenceCandidate] = []
+    for (sql, reward, result), cid in zip(rows_candidates, class_of):
+        candidates.append(ReferenceCandidate(
+            sql=sql, reward=reward, outcome=result.kind,
+            class_id=cid, class_size=class_sizes[cid],
+        ))
+    for sql, reward, result in failed_candidates:
+        candidates.append(ReferenceCandidate(
+            sql=sql, reward=reward, outcome=result.kind,
+            class_id=None, class_size=0,
+        ))
+
+    if not rows_candidates:
+        best = min(candidates, key=lambda c: (-c.reward, len(c.sql), c.sql))
+        return SelectionOutcome(sql=best.sql, class_size=0, low_confidence=True,
+                                candidates=candidates)
+    classed = [c for c in candidates if c.class_id is not None]
+    best = min(classed,
+               key=lambda c: (-c.class_size, -c.reward, len(c.sql), c.sql))
+    return SelectionOutcome(sql=best.sql, class_size=best.class_size,
+                            low_confidence=False, candidates=candidates)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# few row values, so that distinct queries often return equal row sets
+RESULTS = st.one_of(
+    st.builds(rows_result,
+              st.lists(st.tuples(st.sampled_from([0, 1, 1.0, None, "a"])),
+                       max_size=3),
+              truncated=st.booleans()),
+    st.builds(error_result, st.sampled_from(["no such table: t", ""])),
+    st.builds(timeout_result),
+)
+# equal lengths and shared prefixes exercise both text tie-breaks
+SQLS = st.sampled_from(["SELECT 1", "SELECT 2", "SELECT 10", "SELECT 1 ",
+                        "S", "T", "SELECT 99"])
+REWARDS = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+
+
+@st.composite
+def selection_inputs(draw):
+    """Trajectories and the result each of their SQL strings executes to;
+    distinct strings may share one result object, truncated ones too."""
+    trajectories = draw(st.lists(st.builds(Cand, SQLS, REWARDS),
+                                 min_size=1, max_size=12))
+    pool = draw(st.lists(RESULTS, min_size=1, max_size=6))
+    results = {t.final_sql: draw(st.sampled_from(pool)) for t in trajectories}
+    return trajectories, results
+
+
+def outcome_fields(out: SelectionOutcome) -> tuple:
+    return (out.sql, out.class_size, out.low_confidence,
+            [(c.sql, c.reward, c.outcome, c.class_size) for c in out.candidates])
+
+
+@hypothesis.settings(max_examples=400, deadline=None, database=None)
+@hypothesis.given(selection_inputs())
+def test_select_final_matches_the_two_bucket_reference(inputs):
+    trajectories, results = inputs
+    got = select_final(trajectories, results.__getitem__)
+    want = reference_select_final(trajectories, results.__getitem__)
+    assert outcome_fields(got) == outcome_fields(want)

@@ -1,6 +1,6 @@
 """Print one digest per e2ebench input shape of a scripted benchmark round.
 
-    python3 tools/behaviour_digest.py --seed 0 [--scale full|tiny]
+    python3 tools/behaviour_digest.py --seed 0 [--scale full|tiny] [--against PATH]
 
 Each shape's inputs come from `e2ebench/inputs.py` and its answers from the
 simulated endpoint in `e2ebench/endpoint.py` (at zero latency). The digest
@@ -10,6 +10,10 @@ question's endpoint call log (tag, prompt crc and length, temperature,
 sample index, executed SQL). Equal output from two trees means that they
 behave the same on these inputs; the program under test is imported from
 this checkout's `src`.
+
+`--against PATH` also runs the tool of the checkout at PATH, with the same
+seed and scale, and prints its digests on a second line. The exit status is
+1 if a shape's digests differ, and each such shape is named on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -64,12 +69,27 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="another checkout whose digests to compare")
     args = parser.parse_args(argv)
     digests = {}
     for shape in SHAPES:
         with tempfile.TemporaryDirectory() as work:
             digests[shape] = shape_digest(shape, args.seed, args.scale, Path(work))
     print(json.dumps(digests, sort_keys=True))
+    if args.against is None:
+        return
+    other = json.loads(subprocess.run(
+        [sys.executable, str(args.against / "tools" / Path(__file__).name),
+         "--seed", str(args.seed), "--scale", args.scale],
+        stdout=subprocess.PIPE, text=True, check=True).stdout)
+    print(json.dumps(other, sort_keys=True))
+    differ = sorted(shape for shape in digests.keys() | other.keys()
+                    if digests.get(shape) != other.get(shape))
+    for shape in differ:
+        print(f"digest differs: {shape}", file=sys.stderr)
+    if differ:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
