@@ -1,14 +1,10 @@
 """Parsers from raw model responses to the answers actions add to a state.
 
 JSON-shaped responses are read from the first fenced ```json block, falling
-back to the first balanced-brace object anywhere in the text; trailing commas
-are tolerated because models copy them from the templates. Free-text actions
-take the whole trimmed response.
-
-The first object is decoded straight from its opening brace by the json
-module's C scanner; only text that scanner rejects goes through the
-character-by-character brace scan and the trailing-comma repair. Where the
-scanner succeeds, the scan would find the same span, so both agree.
+back to the whole response. Either way the object at the first `{` is
+decoded by the json module's C scanner, as written or else once more with
+trailing commas removed, because models copy them from the templates.
+Free-text actions take the whole trimmed response.
 """
 
 from __future__ import annotations
@@ -58,50 +54,30 @@ def _balanced_slice(text: str, open_ch: str, close_ch: str) -> str | None:
     return None
 
 
-def _loads_lenient(payload: str) -> dict:
-    for candidate in (payload, _TRAILING_COMMA.sub(r"\1", payload)):
+def _decode_object(text: str) -> dict | None:
+    """The JSON object at the first `{` of `text` as written, else with
+    trailing commas removed (no removal crosses the object's own braces);
+    None if neither decodes."""
+    for repair in (False, True):
+        candidate = _TRAILING_COMMA.sub(r"\1", text) if repair else text
+        start = candidate.find("{")
+        if start < 0:
+            return None
         try:
-            obj = json.loads(candidate)
-        except json.JSONDecodeError:
+            return _DECODER.raw_decode(candidate, start)[0]
+        except (json.JSONDecodeError, RecursionError):
             continue
-        except RecursionError:
-            raise ParseError("JSON payload nests too deeply") from None
-        if isinstance(obj, dict):
-            return obj
-        raise ParseError("JSON payload is not an object")
-    raise ParseError("cannot decode JSON payload")
-
-
-def _strict_object(text: str) -> dict | None:
-    """The object at the first `{` if it is valid JSON as it stands, else None."""
-    start = text.find("{")
-    if start < 0:
-        return None
-    try:
-        return _DECODER.raw_decode(text, start)[0]
-    except (json.JSONDecodeError, RecursionError):
-        return None
+    return None
 
 
 def extract_json_object(raw: str) -> dict:
     fenced = _FENCED_JSON.search(raw)
-    if fenced:
-        body = fenced.group(1)
-        obj = _strict_object(body)
-        if obj is not None:
-            return obj
-        block = _balanced_slice(body, "{", "}") or body
-        try:
-            return _loads_lenient(block)
-        except ParseError:
-            pass  # fall through to scanning the whole response
-    obj = _strict_object(raw)
-    if obj is not None:
-        return obj
-    block = _balanced_slice(raw, "{", "}")
-    if block is None:
+    obj = _decode_object(fenced.group(1)) if fenced else None
+    if obj is None:
+        obj = _decode_object(raw)
+    if obj is None:
         raise ParseError("no JSON object in response")
-    return _loads_lenient(block)
+    return obj
 
 
 def parse_rephrase(raw: str) -> str:
@@ -186,16 +162,13 @@ def parse_keyword_list(raw: str) -> list[str]:
     block = _balanced_slice(raw, "[", "]")
     if block is None:
         return []
-    items: list[str] | None = None
     try:
-        parsed = ast.literal_eval(block)
-        if isinstance(parsed, (list, tuple)):
-            items = [str(x) for x in parsed]
-    except (ValueError, SyntaxError):
-        items = None
-    if items is None:
-        items = re.findall(r'"((?:[^"\\]|\\.)*)"|\'((?:[^\'\\]|\\.)*)\'', block)
-        items = [a or b for a, b in items]
+        items = [str(x) for x in ast.literal_eval(block)]
+    except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError):
+        # not a literal list, or a degenerate one: an unhashable set member,
+        # thousands of unary minuses overflowing the parser
+        pairs = re.findall(r'"((?:[^"\\]|\\.)*)"|\'((?:[^\'\\]|\\.)*)\'', block)
+        items = [a or b for a, b in pairs]
     out: list[str] = []
     for item in items:
         text = item.strip()

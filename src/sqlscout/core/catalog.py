@@ -101,9 +101,12 @@ def load_catalog(db_path: str | Path, db_id: str = "",
             )
         ]
         tables: list[TableDef] = []
-        fks: list[ForeignKey] = []
+        # table -> its primary-key columns in key order (table_info's `pk`)
+        key_order: dict[str, list[str]] = {}
+        # (table, parent as spelled, [(column, parent column or None)])
+        declared: list[tuple[TableDef, str, list]] = []
         for name in names:
-            cols = []
+            cols, key_at = [], {}
             for _, cname, ctype, not_null, _default, pk in conn.execute(
                 f"PRAGMA table_info({quote_ident(name)})"
             ):
@@ -113,32 +116,52 @@ def load_catalog(db_path: str | Path, db_id: str = "",
                     not_null=bool(not_null),
                     primary_key=bool(pk),
                 ))
+                if pk:
+                    key_at[pk] = cname
+            key_order[name] = [key_at[i] for i in sorted(key_at)]
             table = TableDef(name=name, columns=cols)
             if value_examples:
                 _attach_value_examples(conn, table)
             tables.append(table)
             # group multi-column foreign keys by their constraint id
-            grouped: dict[int, list[tuple[str, str, str]]] = {}
+            grouped: dict[int, tuple[str, list]] = {}
             for fk_id, _seq, ref_table, col, ref_col, *_ in conn.execute(
                 f"PRAGMA foreign_key_list({quote_ident(name)})"
             ):
-                if col is None or ref_col is None:
-                    continue  # shorthand REFERENCES without explicit columns
-                grouped.setdefault(fk_id, []).append((ref_table, col, ref_col))
-            for parts in grouped.values():
-                ref_table = parts[0][0]
-                fks.append(ForeignKey(
-                    table=name,
-                    columns=tuple(p[1] for p in parts),
-                    ref_table=ref_table,
-                    ref_columns=tuple(p[2] for p in parts),
-                ))
+                grouped.setdefault(fk_id, (ref_table, []))[1].append((col, ref_col))
+            declared += [(table, *key) for key in grouped.values()]
     except sqlite3.Error as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     finally:
         conn.close()
-    return DatabaseCatalog(db_id=db_id, db_path=str(path), tables=tables,
-                           foreign_keys=fks)
+    catalog = DatabaseCatalog(db_id=db_id, db_path=str(path), tables=tables,
+                              foreign_keys=[])
+    for table, ref_table, pairs in declared:
+        fk = _resolve_foreign_key(catalog, key_order, table, ref_table, pairs)
+        if fk is not None:
+            catalog.foreign_keys.append(fk)
+    return catalog
+
+
+def _resolve_foreign_key(catalog: DatabaseCatalog, key_order: dict[str, list[str]],
+                         table: TableDef, ref_table: str,
+                         pairs: list[tuple[str, str | None]]) -> ForeignKey | None:
+    """A declared key in the catalog's own spelling, or None if its parent
+    table or one of its columns is not there. SQLite matches these names
+    case-insensitively; a shorthand key (`REFERENCES parent` with no column
+    list) names the parent's primary key, in key order."""
+    parent = catalog.table(ref_table)
+    if parent is None:
+        return None
+    ref_names = [ref for _, ref in pairs]
+    if None in ref_names:
+        ref_names = key_order[parent.name]
+    columns = [table.column(col) for col, _ in pairs]
+    refs = [parent.column(ref) for ref in ref_names]
+    if len(refs) != len(columns) or None in columns + refs:
+        return None
+    return ForeignKey(table=table.name, columns=tuple(c.name for c in columns),
+                      ref_table=parent.name, ref_columns=tuple(c.name for c in refs))
 
 
 def _attach_value_examples(conn: sqlite3.Connection, table: TableDef) -> None:

@@ -58,6 +58,55 @@ def test_lookup_is_case_insensitive(restaurant_catalog):
     )
 
 
+def catalog_of(tmp_path: Path, script: str):
+    path = tmp_path / "keys.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(script)
+    return load_catalog(path)
+
+
+def key_of(fk) -> tuple:
+    return fk.table, fk.columns, fk.ref_table, fk.ref_columns
+
+
+def test_foreign_keys_take_the_catalogs_spelling(tmp_path):
+    catalog = catalog_of(tmp_path, """
+        CREATE TABLE Country (Code TEXT PRIMARY KEY, name TEXT);
+        CREATE TABLE city (id INTEGER PRIMARY KEY, country_code TEXT, label TEXT,
+                           FOREIGN KEY (Country_Code) REFERENCES country (code));
+    """)
+    assert [key_of(fk) for fk in catalog.foreign_keys] == [
+        ("city", ("country_code",), "Country", ("Code",))]
+    text = render_schema_context(
+        catalog, selected=(("city", ("label",)), ("Country", ("name",))))
+    assert "foreign key (country_code) references Country (Code)" in text
+    assert "country_code TEXT" in text and "Code TEXT" in text
+
+
+def test_a_shorthand_key_names_the_parents_primary_key(tmp_path):
+    catalog = catalog_of(tmp_path, """
+        CREATE TABLE a (x TEXT, id INTEGER PRIMARY KEY);
+        CREATE TABLE b (id INTEGER PRIMARY KEY, a_id INTEGER REFERENCES a);
+    """)
+    assert [key_of(fk) for fk in catalog.foreign_keys] == [
+        ("b", ("a_id",), "a", ("id",))]
+    assert "foreign key (a_id) references a (id)" in render_schema_context(catalog)
+
+
+def test_a_composite_shorthand_key_follows_the_primary_keys_order(tmp_path):
+    # the key is declared (q, p) over columns in the order p, q
+    catalog = catalog_of(tmp_path, """
+        CREATE TABLE c (p INTEGER, q INTEGER, v TEXT, PRIMARY KEY (q, p));
+        CREATE TABLE d (x INTEGER, y INTEGER, FOREIGN KEY (x, y) REFERENCES c);
+        CREATE TABLE e (x INTEGER, FOREIGN KEY (x) REFERENCES c);
+        CREATE TABLE f (x INTEGER REFERENCES nowhere, y INTEGER REFERENCES c (w));
+    """)
+    # e's key has one column for a two-column primary key, f's parent
+    # table and parent column do not exist: all three are dropped
+    assert [key_of(fk) for fk in catalog.foreign_keys] == [
+        ("d", ("x", "y"), "c", ("q", "p"))]
+
+
 def test_missing_database_raises(tmp_path):
     with pytest.raises(IngestionError):
         load_catalog(tmp_path / "absent.sqlite")

@@ -652,6 +652,33 @@ def test_a_keyword_with_no_utf8_form_costs_only_that_keyword(bird_dataset,
     assert records[0] == records[1]
 
 
+@pytest.mark.parametrize("keywords", [
+    "[" + "-" * 5000 + "1]",   # overflows the parser's recursion limit
+    "[" + "-" * 10000 + "1]",  # overflows the parser's stack: MemoryError
+    "[{[]: 1}]",               # an unhashable dict key: TypeError
+], ids=["recursion", "parser-stack", "unhashable"])
+def test_a_degenerate_keyword_answer_costs_only_the_retrieval(bird_dataset,
+                                                              tmp_path, keywords):
+    dataset, db_root = bird_dataset
+    index_dir = tmp_path / "indexes"
+    catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
+                           db_id="restaurants")
+    save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
+    item = load_dataset(dataset)[0]
+    cfg = SearchConfig(sql_timeout_secs=5.0)
+    records = []
+    for answer in (keywords, "[]"):
+        model = scripted_benchmark_model()
+        model.rules.insert(0, (KEYWORD_MARK, answer))
+        env = RunEnvironment(model=model, db_root=db_root, index_dir=index_dir,
+                             embedder=HashEmbedder(dim=64))
+        record = run_one_item(item, env, cfg)
+        del record["elapsed_secs"]
+        records.append(record)
+    assert records[0]["error"] is None and records[0]["ex"] == 1
+    assert records[0] == records[1]
+
+
 def large_result_item(root: Path, rows: int) -> tuple[BenchmarkItem, Path]:
     """A database whose table `t` holds `rows` rows, and an item whose gold
     query returns them all."""

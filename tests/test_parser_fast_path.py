@@ -165,3 +165,17 @@ def test_known_shapes_agree():
         '{"deep": ' + "[" * 3000 + "]" * 3000 + "}",
     ]:
         assert outcome(extract_json_object, raw) == outcome(reference_extract, raw), raw
+
+
+def test_repair_over_the_whole_text_agrees():
+    # the parser repairs trailing commas over the whole text, the reference
+    # over the balanced block only: these are the shapes where the two differ
+    for raw in [
+        '{"a": "x,}", "b": 1,}',                        # a "trailing comma" in a string
+        'see (x, } and y, ]) {"a": [1, 2,], "b": 3,}',  # prose with `, }` before
+        '```json\n{"a": 1\n```\nthen {"b": [2,],}',     # fenced body fails
+        '```json\n{"a": 1,}\n```\n{"b": 2}',             # fenced body repaired
+        '{"a": ' + "[" * 3000 + "]" * 3000 + ",}",      # too deep either way
+        '{"a": ' + "[" * 3000 + "]" * 3000 + ',} {"b": 1,}',
+    ]:
+        assert outcome(extract_json_object, raw) == outcome(reference_extract, raw), raw
