@@ -28,6 +28,13 @@ class ColumnDef:
     description: str = ""
     value_examples: list[str] = field(default_factory=list)
 
+    @property
+    def is_text(self) -> bool:
+        """A declared type that names "char" or "text", in any case: the
+        columns the value index scans and the prompt shows examples of."""
+        declared = self.type.lower()
+        return "char" in declared or "text" in declared
+
 
 @dataclass(frozen=True)
 class ForeignKey:
@@ -76,12 +83,7 @@ class DatabaseCatalog:
         return self.tables_by_lower.get(name.lower())
 
     def text_columns(self) -> list[tuple[str, str]]:
-        out = []
-        for t in self.tables:
-            for c in t.columns:
-                if "char" in c.type.lower() or "text" in c.type.lower():
-                    out.append((t.name, c.name))
-        return out
+        return [(t.name, c.name) for t in self.tables for c in t.columns if c.is_text]
 
 
 def load_catalog(db_path: str | Path, db_id: str = "",
@@ -166,8 +168,7 @@ def _resolve_foreign_key(catalog: DatabaseCatalog, key_order: dict[str, list[str
 
 def _attach_value_examples(conn: sqlite3.Connection, table: TableDef) -> None:
     for col in table.columns:
-        tl = col.type.lower()
-        if "char" not in tl and "text" not in tl:
+        if not col.is_text:
             continue
         column = quote_ident(col.name)
         try:

@@ -28,7 +28,7 @@ from ..errors import IngestionError, ProtocolError, TransportError
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..mcts import prepare_context, run_search, serialize_tree
 from ..reward_select import select_final
-from ..sql_exec import Sandbox, execute_sql, results_equal, same_rows_sql
+from ..sql_exec import Sandbox, execute_sql, same_rows_sql
 from ..value_index import ValueIndex, load_index
 from .baseline import baseline_generate
 from .dataset import BenchmarkItem
@@ -138,6 +138,7 @@ def run_one_item(
     cfg: SearchConfig,
     mode: str = "mcts",
     trace_path: Path | None = None,
+    sandbox: Sandbox | None = None,
 ) -> dict:
     """Process a single benchmark item into a report record.
 
@@ -152,10 +153,15 @@ def run_one_item(
     search, final selection, the chosen query and the gold query all run
     SQL through `ctx.execute`, so each string runs at most once per item.
     Only `mcts` mode passes the value index, so `baseline` mode makes no
-    keyword call. EX compares the chosen and the gold row sets; when either
+    keyword call.
+
+    EX is BIRD's rule: the chosen and the gold query return the same set of
+    rows, as SQLite returned them, not as the search folds them. When either
     result is truncated, SQLite compares the whole sets (`same_rows_sql`).
-    Every statement of the item runs on one `Sandbox` connection, closed
-    when the item ends, also on an error.
+
+    Every statement of the item runs on `sandbox`, an open `Sandbox` on the
+    item's database that the caller keeps for its thread. Without one, the
+    item opens its own and closes it when the item ends, also on an error.
     """
     started = time.time()
     record = {
@@ -173,12 +179,13 @@ def run_one_item(
         "error": None,
     }
     model = CountingModel(env.model)
-    sandbox = None
+    own_sandbox = None
     try:
         if mode not in ("mcts", "baseline"):
             raise IngestionError(f"unknown run mode: {mode!r}")
         catalog = env.catalog(item.db_id)
-        sandbox = Sandbox(env.db_path(item.db_id))
+        if sandbox is None:
+            sandbox = own_sandbox = Sandbox(env.db_path(item.db_id))
         item_cfg = dataclasses.replace(
             cfg, rng_seed=item_seed(cfg.rng_seed, item.question_id)
         )
@@ -234,14 +241,15 @@ def run_one_item(
                     cfg.sql_timeout_secs, row_cap=1, sandbox=sandbox)
                 record["ex"] = int(verdict.rows == {(1,)})
             else:
-                record["ex"] = int(results_equal(chosen_result, gold_result))
+                record["ex"] = int(chosen_result.is_rows
+                                   and chosen_result.rows == gold_result.rows)
     except Exception as exc:  # per-item isolation: record and move on
         log.exception("item %s failed", item.question_id)
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["ex"] = 0
     finally:
-        if sandbox is not None:
-            sandbox.close()
+        if own_sandbox is not None:
+            own_sandbox.close()
     record["model_calls"] = model.count
     record["elapsed_secs"] = round(time.time() - started, 3)
     return record
@@ -288,6 +296,13 @@ def run_benchmark(
     stale format version, say) raises `IngestionError` then, once, with no
     record written: recording it against every item would let a resumed
     run skip them all after the index is rebuilt.
+
+    Each worker thread opens one `Sandbox` per database on its first item
+    there and runs every later item of that database on it, so SQLite
+    reads each schema once per worker, not once per question. A worker only
+    ever gets the sandboxes it opened. All of them are closed once no
+    worker is left running, before the run returns or raises, also after an
+    interrupt.
     """
     if mode not in ("mcts", "baseline"):
         raise IngestionError(f"unknown run mode: {mode!r}")
@@ -305,9 +320,24 @@ def run_benchmark(
         for db_id in sorted({item.db_id for item in pending}):
             env.value_index(db_id)
 
+    local = threading.local()  # this thread's sandboxes by db_id
+    opened: list[Sandbox] = []
+
+    def sandbox_for(db_id: str) -> Sandbox | None:
+        mine = local.__dict__.setdefault("sandboxes", {})
+        if db_id not in mine:
+            try:
+                # closed by the thread that ends the run, once workers stop
+                mine[db_id] = Sandbox(env.db_path(db_id), check_same_thread=False)
+            except IngestionError:
+                return None  # the item opens its own and records the failure
+            opened.append(mine[db_id])
+        return mine[db_id]
+
     def process(item: BenchmarkItem) -> dict:
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
-        return run_one_item(item, env, cfg, mode=mode, trace_path=trace)
+        return run_one_item(item, env, cfg, mode=mode, trace_path=trace,
+                            sandbox=sandbox_for(item.db_id))
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -322,9 +352,13 @@ def run_benchmark(
                                          ensure_ascii=False) + "\n")
                 journal.flush()
     finally:
-        if pool is not None:
-            # after an interrupt, queued items must not run
-            pool.shutdown(cancel_futures=True)
+        try:
+            if pool is not None:
+                # after an interrupt, queued items must not run
+                pool.shutdown(cancel_futures=True)
+        finally:
+            for sandbox in opened:  # no worker is left to run a statement
+                sandbox.close()
 
     summary = summarize(items, done, cfg, mode=mode, endpoint=env.endpoint)
     (out / SUMMARY_NAME).write_text(

@@ -41,7 +41,12 @@ _READ_ACTIONS = frozenset({
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome of one query: 'rows' | 'error' | 'timeout'."""
+    """Outcome of one query: 'rows' | 'error' | 'timeout'.
+
+    `rows` is the set of rows as SQLite returned them, which execution
+    accuracy compares as BIRD's evaluator does. The search compares
+    `canonical_rows`, the same rows folded by `canonical_row`.
+    """
 
     kind: str
     rows: frozenset = frozenset()
@@ -59,12 +64,18 @@ class ExecutionResult:
         return self.kind == "rows"
 
     @cached_property
+    def canonical_rows(self) -> frozenset:
+        """The rows folded by `canonical_row`, built once on first use."""
+        return frozenset(canonical_row(r) for r in self.rows)
+
+    @cached_property
     def match_key(self) -> object:
-        """What equal results share: a complete result's row set, a truncated
-        one's own token (its true rows are unknown), None for a failure."""
+        """What equal results share: a complete result's canonical rows, a
+        truncated one's own token (its true rows are unknown), None for a
+        failure."""
         if self.kind != "rows":
             return None
-        return object() if self.truncated else self.rows
+        return object() if self.truncated else self.canonical_rows
 
     @cached_property
     def brief(self) -> str:
@@ -77,17 +88,16 @@ class ExecutionResult:
             return f"Error: {self.error}"
         if self.kind == "timeout":
             return "Error: query timed out"
-        text = repr([tuple(r) for r in sorted(self.rows, key=repr)[:20]])
+        rows = self.canonical_rows
+        text = repr([tuple(r) for r in sorted(rows, key=repr)[:20]])
         if len(text) > BRIEF_CHARS:
             text = text[: BRIEF_CHARS - 3] + "..."
-        suffix = " (truncated)" if self.truncated or len(self.rows) > 20 else ""
+        suffix = " (truncated)" if self.truncated or len(rows) > 20 else ""
         return f"Rows: {text}{suffix}"
 
 
 def rows_result(raw_rows: list[tuple], truncated: bool = False) -> ExecutionResult:
-    return ExecutionResult(kind="rows",
-                           rows=frozenset(canonical_row(r) for r in raw_rows),
-                           truncated=truncated)
+    return ExecutionResult(kind="rows", rows=frozenset(raw_rows), truncated=truncated)
 
 
 def error_result(message: str) -> ExecutionResult:
@@ -137,7 +147,8 @@ def canonical_row(row) -> tuple:
     return tuple(canonical_cell(c) for c in row)
 
 
-def open_readonly(db_path: str | Path) -> sqlite3.Connection:
+def open_readonly(db_path: str | Path,
+                  check_same_thread: bool = True) -> sqlite3.Connection:
     """A read-only connection to an existing database file.
 
     Every reader of a database opens it here: the catalog loader, the
@@ -146,12 +157,14 @@ def open_readonly(db_path: str | Path) -> sqlite3.Connection:
     decoded as utf-8 with undecodable bytes replaced. A file that is not a
     database opens without error; the first statement on it raises
     `sqlite3.DatabaseError`, which each reader turns into an `IngestionError`.
+    `check_same_thread` is sqlite3's own flag.
     """
     path = Path(db_path)
     if not path.exists():
         raise IngestionError(f"database file not found: {path}")
     try:
-        conn = sqlite3.connect(f"file:{quote(str(path))}?mode=ro", uri=True)
+        conn = sqlite3.connect(f"file:{quote(str(path))}?mode=ro", uri=True,
+                               check_same_thread=check_same_thread)
     except sqlite3.Error as exc:
         raise IngestionError(f"cannot open {path}: {exc}") from exc
     conn.text_factory = _decode_text
@@ -170,20 +183,27 @@ def _decode_text(raw: bytes) -> str:
 class Sandbox:
     """One read-only connection to a database, configured once for many statements.
 
-    `run_one_item` opens one per question and closes it when the question
-    ends; `execute_sql` without a sandbox opens one for its single statement.
-    The connection belongs to the thread that opened it (sqlite3's own check),
-    so `--workers` threads never share one.
+    `run_benchmark` keeps one per worker thread and database for the whole
+    run, so SQLite reads a database's schema once per worker, and closes
+    them all when the run ends. `run_one_item` called without one opens one
+    for its question and closes it when the question ends; `execute_sql`
+    without one opens one for its single statement.
 
-    Statements stay isolated on the shared connection because none can change
-    its state: the authorizer denies writes, CREATE TEMP, ATTACH, PRAGMA,
-    BEGIN and SAVEPOINT, an interrupted statement is reset by SQLite, and a
-    truncated result closes its cursor before the next statement runs.
+    Only the thread that opened a sandbox runs statements on it. sqlite3
+    enforces that unless `check_same_thread` is False, which `run_benchmark`
+    passes so that it can close its workers' sandboxes once they have all
+    stopped; each worker there only ever gets the sandboxes it opened.
+
+    Statements stay isolated on the shared connection, across the questions
+    of a run as within one, because none can change its state: the
+    authorizer denies writes, CREATE TEMP, ATTACH, PRAGMA, BEGIN and
+    SAVEPOINT, an interrupted statement is reset by SQLite, and a truncated
+    result closes its cursor before the next statement runs.
     """
 
-    def __init__(self, db_path: str | Path):
+    def __init__(self, db_path: str | Path, check_same_thread: bool = True):
         path = Path(db_path)
-        self._conn = conn = open_readonly(path)
+        self._conn = conn = open_readonly(path, check_same_thread)
         self._deadline = 0.0
         try:
             conn.execute("PRAGMA query_only = ON")
@@ -247,9 +267,9 @@ def execute_sql(
 
     The statement runs on `sandbox`, an open `Sandbox` on the database at
     `db_path`, or, without one, on a sandbox opened and closed for this call.
-    A search opens one per question, so the connection lives for that
-    question and is configured once; see `Sandbox` for why its statements
-    cannot affect each other.
+    A benchmark run keeps one per worker and database, so the connection
+    lives for the run and is configured once; see `Sandbox` for why its
+    statements cannot affect each other.
 
     SQLite's progress handler checks the statement's deadline every
     DEADLINE_CHECK_STEPS virtual-machine steps and aborts it once it has

@@ -50,6 +50,17 @@ def test_text_columns_listed(restaurant_catalog):
     assert ("generalinfo", "review") not in cols  # REAL column
 
 
+def test_value_examples_cover_exactly_the_indexed_columns(tmp_path):
+    # the index scans `text_columns`; the prompt shows value examples
+    catalog = catalog_of(tmp_path, """
+        CREATE TABLE t (a VARCHAR(20), b NChar(3), c Text, d CLOB, e INTEGER,
+                        f BLOB, g);
+        INSERT INTO t VALUES ('x', 'y', 'z', 'w', 1, 'v', 'u');
+    """)
+    shown = [c.name for c in catalog.tables[0].columns if c.value_examples]
+    assert shown == [c for _, c in catalog.text_columns()] == ["a", "b", "c", "g"]
+
+
 def test_lookup_is_case_insensitive(restaurant_catalog):
     assert restaurant_catalog.table("GENERALINFO").name == "generalinfo"
     assert (

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sqlite3
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,8 +52,10 @@ from sqlscout.harness.runner import (
 )
 from sqlscout.llm_client import HashEmbedder, ScriptedModel
 from sqlscout.mcts import audit_tree, prepare_context, run_search
-from sqlscout.sql_exec import Sandbox
+from sqlscout.sql_exec import Sandbox, results_equal
 from sqlscout.value_index import build_value_index, save_index
+
+from test_connection_leaks import FailsMidSearch, is_closed, recorded_connections
 
 from conftest import (
     A5_MARK,
@@ -408,10 +411,15 @@ def recorded_sandboxes(monkeypatch) -> tuple[list, list]:
     opened, used = [], []
 
     class Recorded(Sandbox):
-        def __init__(self, db_path):
-            super().__init__(db_path)
+        def __init__(self, db_path, **kwargs):
+            super().__init__(db_path, **kwargs)
             self.closed = False
+            self.threads = set()
             opened.append(self)
+
+        def run(self, *args, **kwargs):
+            self.threads.add(threading.get_ident())
+            return super().run(*args, **kwargs)
 
         def close(self):
             super().close()
@@ -465,9 +473,115 @@ def test_workers_never_share_a_sandbox(bird_dataset, tmp_path, monkeypatch):
     summary = run_benchmark(items, bench_env(db_root), bench_cfg(),
                             tmp_path / "run", workers=2)
     assert summary["item_errors"] == 0 and summary["ex_overall"] == 1.0
-    # sqlite3 would refuse a connection used on a thread that did not open it
-    assert len(opened) == len(items) == len({id(s) for s in used})
+    # each worker keeps its own sandbox for the run; sqlite3's same-thread
+    # check is off on them, so the run itself must keep each to one thread
+    assert 1 <= len(opened) <= 2
+    assert {id(s) for s in used} == {id(s) for s in opened}
+    assert all(len(sandbox.threads) == 1 for sandbox in opened)
+    assert len(set.union(*(sandbox.threads for sandbox in opened))) == len(opened)
+    assert threading.get_ident() not in opened[0].threads
     assert all(sandbox.closed for sandbox in opened)
+
+
+def eight_items(dataset: Path) -> list[BenchmarkItem]:
+    """The four restaurants items, then each again under another id."""
+    items = load_dataset(dataset)
+    return items + [dataclasses.replace(i, question_id=f"{i.question_id}-again")
+                    for i in items]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_run_opens_one_connection_per_worker(bird_dataset, tmp_path,
+                                               monkeypatch, workers):
+    dataset, db_root = bird_dataset
+    env = bench_env(db_root)
+    # loaded first, so that only sandboxes connect below; `is_closed` could
+    # not tell a worker's own closed catalog connection from an open one
+    env.catalog("restaurants")
+    opened = recorded_connections(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often: a lost update shows
+    try:
+        summary = run_benchmark(eight_items(dataset), env, bench_cfg(),
+                                tmp_path / "run", workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert summary["completed"] == 8 and summary["ex_overall"] == 1.0
+    assert 1 <= len(opened) <= workers
+    assert all(map(is_closed, opened))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_whose_items_raise_leaves_no_connection_open(bird_dataset, tmp_path,
+                                                           monkeypatch, workers):
+    dataset, db_root = bird_dataset
+    env = bench_env(db_root, FailsMidSearch(after=40))
+    env.catalog("restaurants")  # as above
+    opened = recorded_connections(monkeypatch)
+    summary = run_benchmark(eight_items(dataset), env, bench_cfg(),
+                            tmp_path / "run", workers=workers)
+    assert summary["item_errors"] > 0
+    assert opened and all(map(is_closed, opened))
+
+
+def test_an_item_on_a_missing_database_is_recorded_and_the_run_goes_on(
+        bird_dataset, tmp_path):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)[:2]
+    absent = dataclasses.replace(
+        items[0], question_id="absent",
+        question=dataclasses.replace(items[0].question, db_id="absent"))
+    summary = run_benchmark([absent, *items], bench_env(db_root), bench_cfg(),
+                            tmp_path / "run")
+    assert (summary["completed"], summary["item_errors"]) == (3, 1)
+    record = load_report_records(tmp_path / "run" / REPORT_NAME)["absent"]
+    alone = run_one_item(absent, bench_env(db_root), bench_cfg())
+    assert record["error"] == alone["error"]
+    assert record["error"].startswith("IngestionError: no database file for 'absent'")
+
+
+SPIN_SQL = ("WITH RECURSIVE spin(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM spin) "
+            "SELECT COUNT(*) FROM spin")
+
+
+class WatchedSandbox(Sandbox):
+    """A sandbox that keeps the kind of each result it returns."""
+
+    def __init__(self, db_path):
+        super().__init__(db_path)
+        self.outcomes = []
+
+    def run(self, *args, **kwargs):
+        result = super().run(*args, **kwargs)
+        self.outcomes.append("truncated" if result.truncated else result.kind)
+        return result
+
+
+# a gold query, and the bounds under which it ends so
+FAILING_GOLD = {
+    "timeout": (SPIN_SQL, bench_cfg(sql_timeout_secs=0.2)),
+    "truncated": ("SELECT label FROM generalinfo", bench_cfg(row_cap=2)),
+    "error": ("SELECT label FROM nowhere", bench_cfg()),
+}
+
+
+@pytest.mark.parametrize("outcome", FAILING_GOLD)
+def test_a_failed_statement_leaves_the_next_item_as_on_a_fresh_sandbox(
+        bird_dataset, outcome):
+    dataset, db_root = bird_dataset
+    gold, cfg = FAILING_GOLD[outcome]
+    items = load_dataset(dataset)
+    failing = dataclasses.replace(items[1], question_id="failing", gold_sql=gold)
+    env = bench_env(db_root)
+    with WatchedSandbox(env.db_path("restaurants")) as sandbox:
+        first = run_one_item(failing, env, cfg, mode="baseline", sandbox=sandbox)
+        assert outcome in sandbox.outcomes
+        assert first["broken_gold"] == (outcome != "truncated")
+        shared = run_one_item(items[0], env, bench_cfg(), sandbox=sandbox)
+    fresh = run_one_item(items[0], bench_env(db_root), bench_cfg())
+    assert shared["ex"] == 1 and shared["error"] is None
+    del shared["elapsed_secs"], fresh["elapsed_secs"]
+    assert shared == fresh
 
 
 def test_run_one_item_broken_gold(bird_dataset):
@@ -714,6 +828,27 @@ def test_truncated_results_score_as_whole_row_sets(tmp_path, predicted, ex):
     assert (record["sql"], record["ex"], record["error"]) == (predicted, ex, None)
 
 
+@pytest.mark.parametrize("gold, predicted, ex", [
+    ("SELECT 0.1+0.2", "SELECT 0.3", 0),
+    ("SELECT '1'", "SELECT 1", 0),
+    ("SELECT ' a'", "SELECT 'a'", 0),
+    ("SELECT 1.0000001", "SELECT 1", 0),
+    ("SELECT 1.0", "SELECT 1", 1),  # equal as Python compares them
+])
+def test_ex_compares_rows_as_sqlite_returned_them(bird_dataset, gold, predicted, ex):
+    # BIRD's set(pred) == set(gold); the search's folding calls each pair equal
+    _, db_root = bird_dataset
+    env = bench_env(db_root, ScriptedModel())
+    env.model.add(BASELINE_MARK, f"<sql>{predicted}</sql>")
+    item = BenchmarkItem(question_id="fold", gold_sql=gold,
+                         question=NLQuestion(question="Which value?",
+                                             db_id="restaurants"))
+    record = run_one_item(item, env, bench_cfg(), mode="baseline")
+    assert (record["sql"], record["ex"], record["error"]) == (predicted, ex, None)
+    executor = env.executor("restaurants", bench_cfg())
+    assert results_equal(executor(gold), executor(predicted))
+
+
 def test_run_benchmark_end_to_end(bird_dataset, tmp_path):
     dataset, db_root = bird_dataset
     items = load_dataset(dataset)
@@ -872,7 +1007,8 @@ def test_run_benchmark_workers_match_serial(bird_dataset, tmp_path):
 
 
 def test_run_benchmark_interrupt_under_workers_drops_the_queue(bird_dataset,
-                                                               tmp_path):
+                                                               tmp_path,
+                                                               monkeypatch):
     _, db_root = bird_dataset
     items = [BenchmarkItem(question_id=str(i), gold_sql="SELECT 1",
                            question=NLQuestion(question=f"q {i}?",
@@ -898,13 +1034,16 @@ def test_run_benchmark_interrupt_under_workers_drops_the_queue(bird_dataset,
             return "<sql>SELECT 1</sql>"
 
     model = InterruptedModel()
+    env = bench_env(db_root, model)
+    env.catalog("restaurants")  # so that only sandboxes connect below
+    opened = recorded_connections(monkeypatch)
     out = tmp_path / "run"
     with pytest.raises(KeyboardInterrupt):
-        run_benchmark(items, bench_env(db_root, model), bench_cfg(), out,
-                      mode="baseline", workers=2)
+        run_benchmark(items, env, bench_cfg(), out, mode="baseline", workers=2)
     # the items in flight finish; the queued ones never start
     assert model.calls <= 3 + 2 * 2
     assert len(load_report_records(out / REPORT_NAME)) < model.calls
+    assert opened and all(map(is_closed, opened))
 
 
 def test_run_benchmark_traces(bird_dataset, tmp_path):

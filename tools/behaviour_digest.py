@@ -11,6 +11,11 @@ sample index, executed SQL). Equal output from two trees means that they
 behave the same on these inputs; the program under test is imported from
 this checkout's `src`.
 
+The `narrow` shape runs with two workers, as the `search_latency` workload
+does, so that the digest covers the pooled path; the other shapes run with
+one. None of the digested parts depends on the order in which items finish,
+so a tree whose tool ran `narrow` with one worker prints the same digest.
+
 `--against PATH` also runs the tool of the checkout at PATH, with the same
 seed and scale, and prints its digests on a second line. The exit status is
 1 if a shape's digests differ, and each such shape is named on stderr.
@@ -36,6 +41,9 @@ from sqlscout.core.catalog import load_catalog  # noqa: E402
 from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark  # noqa: E402
 from sqlscout.value_index import build_value_index, save_index  # noqa: E402
 
+# harness workers per shape, as in the e2ebench workload that runs it
+WORKERS = {"narrow": 2}
+
 
 def shape_digest(shape: str, seed: int, scale: str, work: Path) -> str:
     inputs = generate(SHAPES[shape](scale), seed, work)
@@ -47,7 +55,7 @@ def shape_digest(shape: str, seed: int, scale: str, work: Path) -> str:
                          index_dir=index_path.parent)
     out = work / "run"
     run_benchmark(load_dataset(inputs.dataset_path), env, SearchConfig(rng_seed=seed),
-                  out, resume=False, write_traces=True)
+                  out, workers=WORKERS.get(shape, 1), resume=False, write_traces=True)
     records = [json.loads(line) for line in
                (out / "report.jsonl").read_text(encoding="utf-8").splitlines()]
     for record in records:
