@@ -18,7 +18,7 @@ from ..llm_client import (
 )
 from ..core.catalog import load_catalog
 from ..errors import ContractViolation, IngestionError
-from ..value_index import MinHashParams, build_value_index, save_index
+from ..value_index import build_value_index, save_index
 from .config import load_config
 from .dataset import (
     difficulty_counts,
@@ -66,21 +66,18 @@ def index() -> None:
               help="Database id to index (repeatable); default: all found.")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True,
               help="Directory for <db_id>.jsonl index files.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for the hash permutations.")
-def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) -> None:
+def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str) -> None:
     """Scan text columns of each database into a searchable value index."""
     root = Path(db_root)
     targets = list(db_ids) or find_databases(root)
     if not targets:
         raise click.ClickException(f"no databases found under {root}")
-    params = MinHashParams(seed=seed)
     out = Path(out_dir)
     for db_id in targets:
         try:
             catalog = load_catalog(database_path(root, db_id), db_id=db_id,
                                    value_examples=False)
-            built = build_value_index(catalog, params=params)
+            built = build_value_index(catalog)
         except IngestionError as exc:  # not a database file, say
             raise click.ClickException(str(exc)) from exc
         target = out / f"{db_id}.jsonl"
@@ -103,35 +100,30 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str, seed: int) 
               help="Run directory for report, summary, and predictions.")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="INI config mirroring search + endpoint settings.")
-@click.option("--seed", type=int, default=None,
-              help="Override the configured base seed.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Items run side by side, each on its own thread.")
 @click.option("--resume/--no-resume", default=True, show_default=True,
               help="Skip items already present in the report file.")
 @click.option("--traces", is_flag=True, help="Write per-question tree traces.")
-@click.option("--sds", is_flag=True,
-              help="Stratified subsample before running: --sds-fraction of "
-                   "each database's items, rounded up.")
-@click.option("--sds-fraction", type=click.FloatRange(0, 1, min_open=True),
-              default=0.10, show_default=True)
+@click.option("--sds", type=click.FloatRange(0, 1, min_open=True), is_flag=False,
+              flag_value=0.10, default=None, metavar="[FRACTION]",
+              help="Stratified subsample before running: FRACTION (default "
+                   "0.1) of each database's items, rounded up.")
 @click.option("--sds-file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Question-id file naming the exact subsample.")
 @click.option("--limit", type=click.IntRange(min=0), default=None,
               help="Run only the first N items (after subsampling).")
 def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
-        out_dir: str, config_path: str | None, seed: int | None, workers: int,
-        resume: bool, traces: bool, sds: bool, sds_fraction: float,
-        sds_file: str | None, limit: int | None) -> None:
+        out_dir: str, config_path: str | None, workers: int, resume: bool,
+        traces: bool, sds: float | None, sds_file: str | None,
+        limit: int | None) -> None:
     """Run the benchmark and write the report artifacts."""
+    if sds is not None and sds_file:
+        raise click.UsageError("--sds and --sds-file are mutually exclusive")
     try:
         cfg, endpoint = load_config(config_path)
     except (ValueError, IngestionError, ContractViolation) as exc:
         raise click.ClickException(str(exc)) from exc
-    if seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, rng_seed=seed)
     if not endpoint.chat_model:
         raise click.ClickException(
             "no chat model configured; set SQLSCOUT_CHAT_MODEL or the "
@@ -143,11 +135,11 @@ def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
     if sds_file:
         items = filter_by_ids(items, load_question_ids(sds_file))
         click.echo(f"id file kept {len(items)}: {difficulty_counts(items)}")
-    elif sds:
+    elif sds is not None:
         try:
-            items = subsample_sds(items, fraction=sds_fraction, seed=cfg.rng_seed)
+            items = subsample_sds(items, fraction=sds, seed=cfg.rng_seed)
         except ContractViolation as exc:  # NaN passes the option's range
-            raise click.ClickException(str(exc)) from exc
+            raise click.ClickException(f"--sds: {exc}") from exc
         click.echo(f"subsampled {len(items)}: {difficulty_counts(items)}")
     if limit is not None:
         items = items[:limit]

@@ -12,10 +12,6 @@ from pathlib import Path
 from ..core.types import NLQuestion
 from ..errors import ContractViolation, IngestionError
 
-BIRD_DIFFICULTIES = ("simple", "moderate", "challenging")
-SPIDER_DIFFICULTIES = ("easy", "medium", "hard", "extra")
-
-
 @dataclass(frozen=True)
 class BenchmarkItem:
     question_id: str

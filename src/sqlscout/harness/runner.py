@@ -24,7 +24,7 @@ from pathlib import Path
 
 from ..core.catalog import DatabaseCatalog, attach_descriptions, load_catalog
 from ..core.types import SearchConfig
-from ..errors import IngestionError, ProtocolError, TransportError
+from ..errors import ContractViolation, IngestionError, ProtocolError, TransportError
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..mcts import prepare_context, run_search, serialize_tree
 from ..reward_select import select_final
@@ -297,15 +297,19 @@ def run_benchmark(
     record written: recording it against every item would let a resumed
     run skip them all after the index is rebuilt.
 
-    Each worker thread opens one `Sandbox` per database on its first item
-    there and runs every later item of that database on it, so SQLite
-    reads each schema once per worker, not once per question. A worker only
-    ever gets the sandboxes it opened. All of them are closed once no
-    worker is left running, before the run returns or raises, also after an
-    interrupt.
+    Items run on a pool of `workers` threads, one worker included; fewer
+    than one is a `ContractViolation` before the run directory is touched.
+    An interrupt ends the run once the items in flight finish, and queued
+    items never start. Each worker opens one `Sandbox` per database on its
+    first item there and runs every later item of that database on it, so
+    SQLite reads each schema once per worker, not once per question. A
+    worker only ever gets the sandboxes it opened. All of them are closed
+    once no worker is left running, before the run returns or raises.
     """
     if mode not in ("mcts", "baseline"):
         raise IngestionError(f"unknown run mode: {mode!r}")
+    if workers < 1:
+        raise ContractViolation(f"workers must be at least 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / REPORT_NAME
@@ -320,44 +324,39 @@ def run_benchmark(
         for db_id in sorted({item.db_id for item in pending}):
             env.value_index(db_id)
 
-    local = threading.local()  # this thread's sandboxes by db_id
-    opened: list[Sandbox] = []
+    # by (worker thread, db_id); a worker reads and writes only its own keys
+    sandboxes: dict[tuple[int, str], Sandbox] = {}
 
     def sandbox_for(db_id: str) -> Sandbox | None:
-        mine = local.__dict__.setdefault("sandboxes", {})
-        if db_id not in mine:
+        key = (threading.get_ident(), db_id)
+        if key not in sandboxes:
             try:
                 # closed by the thread that ends the run, once workers stop
-                mine[db_id] = Sandbox(env.db_path(db_id), check_same_thread=False)
+                sandboxes[key] = Sandbox(env.db_path(db_id), check_same_thread=False)
             except IngestionError:
                 return None  # the item opens its own and records the failure
-            opened.append(mine[db_id])
-        return mine[db_id]
+        return sandboxes[key]
 
     def process(item: BenchmarkItem) -> dict:
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
         return run_one_item(item, env, cfg, mode=mode, trace_path=trace,
                             sandbox=sandbox_for(item.db_id))
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         with open(report_path, "a", encoding="utf-8") as journal:
-            records = map(process, pending) if pool is None else (
-                future.result() for future in
-                as_completed([pool.submit(process, item) for item in pending])
-            )
-            for record in records:
+            for future in as_completed([pool.submit(process, i) for i in pending]):
+                record = future.result()
                 done[record["question_id"]] = record
                 journal.write(json.dumps(record, sort_keys=True,
                                          ensure_ascii=False) + "\n")
                 journal.flush()
     finally:
         try:
-            if pool is not None:
-                # after an interrupt, queued items must not run
-                pool.shutdown(cancel_futures=True)
+            # after an interrupt, queued items must not run
+            pool.shutdown(cancel_futures=True)
         finally:
-            for sandbox in opened:  # no worker is left to run a statement
+            for sandbox in sandboxes.values():  # no worker is left to run a statement
                 sandbox.close()
 
     summary = summarize(items, done, cfg, mode=mode, endpoint=env.endpoint)

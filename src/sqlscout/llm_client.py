@@ -16,7 +16,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol
 
 import numpy as np
 import requests
@@ -28,7 +28,6 @@ BACKOFF_SECS = (1.0, 2.0, 4.0)
 HTTP_TIMEOUT_SECS = 120.0
 
 
-@runtime_checkable
 class ChatModel(Protocol):
     def sample(self, prompt: str, temperature: float, max_tokens: int,
                sample_index: int, tag: str = "") -> str:

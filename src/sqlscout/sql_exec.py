@@ -183,16 +183,19 @@ def _decode_text(raw: bytes) -> str:
 class Sandbox:
     """One read-only connection to a database, configured once for many statements.
 
-    `run_benchmark` keeps one per worker thread and database for the whole
-    run, so SQLite reads a database's schema once per worker, and closes
-    them all when the run ends. `run_one_item` called without one opens one
-    for its question and closes it when the question ends; `execute_sql`
-    without one opens one for its single statement.
+    `run_benchmark` runs every item on its thread pool, one worker
+    included, and keeps one sandbox per worker thread and database for the
+    whole run, in one map keyed by (thread id, db_id). SQLite so reads a
+    database's schema once per worker, and the run closes them all when it
+    ends. `run_one_item` called without one opens one for its question and
+    closes it when the question ends; `execute_sql` without one opens one
+    for its single statement.
 
     Only the thread that opened a sandbox runs statements on it. sqlite3
     enforces that unless `check_same_thread` is False, which `run_benchmark`
-    passes so that it can close its workers' sandboxes once they have all
-    stopped; each worker there only ever gets the sandboxes it opened.
+    passes so that the thread ending the run can close its workers'
+    sandboxes once they have all stopped; each worker there only ever gets
+    the sandboxes it opened.
 
     Statements stay isolated on the shared connection, across the questions
     of a run as within one, because none can change its state: the

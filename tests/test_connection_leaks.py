@@ -5,13 +5,14 @@ versions a leak passes unseen; these tests record the connections instead.
 """
 
 import sqlite3
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import SearchConfig
 from sqlscout.errors import IngestionError
-from sqlscout.harness import RunEnvironment, load_dataset, run_one_item
+from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark, run_one_item
 from sqlscout.value_index import build_value_index, save_index
 
 from conftest import scripted_benchmark_model
@@ -36,8 +37,14 @@ def recorded_connections(monkeypatch) -> list[sqlite3.Connection]:
 
 
 def is_closed(conn: sqlite3.Connection) -> bool:
+    """Whether `conn` is closed, asked from any thread.
+
+    A statement on a connection made by another thread raises sqlite3's
+    same-thread error, open or closed; reading `total_changes` checks only
+    that the connection is open.
+    """
     try:
-        conn.execute("SELECT 1")
+        conn.total_changes
     except sqlite3.ProgrammingError as exc:
         return "closed" in str(exc)
     return False
@@ -98,3 +105,26 @@ def test_a_failed_scan_closes_its_connection(tmp_path, monkeypatch):
     with pytest.raises(IngestionError, match="cannot scan"):
         build_value_index(catalog)
     assert len(opened) == 1 and is_closed(opened[0])
+
+
+def test_is_closed_reads_a_connection_made_on_another_thread():
+    with ThreadPoolExecutor(max_workers=1) as other:  # one thread makes both
+        kept, dropped = (other.submit(sqlite3.connect, ":memory:").result()
+                         for _ in range(2))
+        other.submit(dropped.close).result()
+        assert not is_closed(kept) and is_closed(dropped)
+        other.submit(kept.close).result()
+    assert is_closed(kept)
+
+
+def test_a_pooled_run_closes_the_connections_its_workers_open(
+        bird_dataset, tmp_path, monkeypatch):
+    dataset, db_root = bird_dataset
+    opened = recorded_connections(monkeypatch)
+    # a fresh environment: the catalog loads on a worker thread, not here
+    env = RunEnvironment(model=scripted_benchmark_model(), db_root=db_root)
+    summary = run_benchmark(load_dataset(dataset), env,
+                            SearchConfig(n_rollout=6, sql_timeout_secs=5.0),
+                            tmp_path / "run", workers=2)
+    assert summary["item_errors"] == 0 and summary["ex_overall"] == 1.0
+    assert opened and all(map(is_closed, opened))

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import signal
 import sqlite3
 import sys
 import threading
@@ -1046,6 +1047,56 @@ def test_run_benchmark_interrupt_under_workers_drops_the_queue(bird_dataset,
     assert opened and all(map(is_closed, opened))
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_benchmark_rejects_fewer_than_one_worker(bird_dataset, tmp_path,
+                                                     workers):
+    # checked before `resume=False` clears the journal
+    dataset, db_root = bird_dataset
+    out = tmp_path / "run"
+    items = load_dataset(dataset)
+    run_benchmark(items[:1], bench_env(db_root), bench_cfg(), out, mode="baseline")
+    journal = (out / REPORT_NAME).read_bytes()
+    with pytest.raises(ContractViolation, match="workers"):
+        run_benchmark(items, bench_env(db_root), bench_cfg(), out,
+                      mode="baseline", workers=workers, resume=False)
+    assert (out / REPORT_NAME).read_bytes() == journal
+
+
+def test_run_benchmark_interrupt_with_one_worker_finishes_the_item_in_flight(
+        bird_dataset, tmp_path):
+    _, db_root = bird_dataset
+    items = [BenchmarkItem(question_id=str(i), gold_sql="SELECT 1",
+                           question=NLQuestion(question=f"q {i}?",
+                                               db_id="restaurants"))
+             for i in range(5)]
+
+    class CtrlCModel:
+        """Ctrl-C reaches the main thread during the first call, which then
+        goes on to its end."""
+
+        def __init__(self):
+            self.calls = self.finished = 0
+
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            self.calls += 1
+            if self.calls == 1:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.2)
+            self.finished += 1
+            return "<sql>SELECT 1</sql>"
+
+    model = CtrlCModel()
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(items, bench_env(db_root, model), bench_cfg(),
+                          tmp_path / "run", mode="baseline")
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    # the item in flight was not cut short, and the queued ones never started
+    assert (model.calls, model.finished) == (1, 1)
+
+
 def test_run_benchmark_traces(bird_dataset, tmp_path):
     dataset, db_root = bird_dataset
     items = load_dataset(dataset)[:1]
@@ -1259,13 +1310,55 @@ def test_cli_run_rejects_a_subsample_fraction_outside_zero_to_one(
     out_dir = tmp_path / "run"
     result = cli_env.invoke(cli_main, [
         "run", "--dataset", str(dataset), "--db-root", str(db_root),
-        "--out-dir", str(out_dir), "--mode", "baseline", "--sds",
-        "--sds-fraction", value,
+        "--out-dir", str(out_dir), "--mode", "baseline", "--sds", value,
     ])
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit), result.exception  # no traceback
-    assert "fraction" in result.output
+    # click reads a token that starts with "-" after an option whose value
+    # is optional as the next option, so it names "-1" as an unknown one
+    assert ("-1" if value == "-1" else "--sds") in result.output
     assert not (out_dir / REPORT_NAME).exists()
+
+
+@pytest.mark.parametrize("fraction, kept", [([], 1), (["0.5"], 2), (["1"], 4)])
+def test_cli_run_sds_takes_an_optional_fraction(bird_dataset, tmp_path, cli_env,
+                                                fraction, kept):
+    # a bare --sds is 10%: one of the four items, rounded up
+    dataset, db_root = bird_dataset
+    out_dir = tmp_path / "run"
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(out_dir), "--mode", "baseline", "--sds", *fraction,
+    ])
+    assert result.exit_code == 0, result.output
+    assert f"subsampled {kept}:" in result.output
+    assert len(load_report_records(out_dir / REPORT_NAME)) == kept
+
+
+def test_cli_run_rejects_sds_with_an_id_file(bird_dataset, tmp_path, cli_env):
+    dataset, db_root = bird_dataset
+    ids = tmp_path / "ids.json"
+    ids.write_text('["0"]', encoding="utf-8")
+    out_dir = tmp_path / "run"
+    for fraction in ([], ["0.5"]):
+        result = cli_env.invoke(cli_main, [
+            "run", "--dataset", str(dataset), "--db-root", str(db_root),
+            "--out-dir", str(out_dir), "--mode", "baseline", "--sds", *fraction,
+            "--sds-file", str(ids),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--sds and --sds-file" in result.output
+        assert "loaded" not in result.output  # nothing ran
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["index", "build"]])
+def test_cli_has_no_seed_option(cli_env, command):
+    # the search seed is `[search] rng_seed`; an index build uses the default
+    # hash seed, and `load_index` reads whatever seed an index names
+    result = cli_env.invoke(cli_main, [*command, "--seed", "3"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--seed" in result.output
 
 
 def test_cli_inspect_truncates_sql_to_max_sql(tmp_path, cli_env):

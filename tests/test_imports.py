@@ -1,17 +1,22 @@
-"""Every name a module imports is used in that module, and so is every
-private name it defines.
+"""Every name a module imports is used in that module, every private name
+it defines is too, and every public constant it defines is read somewhere.
 
 A stdlib `ast` pass, so the check needs no lint package. Package
 `__init__.py` files are skipped for imports: their imports are re-exports.
 A private module-level function, class or constant (one name starting with
 a single underscore) that its own module never reads is left over from a
-deletion.
+deletion. So is a public UPPERCASE constant that no file of the program,
+its tests, its tools or its benchmark reads.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sqlscout"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sqlscout"
+READERS = [ROOT / "src", ROOT / "tests", ROOT / "tools", ROOT / "e2ebench"]
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -85,3 +90,44 @@ def test_no_module_defines_a_private_name_it_never_uses():
         if (unused := unused_private_names(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def public_constants(source: str) -> dict[str, int]:
+    """Module-level UPPERCASE names the source assigns, with their line."""
+    found = {}
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id):
+                found[target.id] = node.lineno
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the source loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_public_constants_and_reads_are_found():
+    source = "A = 1\nB_2: int = A\nC, d = 3, 4\nlower = 5\n_P = 6\nprint(x.C)\n"
+    assert public_constants(source) == {"A": 1, "B_2": 2}
+    assert names_read(source) == {"A", "int", "print", "x", "C"}
+
+
+def test_every_public_constant_is_read_somewhere():
+    read = set().union(*(names_read(path.read_text(encoding="utf-8"))
+                         for root in READERS for path in sorted(root.rglob("*.py"))))
+    unread = {
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in public_constants(path.read_text(encoding="utf-8")).items()
+        if name not in read
+    }
+    assert unread == set()

@@ -11,10 +11,12 @@ sample index, executed SQL). Equal output from two trees means that they
 behave the same on these inputs; the program under test is imported from
 this checkout's `src`.
 
-The `narrow` shape runs with two workers, as the `search_latency` workload
-does, so that the digest covers the pooled path; the other shapes run with
-one. None of the digested parts depends on the order in which items finish,
-so a tree whose tool ran `narrow` with one worker prints the same digest.
+Every shape runs on `run_benchmark`'s worker pool, as every run does. The
+`narrow` shape keeps two workers, as the `search_latency` workload does, so
+that the digest covers items running side by side; the other shapes run
+with one. None of the digested parts depends on the order in which items
+finish, so a tree whose tool ran `narrow` with one worker prints the same
+digest.
 
 `--against PATH` also runs the tool of the checkout at PATH, with the same
 seed and scale, and prints its digests on a second line. The exit status is
