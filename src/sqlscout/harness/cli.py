@@ -17,7 +17,7 @@ from ..llm_client import (
     ResponseCache,
 )
 from ..core.catalog import load_catalog
-from ..errors import ContractViolation, IngestionError
+from ..errors import ContractViolation, IngestionError, TransportError
 from ..value_index import build_value_index, save_index
 from .config import load_config
 from .dataset import (
@@ -164,7 +164,8 @@ def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
             items, env, cfg, out_dir, mode=mode, workers=workers,
             resume=resume, write_traces=traces,
         )
-    except IngestionError as exc:  # an unreadable value index, say
+    # an unreadable value index, say, or an endpoint that answers nothing
+    except (IngestionError, TransportError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(json.dumps(summary["ex_by_difficulty"], indent=1, sort_keys=True))
     click.echo(f"EX overall: {summary['ex_overall']:.4f} "

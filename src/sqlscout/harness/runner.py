@@ -63,8 +63,11 @@ class RunEnvironment:
 
     Databases live at `<db_root>/<db_id>/<db_id>.sqlite` (flat
     `<db_root>/<db_id>.sqlite` accepted too); value indexes at
-    `<index_dir>/<db_id>.jsonl`. Catalogs and indexes are cached per db_id
-    and loaded once, also when `--workers` threads ask for one together.
+    `<index_dir>/<db_id>.jsonl`. Catalogs and indexes are cached per db_id.
+    One lock is held across each lookup and, on a miss, the load, so each
+    loads once and every caller, on any `--workers` thread, gets the same
+    object; a load that raises caches nothing, and the next caller loads
+    again. A load must not ask the environment for another database.
     """
 
     model: ChatModel
@@ -74,22 +77,16 @@ class RunEnvironment:
     endpoint: EndpointConfig | None = None
     _catalogs: dict[str, DatabaseCatalog] = field(default_factory=dict, repr=False)
     _indexes: dict[str, ValueIndex | None] = field(default_factory=dict, repr=False)
-    _load_locks: dict[str, threading.Lock] = field(default_factory=dict, repr=False)
-    _load_locks_guard: threading.Lock = field(
-        default_factory=threading.Lock, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def db_path(self, db_id: str) -> Path:
         return database_path(self.db_root, db_id)
 
     def _load_once(self, cache: dict, db_id: str, load):
-        """cache[db_id], loading it at most once; other askers wait for that load."""
-        if db_id not in cache:
-            with self._load_locks_guard:
-                lock = self._load_locks.setdefault(db_id, threading.Lock())
-            with lock:
-                if db_id not in cache:
-                    cache[db_id] = load(db_id)
-        return cache[db_id]
+        with self._lock:
+            if db_id not in cache:
+                cache[db_id] = load(db_id)
+            return cache[db_id]
 
     def catalog(self, db_id: str) -> DatabaseCatalog:
         return self._load_once(self._catalogs, db_id, self._load_catalog)
@@ -295,16 +292,21 @@ def run_benchmark(
     is loaded before the first item runs. An index that cannot be read (a
     stale format version, say) raises `IngestionError` then, once, with no
     record written: recording it against every item would let a resumed
-    run skip them all after the index is rebuilt.
+    run skip them all after the index is rebuilt. An endpoint outage stops
+    the run the same way: an item whose every model call was lost to a
+    `TransportError` is not journaled; no queued item starts, and once the
+    items in flight end the run raises one `TransportError` naming that
+    item and the last error.
 
     Items run on a pool of `workers` threads, one worker included; fewer
     than one is a `ContractViolation` before the run directory is touched.
-    An interrupt ends the run once the items in flight finish, and queued
-    items never start. Each worker opens one `Sandbox` per database on its
-    first item there and runs every later item of that database on it, so
-    SQLite reads each schema once per worker, not once per question. A
-    worker only ever gets the sandboxes it opened. All of them are closed
-    once no worker is left running, before the run returns or raises.
+    An interrupt ends the run once the items in flight finish; their
+    records are journaled, and queued items never start. Each worker opens
+    one `Sandbox` per database on its first item there and runs every later
+    item of that database on it, so SQLite reads each schema once per
+    worker, not once per question. A worker only ever gets the sandboxes it
+    opened. All of them are closed once no worker is left running, before
+    the run returns or raises.
     """
     if mode not in ("mcts", "baseline"):
         raise IngestionError(f"unknown run mode: {mode!r}")
@@ -337,27 +339,51 @@ def run_benchmark(
                 return None  # the item opens its own and records the failure
         return sandboxes[key]
 
-    def process(item: BenchmarkItem) -> dict:
-        trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
-        return run_one_item(item, env, cfg, mode=mode, trace_path=trace,
-                            sandbox=sandbox_for(item.db_id))
+    stop = threading.Event()  # once set, a queued item returns without running
+    # (question id, last error) of each item whose every call was lost
+    lost: list[tuple[str, str]] = []
+    journal_lock = threading.Lock()
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        with open(report_path, "a", encoding="utf-8") as journal:
-            for future in as_completed([pool.submit(process, i) for i in pending]):
-                record = future.result()
-                done[record["question_id"]] = record
-                journal.write(json.dumps(record, sort_keys=True,
-                                         ensure_ascii=False) + "\n")
-                journal.flush()
-    finally:
+    def process(item: BenchmarkItem) -> None:
+        if stop.is_set():
+            return
+        trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
+        calls = CountingModel(env.model)
+        # the copy shares the environment's caches and lock; only its model differs
+        record = run_one_item(item, dataclasses.replace(env, model=calls), cfg,
+                              mode=mode, trace_path=trace,
+                              sandbox=sandbox_for(item.db_id))
+        if calls.count and calls.lost == calls.count:
+            # an outage: journaled, its EX 0 would make every resume skip it
+            lost.append((item.question_id, calls.last_loss))
+            stop.set()
+            return
+        with journal_lock:
+            done[item.question_id] = record
+            journal.write(json.dumps(record, sort_keys=True,
+                                     ensure_ascii=False) + "\n")
+            journal.flush()
+
+    with open(report_path, "a", encoding="utf-8") as journal:
+        pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            # after an interrupt, queued items must not run
-            pool.shutdown(cancel_futures=True)
+            for future in as_completed([pool.submit(process, i) for i in pending]):
+                future.result()
         finally:
-            for sandbox in sandboxes.values():  # no worker is left to run a statement
-                sandbox.close()
+            # after an interrupt queued items must not start; the items in
+            # flight run to their end and journal their records
+            stop.set()
+            try:
+                pool.shutdown(cancel_futures=True)
+            finally:
+                for sandbox in sandboxes.values():  # no worker is left to run a statement
+                    sandbox.close()
+    if lost:
+        qid, error = lost[0]
+        raise TransportError(
+            f"the endpoint answered no model call of item {qid} (last error: "
+            f"{error}); the run stopped without recording it, so a rerun "
+            f"resumes from it")
 
     summary = summarize(items, done, cfg, mode=mode, endpoint=env.endpoint)
     (out / SUMMARY_NAME).write_text(

@@ -362,14 +362,22 @@ class ScriptedModel:
 
 
 class CountingModel:
-    """Pass-through wrapper that counts how many samples reach the inner model."""
+    """Pass-through wrapper that counts the samples that reach the inner
+    model and the ones lost to a `TransportError`, whose last message it
+    keeps (as text: the exception would hold its frames alive)."""
 
     def __init__(self, inner: ChatModel):
         self.inner = inner
-        self.count = 0
+        self.count = self.lost = 0
+        self.last_loss = ""
 
     def sample(self, prompt: str, temperature: float, max_tokens: int,
                sample_index: int, tag: str = "") -> str:
         self.count += 1
-        return self.inner.sample(prompt, temperature, max_tokens, sample_index,
-                                 tag=tag)
+        try:
+            return self.inner.sample(prompt, temperature, max_tokens,
+                                     sample_index, tag=tag)
+        except TransportError as exc:
+            self.lost += 1
+            self.last_loss = str(exc)
+            raise

@@ -51,12 +51,19 @@ from sqlscout.harness.runner import (
     SUMMARY_NAME,
     TRACES_DIR,
 )
-from sqlscout.llm_client import HashEmbedder, ScriptedModel
+import sqlscout.llm_client as llm_module
+from sqlscout.llm_client import (
+    EndpointConfig,
+    HashEmbedder,
+    OpenAIChatClient,
+    ScriptedModel,
+)
 from sqlscout.mcts import audit_tree, prepare_context, run_search
 from sqlscout.sql_exec import Sandbox, results_equal
 from sqlscout.value_index import build_value_index, save_index
 
 from test_connection_leaks import FailsMidSearch, is_closed, recorded_connections
+from test_llm_client import FakeResponse
 
 from conftest import (
     A5_MARK,
@@ -338,35 +345,68 @@ def bench_cfg(**kw) -> SearchConfig:
     return SearchConfig(**kw)
 
 
+def two_database_env(bird_dataset, tmp_path) -> RunEnvironment:
+    """restaurants and a copy of it named eateries, each with an index file."""
+    _, db_root = bird_dataset
+    (db_root / "eateries").mkdir()
+    make_restaurant_db(db_root / "eateries" / "eateries.sqlite")
+    index_dir = tmp_path / "indexes"
+    index_dir.mkdir()
+    for db_id in ("restaurants", "eateries"):
+        (index_dir / f"{db_id}.jsonl").write_text("", encoding="utf-8")
+    return RunEnvironment(model=ScriptedModel(), db_root=db_root,
+                          index_dir=index_dir)
+
+
 @pytest.mark.parametrize("loader", ["load_index", "load_catalog"])
 def test_environment_loads_each_database_once_under_threads(
         bird_dataset, tmp_path, monkeypatch, loader):
-    _, db_root = bird_dataset
-    index_dir = tmp_path / "indexes"
-    index_dir.mkdir()
-    (index_dir / "restaurants.jsonl").write_text("", encoding="utf-8")
     loads = []
 
     def slow_load(*args, **kwargs):
-        loads.append(args)
-        time.sleep(0.2)
+        loads.append(Path(args[0]).stem)
+        time.sleep(0.1)
         return object()
 
     monkeypatch.setattr(runner_module, loader, slow_load)
-    env = RunEnvironment(model=ScriptedModel(), db_root=db_root,
-                         index_dir=index_dir)
+    env = two_database_env(bird_dataset, tmp_path)
     get = env.value_index if loader == "load_index" else env.catalog
     start = threading.Barrier(4)
 
-    def ask(_):
+    def ask(i):
         start.wait(timeout=10)
-        return get("restaurants")
+        # half the threads ask in the other order
+        order = ("restaurants", "eateries")[::1 if i % 2 else -1]
+        return {db_id: get(db_id) for db_id in order}
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [pool.submit(ask, i) for i in range(4)]
         got = [f.result(timeout=10) for f in futures]
-    assert len(loads) == 1
-    assert all(g is got[0] for g in got)
+    assert sorted(loads) == ["eateries", "restaurants"]
+    for db_id in ("restaurants", "eateries"):
+        assert all(g[db_id] is got[0][db_id] for g in got)
+    assert got[0]["restaurants"] is not got[0]["eateries"]
+
+
+@pytest.mark.parametrize("loader", ["load_index", "load_catalog"])
+def test_environment_caches_no_failed_load(bird_dataset, tmp_path, monkeypatch,
+                                           loader):
+    loads = []
+
+    def fails_first(*args, **kwargs):
+        loads.append(args)
+        if len(loads) == 1:
+            raise IngestionError("disk hiccup")
+        return object()
+
+    monkeypatch.setattr(runner_module, loader, fails_first)
+    env = two_database_env(bird_dataset, tmp_path)
+    get = env.value_index if loader == "load_index" else env.catalog
+    with pytest.raises(IngestionError, match="disk hiccup"):
+        get("restaurants")
+    loaded = get("restaurants")  # loads again
+    assert len(loads) == 2
+    assert get("restaurants") is loaded and len(loads) == 2
 
 
 def test_run_one_item_mcts(bird_dataset):
@@ -1047,6 +1087,25 @@ def test_run_benchmark_interrupt_under_workers_drops_the_queue(bird_dataset,
     assert opened and all(map(is_closed, opened))
 
 
+def test_workers_journal_every_record_once_under_contention(bird_dataset, tmp_path):
+    _, db_root = bird_dataset
+    items = many_items(60, ("restaurants",))
+    model = ScriptedModel()
+    model.add(BASELINE_MARK, "<sql>SELECT 1</sql>")
+    out = tmp_path / "run"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        summary = run_benchmark(items, bench_env(db_root, model), bench_cfg(),
+                                out, mode="baseline", workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    lines = (out / REPORT_NAME).read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["question_id"] for line in lines) == \
+        sorted(i.question_id for i in items)
+    assert summary["completed"] == summary["ex_overall"] * 60 == 60
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_run_benchmark_rejects_fewer_than_one_worker(bird_dataset, tmp_path,
                                                      workers):
@@ -1086,15 +1145,78 @@ def test_run_benchmark_interrupt_with_one_worker_finishes_the_item_in_flight(
             return "<sql>SELECT 1</sql>"
 
     model = CtrlCModel()
+    out = tmp_path / "run"
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_benchmark(items, bench_env(db_root, model), bench_cfg(),
-                          tmp_path / "run", mode="baseline")
+            run_benchmark(items, bench_env(db_root, model), bench_cfg(), out,
+                          mode="baseline")
     finally:
         signal.signal(signal.SIGINT, previous)
     # the item in flight was not cut short, and the queued ones never started
     assert (model.calls, model.finished) == (1, 1)
+    # and its record is kept, so a resume does not pay for its call again
+    records = load_report_records(out / REPORT_NAME)
+    assert list(records) == ["0"] and records["0"]["ex"] == 1
+
+
+def test_run_benchmark_stops_on_an_endpoint_outage_and_records_nothing(
+        bird_dataset, tmp_path, monkeypatch):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+    posts, naps = [], []
+    monkeypatch.setattr(llm_module.requests.Session, "request",
+                        lambda *a, **k: (posts.append(1),
+                                         FakeResponse(status_code=503))[1])
+    monkeypatch.setattr(llm_module.time, "sleep", naps.append)
+    client = OpenAIChatClient(EndpointConfig(chat_model="m",
+                                             base_url="http://x/v1"))
+    alone = run_one_item(items[0], bench_env(db_root, client), bench_cfg())
+    # what the outage costs one item, which run_one_item folds into EX 0
+    one_item = len(naps)
+    assert one_item and alone["model_calls"] and alone["error"] is None
+    del posts[:], naps[:]
+
+    out = tmp_path / "run"
+    with pytest.raises(TransportError, match="answered no model call") as stopped:
+        run_benchmark(items, bench_env(db_root, client), bench_cfg(), out)
+    client.close()
+    assert items[0].question_id in str(stopped.value)
+    assert "HTTP 503" in str(stopped.value)  # the last error
+    assert len(naps) <= one_item
+    assert load_report_records(out / REPORT_NAME) == {}
+    # with the endpoint back, the default resume runs every item
+    summary = run_benchmark(items, bench_env(db_root), bench_cfg(), out)
+    assert (summary["completed"], summary["ex_overall"]) == (4, 1.0)
+    assert len(load_report_records(out / REPORT_NAME)) == 4
+
+
+def test_run_benchmark_keeps_the_finished_items_of_a_stopped_run(bird_dataset,
+                                                                 tmp_path):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+
+    class GoesDown:
+        """The scripted model, until its endpoint goes down for good."""
+
+        def __init__(self, after: int):
+            self.inner = scripted_benchmark_model()
+            self.after = after
+            self.calls = 0
+
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            self.calls += 1
+            if self.calls > self.after:
+                raise TransportError("retries exhausted")
+            return self.inner.sample(prompt, temperature, max_tokens,
+                                     sample_index, tag)
+
+    out = tmp_path / "run"
+    with pytest.raises(TransportError, match=items[2].question_id):
+        run_benchmark(items, bench_env(db_root, GoesDown(after=2)), bench_cfg(),
+                      out, mode="baseline")
+    assert list(load_report_records(out / REPORT_NAME)) == [
+        items[0].question_id, items[1].question_id]
 
 
 def test_run_benchmark_traces(bird_dataset, tmp_path):
@@ -1254,6 +1376,28 @@ def test_cli_run_reports_a_stale_index(bird_dataset, tmp_path, cli_env):
     assert isinstance(result.exception, SystemExit), result.exception  # no traceback
     error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
     assert len(error) == 1 and "sqlscout index build" in error[0], result.output
+    assert load_report_records(out_dir / REPORT_NAME) == {}
+
+
+def test_cli_run_stops_on_an_endpoint_outage(bird_dataset, tmp_path, cli_env,
+                                            monkeypatch):
+    import sqlscout.harness.cli as cli_mod
+
+    class Down:
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            raise TransportError("retries exhausted: HTTP 503")
+
+    monkeypatch.setattr(cli_mod, "OpenAIChatClient", lambda endpoint: Down())
+    dataset, db_root = bird_dataset
+    out_dir = tmp_path / "run"
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(out_dir), "--mode", "baseline",
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+    assert len(error) == 1 and "HTTP 503" in error[0], result.output
     assert load_report_records(out_dir / REPORT_NAME) == {}
 
 
