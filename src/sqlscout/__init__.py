@@ -11,6 +11,7 @@ terminal trajectories.
 from .core.types import ActionKind, NLQuestion, SearchConfig, SearchNode
 from .errors import (
     ContractViolation,
+    EndpointUnavailable,
     IngestionError,
     ParseError,
     ProtocolError,
@@ -27,6 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionKind",
     "ContractViolation",
+    "EndpointUnavailable",
     "ExecutionResult",
     "IngestionError",
     "NLQuestion",

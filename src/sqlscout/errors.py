@@ -14,7 +14,12 @@ class ParseError(SqlScoutError):
 
 
 class TransportError(SqlScoutError):
-    """The chat/embedding endpoint stayed unreachable after the retry budget."""
+    """The chat/embedding endpoint refused a request or could not be reached."""
+
+
+class EndpointUnavailable(TransportError):
+    """The endpoint stayed unreachable (no connection, HTTP 429 or 5xx)
+    through the whole retry budget: an outage, not a request it refused."""
 
 
 class ProtocolError(SqlScoutError):

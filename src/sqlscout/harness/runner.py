@@ -24,7 +24,13 @@ from pathlib import Path
 
 from ..core.catalog import DatabaseCatalog, attach_descriptions, load_catalog
 from ..core.types import SearchConfig
-from ..errors import ContractViolation, IngestionError, ProtocolError, TransportError
+from ..errors import (
+    ContractViolation,
+    EndpointUnavailable,
+    IngestionError,
+    ProtocolError,
+    TransportError,
+)
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..mcts import prepare_context, run_search, serialize_tree
 from ..reward_select import select_final
@@ -136,6 +142,7 @@ def run_one_item(
     mode: str = "mcts",
     trace_path: Path | None = None,
     sandbox: Sandbox | None = None,
+    calls: CountingModel | None = None,
 ) -> dict:
     """Process a single benchmark item into a report record.
 
@@ -159,6 +166,10 @@ def run_one_item(
     Every statement of the item runs on `sandbox`, an open `Sandbox` on the
     item's database that the caller keeps for its thread. Without one, the
     item opens its own and closes it when the item ends, also on an error.
+
+    Every model call goes through `calls`, a fresh `CountingModel` over
+    `env.model` that the caller keeps to read after the item (one is made
+    when none is given); `model_calls` is its count.
     """
     started = time.time()
     record = {
@@ -175,7 +186,7 @@ def run_one_item(
         "model_calls": 0,
         "error": None,
     }
-    model = CountingModel(env.model)
+    model = calls if calls is not None else CountingModel(env.model)
     own_sandbox = None
     try:
         if mode not in ("mcts", "baseline"):
@@ -293,10 +304,11 @@ def run_benchmark(
     stale format version, say) raises `IngestionError` then, once, with no
     record written: recording it against every item would let a resumed
     run skip them all after the index is rebuilt. An endpoint outage stops
-    the run the same way: an item whose every model call was lost to a
-    `TransportError` is not journaled; no queued item starts, and once the
-    items in flight end the run raises one `TransportError` naming that
-    item and the last error.
+    the run the same way: an item whose every model call was lost to an
+    `EndpointUnavailable` is not journaled; no queued item starts, and once
+    the items in flight end the run raises one `EndpointUnavailable` naming
+    that item and the last error. A request the endpoint refuses (a prompt
+    over the context length, say) stays an EX 0 record of its item.
 
     Items run on a pool of `workers` threads, one worker included; fewer
     than one is a `ContractViolation` before the run directory is touched.
@@ -340,8 +352,6 @@ def run_benchmark(
         return sandboxes[key]
 
     stop = threading.Event()  # once set, a queued item returns without running
-    # (question id, last error) of each item whose every call was lost
-    lost: list[tuple[str, str]] = []
     journal_lock = threading.Lock()
 
     def process(item: BenchmarkItem) -> None:
@@ -349,15 +359,15 @@ def run_benchmark(
             return
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
         calls = CountingModel(env.model)
-        # the copy shares the environment's caches and lock; only its model differs
-        record = run_one_item(item, dataclasses.replace(env, model=calls), cfg,
-                              mode=mode, trace_path=trace,
-                              sandbox=sandbox_for(item.db_id))
+        record = run_one_item(item, env, cfg, mode=mode, trace_path=trace,
+                              sandbox=sandbox_for(item.db_id), calls=calls)
         if calls.count and calls.lost == calls.count:
             # an outage: journaled, its EX 0 would make every resume skip it
-            lost.append((item.question_id, calls.last_loss))
             stop.set()
-            return
+            raise EndpointUnavailable(
+                f"the endpoint answered no model call of item {item.question_id} "
+                f"(last error: {calls.last_loss}); the run stopped without "
+                f"recording it, so a rerun resumes from it")
         with journal_lock:
             done[item.question_id] = record
             journal.write(json.dumps(record, sort_keys=True,
@@ -370,21 +380,14 @@ def run_benchmark(
             for future in as_completed([pool.submit(process, i) for i in pending]):
                 future.result()
         finally:
-            # after an interrupt queued items must not start; the items in
-            # flight run to their end and journal their records
+            # after an interrupt or an outage queued items must not start;
+            # the items in flight run to their end and journal their records
             stop.set()
             try:
                 pool.shutdown(cancel_futures=True)
             finally:
                 for sandbox in sandboxes.values():  # no worker is left to run a statement
                     sandbox.close()
-    if lost:
-        qid, error = lost[0]
-        raise TransportError(
-            f"the endpoint answered no model call of item {qid} (last error: "
-            f"{error}); the run stopped without recording it, so a rerun "
-            f"resumes from it")
-
     summary = summarize(items, done, cfg, mode=mode, endpoint=env.endpoint)
     (out / SUMMARY_NAME).write_text(
         json.dumps(summary, indent=1, sort_keys=True, ensure_ascii=False) + "\n",

@@ -21,7 +21,13 @@ from typing import Callable, Protocol
 import numpy as np
 import requests
 
-from .errors import ContractViolation, ProtocolError, ScriptError, TransportError
+from .errors import (
+    ContractViolation,
+    EndpointUnavailable,
+    ProtocolError,
+    ScriptError,
+    TransportError,
+)
 
 MAX_RETRIES = 3
 BACKOFF_SECS = (1.0, 2.0, 4.0)
@@ -125,7 +131,7 @@ def _post_with_retries(session: requests.Session, url: str, payload: dict,
             return resp.json()
         except ValueError as exc:
             raise ProtocolError(f"non-JSON response from {url}") from exc
-    raise TransportError(f"retries exhausted for {url}: {last_err}")
+    raise EndpointUnavailable(f"retries exhausted for {url}: {last_err}")
 
 
 def _retry_after_secs(value: str | None) -> float | None:
@@ -363,8 +369,9 @@ class ScriptedModel:
 
 class CountingModel:
     """Pass-through wrapper that counts the samples that reach the inner
-    model and the ones lost to a `TransportError`, whose last message it
-    keeps (as text: the exception would hold its frames alive)."""
+    model and the ones lost to an `EndpointUnavailable`, whose last message
+    it keeps (as text: the exception would hold its frames alive). A
+    request the endpoint refuses (a non-429 4xx) is not counted as lost."""
 
     def __init__(self, inner: ChatModel):
         self.inner = inner
@@ -377,7 +384,7 @@ class CountingModel:
         try:
             return self.inner.sample(prompt, temperature, max_tokens,
                                      sample_index, tag=tag)
-        except TransportError as exc:
+        except EndpointUnavailable as exc:
             self.lost += 1
             self.last_loss = str(exc)
             raise

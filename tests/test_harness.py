@@ -21,6 +21,7 @@ from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import NLQuestion, SearchConfig
 from sqlscout.errors import (
     ContractViolation,
+    EndpointUnavailable,
     IngestionError,
     ProtocolError,
     TransportError,
@@ -63,7 +64,7 @@ from sqlscout.sql_exec import Sandbox, results_equal
 from sqlscout.value_index import build_value_index, save_index
 
 from test_connection_leaks import FailsMidSearch, is_closed, recorded_connections
-from test_llm_client import FakeResponse
+from test_llm_client import FakeResponse, chat_payload
 
 from conftest import (
     A5_MARK,
@@ -1191,6 +1192,40 @@ def test_run_benchmark_stops_on_an_endpoint_outage_and_records_nothing(
     assert len(load_report_records(out / REPORT_NAME)) == 4
 
 
+def test_run_benchmark_records_an_item_whose_request_the_endpoint_refuses(
+        bird_dataset, tmp_path, monkeypatch):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+    refused = items[1]
+    scripted = scripted_benchmark_model()
+
+    def post(session, method, url, json=None, **kwargs):
+        prompt = json["messages"][0]["content"]
+        if refused.question.question in prompt:  # this question's prompt is too long
+            return FakeResponse(status_code=400,
+                                text="maximum context length exceeded")
+        return FakeResponse(payload=chat_payload(scripted.sample(
+            prompt, json["temperature"], json["max_tokens"], 0)))
+
+    monkeypatch.setattr(llm_module.requests.Session, "request", post)
+    monkeypatch.setattr(llm_module.time, "sleep", lambda secs: None)
+    client = OpenAIChatClient(EndpointConfig(chat_model="m",
+                                             base_url="http://x/v1"))
+    try:
+        summary = run_benchmark(items, bench_env(db_root, client), bench_cfg(),
+                                tmp_path / "run", mode="baseline")
+    finally:
+        client.close()
+    # a refused request is the item's own failure, not an outage: the run
+    # goes on and journals every item, the refused one as EX 0
+    records = load_report_records(tmp_path / "run" / REPORT_NAME)
+    assert sorted(records) == sorted(i.question_id for i in items)
+    assert summary["completed"] == len(items)
+    assert [records[i.question_id]["ex"] for i in items] == [
+        int(i is not refused) for i in items]
+    assert records[refused.question_id]["model_calls"] == 1
+
+
 def test_run_benchmark_keeps_the_finished_items_of_a_stopped_run(bird_dataset,
                                                                  tmp_path):
     dataset, db_root = bird_dataset
@@ -1207,7 +1242,7 @@ def test_run_benchmark_keeps_the_finished_items_of_a_stopped_run(bird_dataset,
         def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
             self.calls += 1
             if self.calls > self.after:
-                raise TransportError("retries exhausted")
+                raise EndpointUnavailable("retries exhausted")
             return self.inner.sample(prompt, temperature, max_tokens,
                                      sample_index, tag)
 
@@ -1385,7 +1420,7 @@ def test_cli_run_stops_on_an_endpoint_outage(bird_dataset, tmp_path, cli_env,
 
     class Down:
         def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
-            raise TransportError("retries exhausted: HTTP 503")
+            raise EndpointUnavailable("retries exhausted: HTTP 503")
 
     monkeypatch.setattr(cli_mod, "OpenAIChatClient", lambda endpoint: Down())
     dataset, db_root = bird_dataset

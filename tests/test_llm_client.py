@@ -10,6 +10,7 @@ import pytest
 import sqlscout.llm_client as llm
 from sqlscout.errors import (
     ContractViolation,
+    EndpointUnavailable,
     ProtocolError,
     ScriptError,
     TransportError,
@@ -77,7 +78,7 @@ def test_retry_then_success(monkeypatch, no_sleep):
 def test_retries_exhausted(monkeypatch, no_sleep):
     monkeypatch.setattr(llm.requests.Session, "request",
                         lambda *a, **k: FakeResponse(status_code=503))
-    with pytest.raises(TransportError):
+    with pytest.raises(EndpointUnavailable):  # an outage, not a refusal
         make_client().sample("p", 0.0, 64, 0)
     assert no_sleep == [1.0, 2.0, 4.0]
 
@@ -109,9 +110,11 @@ def test_client_error_is_not_retried(monkeypatch, no_sleep):
         llm.requests.Session, "request",
         lambda *a, **k: (calls.append(1), FakeResponse(status_code=400, text="bad"))[1],
     )
-    with pytest.raises(TransportError):
+    with pytest.raises(TransportError) as refused:
         make_client().sample("p", 0.0, 64, 0)
     assert len(calls) == 1
+    # the endpoint is up and refused this one request: not an outage
+    assert not isinstance(refused.value, EndpointUnavailable)
 
 
 def test_network_exception_retried(monkeypatch, no_sleep):
