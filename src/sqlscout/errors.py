@@ -18,8 +18,10 @@ class TransportError(SqlScoutError):
 
 
 class EndpointUnavailable(TransportError):
-    """The endpoint stayed unreachable (no connection, HTTP 429 or 5xx)
-    through the whole retry budget: an outage, not a request it refused."""
+    """The endpoint can answer no request: it stayed unreachable (no
+    connection, HTTP 429 or 5xx) through the whole retry budget, or it
+    refused the API key, model or URL (HTTP 401, 403 or 404, not retried).
+    An outage, not one request it refused."""
 
 
 class ProtocolError(SqlScoutError):

@@ -123,6 +123,11 @@ def _post_with_retries(session: requests.Session, url: str, payload: dict,
             if resp.status_code in (429, 503):
                 wait = _retry_after_secs(resp.headers.get("Retry-After"))
             continue
+        if resp.status_code in (401, 403, 404):
+            # a wrong key, model name or URL: every request would get it
+            raise EndpointUnavailable(
+                f"HTTP {resp.status_code} from {url}: {resp.text[:200]}"
+            )
         if resp.status_code != 200:
             raise TransportError(
                 f"HTTP {resp.status_code} from {url}: {resp.text[:200]}"
@@ -371,7 +376,8 @@ class CountingModel:
     """Pass-through wrapper that counts the samples that reach the inner
     model and the ones lost to an `EndpointUnavailable`, whose last message
     it keeps (as text: the exception would hold its frames alive). A
-    request the endpoint refuses (a non-429 4xx) is not counted as lost."""
+    request the endpoint refuses (a 4xx other than 401, 403, 404 and 429)
+    is not counted as lost."""
 
     def __init__(self, inner: ChatModel):
         self.inner = inner

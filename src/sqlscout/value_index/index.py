@@ -4,13 +4,15 @@ Built once per database. Each record's signature is split into `bands` runs
 of `rows_per_band` values; records sharing any band's values land in the same
 bucket, so lookup gathers near-duplicates without scanning every value.
 
-The index is columnar: parallel arrays of column ids, values and signatures,
-with no Python object per record. The buckets are one sorted array of
-packed 64-bit words, one per (record, band): the band number in the top
-bits, the high bits of a hash of the band's values in the middle, and the
-record id in the low bits. A lookup finds a band's run of words with equal
-band and hash by binary search, reads the ids from the low bits and keeps
-those whose band values equal the query's.
+The index is columnar: parallel arrays of column ids, values and band hashes,
+with no Python object per record. A record keeps only its signature's band
+hashes, one 64-bit hash of each band's values; the full signature is not
+stored. The buckets are one sorted array of packed 64-bit words, one per
+(record, band): the band number in the top bits, the high bits of the band
+hash in the middle, and the record id in the low bits. A lookup finds a
+band's run of words with equal band and hash bits by binary search, reads
+the ids from the low bits and keeps those whose full band hash equals the
+query's.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .minhash import MinHashParams, permutation_salts, signatures
 
 DISTINCT_VALUE_CAP = 10_000
 _FORMAT = "sqlscout-value-index"
-_VERSION = 4
+_VERSION = 5
 _BAND_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd: times an odd number stays odd
 
 
@@ -54,40 +56,38 @@ class ValueIndex:
     columns: list[tuple[str, str]]  # (table, column) per column id
     column_ids: np.ndarray  # (n,) int32, index into columns
     values: list[str]  # n non-empty values, stored verbatim
-    signatures: np.ndarray  # (n, k) uint64, rows parallel to values
+    # (n, bands) uint64, rows parallel to values: each record's band hashes
+    # (`band_hashes` of its MinHash signature), not the signature itself
+    signatures: np.ndarray
     salts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         shape = self.signatures.shape
-        if len(shape) != 2 or shape[1] != self.params.num_permutations:
-            raise ContractViolation(f"signatures of shape {shape} need "
-                                    f"{self.params.num_permutations} columns")
+        if len(shape) != 2 or shape[1] != self.params.bands:
+            raise ContractViolation(f"band hashes of shape {shape} need "
+                                    f"{self.params.bands} columns")
         n = shape[0]  # the id field's width follows from it
         if not len(self.values) == len(self.column_ids) == n:
             raise ContractViolation(
                 f"{len(self.values)} values, {len(self.column_ids)} column ids "
-                f"and {n} signature rows must agree")
+                f"and {n} band-hash rows must agree")
         if self.salts is None:
             self.salts = permutation_salts(self.params)
         self._id_bits = max(1, (n - 1).bit_length())
         self._id_mask = np.uint64((1 << self._id_bits) - 1)
-        words = _band_keys(self._blocks(self.signatures), self.params.bands, self._id_bits)
+        words = _band_keys(self.signatures, self._id_bits)
         words |= np.arange(n, dtype=np.uint64)[:, None]
         self._words = words.ravel()
         self._words.sort()  # a value sort; all words differ, so the order is unique
-
-    def _blocks(self, sig: np.ndarray) -> np.ndarray:
-        """(..., bands, rows_per_band) view of signatures."""
-        return sig.reshape(*sig.shape[:-1], self.params.bands, self.params.rows_per_band)
 
     def record(self, rid: int) -> ValueRecord:
         table, column = self.columns[self.column_ids[rid]]
         return ValueRecord(table=table, column=column, value=self.values[rid])
 
     def candidate_ids(self, sig: np.ndarray) -> list[int]:
-        """Ids of the records sharing one LSH band's exact values with the signature."""
-        query = self._blocks(sig)
-        keys = _band_keys(query, self.params.bands, self._id_bits)  # id field 0
+        """Ids of the records sharing one LSH band's hash with the signature."""
+        hashes = band_hashes(sig, self.params)
+        keys = _band_keys(hashes, self._id_bits)  # id field 0
         lo = np.searchsorted(self._words, keys, side="left")
         counts = np.searchsorted(self._words, keys | self._id_mask, side="right") - lo
         total = int(counts.sum())
@@ -97,8 +97,8 @@ class ValueIndex:
         positions = np.repeat(lo - offsets, counts) + np.arange(total)
         bands = np.repeat(np.arange(self.params.bands), counts)
         rids = self._words[positions] & self._id_mask
-        # a key is a hash: keep only ids whose band values really are equal
-        exact = (self._blocks(self.signatures)[rids, bands] == query[bands]).all(axis=1)
+        # a word keeps only the hash's high bits: compare the whole hash
+        exact = self.signatures[rids, bands] == hashes[bands]
         return np.unique(rids[exact]).tolist()
 
     @cached_property
@@ -107,27 +107,25 @@ class ValueIndex:
         return [self.record(rid) for rid in range(len(self.values))]
 
     @cached_property
-    def buckets(self) -> dict[tuple[int, bytes], list[int]]:
-        """(band, band values as bytes) -> record ids ascending, for inspection.
+    def buckets(self) -> dict[tuple[int, int], list[int]]:
+        """(band, band hash) -> record ids ascending, for inspection.
 
         Derived on first access from the sorted words; lookups do not use it.
         It allocates one list per bucket, so the cyclic collector is paused
         while it is built: its passes over the growing dict would double the
         time and could find no cycle to free.
         """
-        rows = self.params.rows_per_band
         shift = np.uint64(_band_shift(self.params.bands))
         bounds = np.searchsorted(self._words >> shift,
                                  np.arange(self.params.bands + 1, dtype=np.uint64))
-        out: dict[tuple[int, bytes], list[int]] = {}
+        out: dict[tuple[int, int], list[int]] = {}
         collecting = gc.isenabled()
         gc.disable()
         try:
             for band in range(self.params.bands):  # a band at a time: small temporaries
                 run = self._words[bounds[band]:bounds[band + 1]]
                 ids = np.sort(run & self._id_mask)  # ascending
-                block = np.ascontiguousarray(self._blocks(self.signatures)[ids, band])
-                keys = block.view(np.dtype((np.void, block.itemsize * rows))).ravel()
+                keys = self.signatures[ids, band]
                 for key, rid in zip(keys.tolist(), ids.tolist()):
                     out.setdefault((band, key), []).append(rid)
         finally:
@@ -141,27 +139,28 @@ def _band_shift(bands: int) -> int:
     return 64 - max(1, (bands - 1).bit_length())
 
 
-def _band_hash(blocks: np.ndarray) -> np.ndarray:
-    """64-bit hash of each band: (..., bands, rows) uint64 -> (..., bands).
+def band_hashes(sigs: np.ndarray, params: MinHashParams) -> np.ndarray:
+    """64-bit hash of each LSH band of signatures: (..., k) uint64 -> (..., bands).
 
-    The band's values times distinct odd constants, summed with wraparound,
-    so two bands that differ in one value never share a hash.
+    A band's values times distinct odd constants, summed with wraparound,
+    so two bands that differ in one value never share a hash. Bands that
+    differ in more values share one with odds of about 2**-64, since MinHash
+    values are uniform 64-bit words.
     """
-    return blocks @ (_BAND_MUL * np.arange(1, 2 * blocks.shape[-1], 2, dtype=np.uint64))
+    blocks = sigs.reshape(*sigs.shape[:-1], params.bands, params.rows_per_band)
+    return blocks @ (_BAND_MUL * np.arange(1, 2 * params.rows_per_band, 2, dtype=np.uint64))
 
 
-def _band_keys(blocks: np.ndarray, bands: int, id_bits: int) -> np.ndarray:
-    """Packed word of each band with the id field 0: (..., bands) uint64.
+def _band_keys(hashes: np.ndarray, id_bits: int) -> np.ndarray:
+    """Packed word of each band hash with the id field 0: (..., bands) uint64.
 
     The band number fills the top bits, the hash's high bits the middle,
     and the low `id_bits` bits are left for a record id.
     """
-    shift = _band_shift(bands)
-    band_no = np.arange(bands, dtype=np.uint64) << np.uint64(shift)
-    keys = _band_hash(blocks)
-    keys >>= np.uint64(64 - shift + id_bits)
+    shift = _band_shift(hashes.shape[-1])
+    keys = hashes >> np.uint64(64 - shift + id_bits)
     keys <<= np.uint64(id_bits)
-    keys |= band_no
+    keys |= np.arange(hashes.shape[-1], dtype=np.uint64) << np.uint64(shift)
     return keys
 
 
@@ -170,13 +169,14 @@ def build_value_index(
     params: MinHashParams | None = None,
     value_cap: int = DISTINCT_VALUE_CAP,
 ) -> ValueIndex:
-    """Scan distinct values of every TEXT column and index their signatures.
+    """Scan distinct values of every TEXT column and index their band hashes.
 
     Each column is deduplicated first, in a subquery, and only its distinct
     values are sorted: written as one `SELECT DISTINCT ... ORDER BY`, SQLite
     would sort every row of the table to group it. The first `value_cap`
     values in the column's own collation are kept. Values are lowercased for
-    hashing but stored verbatim, and are signed in one `signatures` batch.
+    hashing but stored verbatim, and are signed in one `signatures` batch;
+    each signature is reduced to its band hashes, and only those are kept.
     Scan order (and hence the serialized file) is deterministic: catalog
     table/column order, values ascending.
     """
@@ -211,8 +211,9 @@ def build_value_index(
         columns=columns,
         column_ids=np.asarray(column_ids, dtype=np.int32),
         values=values,
-        signatures=signatures(
-            [value.lower() for value in values], salts, params.shingle_size
+        signatures=band_hashes(
+            signatures([value.lower() for value in values], salts, params.shingle_size),
+            params,
         ),
         salts=salts,
     )
@@ -224,12 +225,12 @@ def _json_line(obj) -> bytes:
 
 
 def save_index(index: ValueIndex, path: str | Path) -> None:
-    """Write the index as four lines of JSON, then the raw signature bytes.
+    """Write the index as four lines of JSON, then the raw band-hash bytes.
 
     The lines are: the header; the [table, column] list; each record's column
-    id; and each record's value. The signatures follow, row after row, as
-    little-endian uint64s: exactly n_records * num_permutations * 8 bytes,
-    up to the end of the file. The name keeps its historical `.jsonl`.
+    id; and each record's value. The band hashes follow, row after row, as
+    little-endian uint64s: exactly n_records * bands * 8 bytes, up to the
+    end of the file. The name keeps its historical `.jsonl`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -258,9 +259,9 @@ def save_index(index: ValueIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> ValueIndex:
     """Read an index file; the sorted band words are rebuilt in memory.
 
-    The signature bytes are read straight into a preallocated array, so no
+    The band-hash bytes are read straight into a preallocated array, so no
     copy of the whole file is held. A file of another format version, a
-    short or overlong signature block, or a malformed line is an
+    short or overlong band-hash block, or a malformed line is an
     `IngestionError`.
     """
     path = Path(path)
@@ -305,12 +306,12 @@ def load_index(path: str | Path) -> ValueIndex:
             raise IngestionError(f"column id out of range in {path}")
         if not (set(map(type, values)) <= {str} and all(values)):  # loops in C
             raise IngestionError(f"empty or non-text value in {path}")
-        sigs = np.empty((n, params.num_permutations), dtype="<u8")
+        sigs = np.empty((n, params.bands), dtype="<u8")
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left != sigs.nbytes:  # checked before reading: no short read, no tail
             raise IngestionError(
-                f"signature block of {path} holds {left} bytes, but {n} records of "
-                f"{params.num_permutations} permutations need {sigs.nbytes}")
+                f"band-hash block of {path} holds {left} bytes, but {n} records of "
+                f"{params.bands} bands need {sigs.nbytes}")
         if fh.readinto(sigs) != sigs.nbytes:
             raise IngestionError(f"truncated index file: {path}")
     return ValueIndex(

@@ -29,8 +29,10 @@ def test_behaviour_digest_repeats_across_runs_and_hash_seeds():
     assert first == second
     digests = json.loads(first)
     assert sorted(digests) == ["large", "narrow", "wide"]
-    assert len(set(digests.values())) == 3
-    assert all(len(d) == 64 for d in digests.values())
+    assert all(sorted(parts) == ["index", "run"] for parts in digests.values())
+    flat = [d for parts in digests.values() for d in parts.values()]
+    assert len(set(flat)) == 6
+    assert all(len(d) == 64 for d in flat)
 
 
 def test_against_its_own_tree_prints_two_equal_lines():
@@ -42,13 +44,15 @@ def test_against_its_own_tree_prints_two_equal_lines():
 
 
 def test_against_a_differing_tree_names_each_shape(tmp_path):
-    # a stand-in checkout whose tool agrees on `narrow` only
+    # a stand-in checkout whose tool agrees on `narrow` and on the index of
+    # `wide`, and prints a single digest for `large`, as older tools did
     ours = json.loads(digest_line("0"))
+    theirs = dict(ours, wide=dict(ours["wide"], run="0" * 64), large="0" * 64)
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / TOOL.name).write_text(
-        f"print({json.dumps(json.dumps(dict(ours, wide='0' * 64, large=None)))})\n",
-        encoding="utf-8")
+        f"print({json.dumps(json.dumps(theirs))})\n", encoding="utf-8")
     done = run_tool("--against", str(tmp_path))
     assert done.returncode == 1
-    assert done.stderr.splitlines() == ["digest differs: large",
-                                        "digest differs: wide"]
+    assert done.stderr.splitlines() == ["digest differs: large index",
+                                        "digest differs: large run",
+                                        "digest differs: wide run"]

@@ -537,9 +537,7 @@ def test_a_run_opens_one_connection_per_worker(bird_dataset, tmp_path,
                                                monkeypatch, workers):
     dataset, db_root = bird_dataset
     env = bench_env(db_root)
-    # loaded first, so that only sandboxes connect below; `is_closed` could
-    # not tell a worker's own closed catalog connection from an open one
-    env.catalog("restaurants")
+    env.catalog("restaurants")  # loaded first, so that only sandboxes connect below
     opened = recorded_connections(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads switch often: a lost update shows
@@ -1226,6 +1224,35 @@ def test_run_benchmark_records_an_item_whose_request_the_endpoint_refuses(
     assert records[refused.question_id]["model_calls"] == 1
 
 
+def refusing_session(monkeypatch, status: int) -> tuple[list, list]:
+    """Every POST answers `status`, as to a wrong API key: the POSTs and the
+    sleeps between retries, recorded."""
+    posts, naps = [], []
+    monkeypatch.setattr(llm_module.requests.Session, "request",
+                        lambda *a, **k: (posts.append(1), FakeResponse(
+                            status_code=status, text="invalid api key"))[1])
+    monkeypatch.setattr(llm_module.time, "sleep", naps.append)
+    return posts, naps
+
+
+def test_run_benchmark_stops_when_the_endpoint_refuses_the_api_key(
+        bird_dataset, tmp_path, monkeypatch):
+    dataset, db_root = bird_dataset
+    posts, naps = refusing_session(monkeypatch, 401)
+    client = OpenAIChatClient(EndpointConfig(chat_model="m",
+                                             base_url="http://x/v1"))
+    out = tmp_path / "run"
+    try:
+        with pytest.raises(EndpointUnavailable, match="HTTP 401") as stopped:
+            run_benchmark(load_dataset(dataset), bench_env(db_root, client),
+                          bench_cfg(), out)
+    finally:
+        client.close()
+    assert "answered no model call of item" in str(stopped.value)
+    assert posts and naps == []  # the refusals were not retried
+    assert load_report_records(out / REPORT_NAME) == {}
+
+
 def test_run_benchmark_keeps_the_finished_items_of_a_stopped_run(bird_dataset,
                                                                  tmp_path):
     dataset, db_root = bird_dataset
@@ -1433,6 +1460,25 @@ def test_cli_run_stops_on_an_endpoint_outage(bird_dataset, tmp_path, cli_env,
     assert isinstance(result.exception, SystemExit), result.exception  # no traceback
     error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
     assert len(error) == 1 and "HTTP 503" in error[0], result.output
+    assert load_report_records(out_dir / REPORT_NAME) == {}
+
+
+def test_cli_run_stops_when_the_endpoint_refuses_the_api_key(
+        bird_dataset, tmp_path, cli_env, monkeypatch):
+    import sqlscout.harness.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "OpenAIChatClient", OpenAIChatClient)
+    refusing_session(monkeypatch, 401)
+    dataset, db_root = bird_dataset
+    out_dir = tmp_path / "run"
+    result = cli_env.invoke(cli_main, [
+        "run", "--dataset", str(dataset), "--db-root", str(db_root),
+        "--out-dir", str(out_dir),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+    assert len(error) == 1 and "HTTP 401" in error[0], result.output
     assert load_report_records(out_dir / REPORT_NAME) == {}
 
 

@@ -117,6 +117,21 @@ def test_client_error_is_not_retried(monkeypatch, no_sleep):
     assert not isinstance(refused.value, EndpointUnavailable)
 
 
+@pytest.mark.parametrize("status", [401, 403, 404])
+def test_a_refused_key_model_or_url_is_an_outage_at_once(monkeypatch, no_sleep,
+                                                         status):
+    calls = []
+    monkeypatch.setattr(
+        llm.requests.Session, "request",
+        lambda *a, **k: (calls.append(1), FakeResponse(status_code=status,
+                                                       text="no such model"))[1],
+    )
+    with pytest.raises(EndpointUnavailable, match=f"HTTP {status}"):
+        make_client().sample("p", 0.0, 64, 0)
+    # every request would be refused alike: no retry, no sleep
+    assert len(calls) == 1 and no_sleep == []
+
+
 def test_network_exception_retried(monkeypatch, no_sleep):
     attempts = []
 

@@ -22,6 +22,7 @@ from sqlscout.value_index import (
     save_index,
 )
 from sqlscout.value_index import minhash
+from sqlscout.value_index.index import band_hashes
 from sqlscout.value_index.minhash import (
     estimate_jaccard,
     permutation_salts,
@@ -412,20 +413,27 @@ def _parts(path) -> tuple[list[bytes], bytes]:
     return lines, sigs
 
 
+# bytes of one record's band hashes: 16 bands of 8 bytes
+ROW_BYTES = 16 * 8
+
+
 def test_index_file_stores_signatures_as_raw_bytes(restaurant_index, tmp_path):
     path = tmp_path / "restaurants.jsonl"
     save_index(restaurant_index, path)
     lines, sigs = _parts(path)
     header, columns, column_ids, values = (json.loads(line) for line in lines)
-    assert header["version"] == 4
+    assert header["version"] == 5
     assert header["n_records"] == len(restaurant_index.values)
     assert [tuple(c) for c in columns] == restaurant_index.columns
     assert column_ids == restaurant_index.column_ids.tolist()
     assert values == restaurant_index.values
-    # n_records x num_permutations little-endian uint64s, up to end of file
-    assert len(sigs) == 8 * 128 * len(restaurant_index.values)
-    np.testing.assert_array_equal(
-        np.frombuffer(sigs, dtype="<u8").reshape(-1, 128), restaurant_index.signatures)
+    # n_records x bands little-endian uint64s, up to end of file: each
+    # record's band hashes of its MinHash signature, not the signature
+    assert len(sigs) == ROW_BYTES * len(restaurant_index.values)
+    full = signatures([v.lower() for v in restaurant_index.values],
+                      restaurant_index.salts)
+    np.testing.assert_array_equal(np.frombuffer(sigs, dtype="<u8").reshape(-1, 16),
+                                  band_hashes(full, restaurant_index.params))
 
 
 def test_load_rejects_version_1_with_rebuild_hint(tmp_path):
@@ -463,6 +471,21 @@ def test_load_rejects_version_3_with_rebuild_hint(restaurant_index, tmp_path):
         load_index(path)
 
 
+def test_load_rejects_version_4_with_rebuild_hint(restaurant_index, tmp_path):
+    # version 4 stored each record's 128 signature words after the same lines
+    path = tmp_path / "old.jsonl"
+    save_index(restaurant_index, path)
+    lines, _ = _parts(path)
+    header = {**json.loads(lines[0]), "version": 4}
+    full = signatures([v.lower() for v in restaurant_index.values],
+                      restaurant_index.salts)
+    path.write_bytes(b"".join(line + b"\n" for line in [json.dumps(header).encode(),
+                                                        *lines[1:]])
+                     + full.astype("<u8").tobytes())
+    with pytest.raises(IngestionError, match="rerun `sqlscout index build`"):
+        load_index(path)
+
+
 def _edit(lines, i, edit):
     """The file's JSON lines (0 header, 1 columns, 2 column ids, 3 values)
     with line i replaced by edit(its JSON)."""
@@ -486,12 +509,12 @@ def _edit(lines, i, edit):
     lambda lines, sigs: (_edit(lines, 1, lambda cols: json.dumps(["ab"] + cols[1:])), sigs),
     lambda lines, sigs: (_edit(lines, 3, lambda vs: json.dumps([7] + vs[1:])), sigs),
     lambda lines, sigs: (_edit(lines, 0, lambda h: json.dumps(  # one record too many
-        {**h, "n_records": h["n_records"] + 1})), sigs + sigs[-1024:]),
+        {**h, "n_records": h["n_records"] + 1})), sigs + sigs[-ROW_BYTES:]),
     lambda lines, sigs: (_edit(lines, 0, lambda h: json.dumps({**h, "n_records": "21"})), sigs),
     lambda lines, sigs: (_edit(lines, 0, lambda h: json.dumps(
         {k: v for k, v in h.items() if k != "bands"})), sigs),
     lambda lines, sigs: (lines, sigs + b"\n"),  # a trailing newline, as version 3 had
-    lambda lines, sigs: (lines, sigs[:-1024]),  # a whole signature short
+    lambda lines, sigs: (lines, sigs[:-ROW_BYTES]),  # a whole record short
     lambda lines, sigs: (lines[:3], sigs),  # the values line lost
 ])
 def test_load_rejects_malformed_records(restaurant_index, tmp_path, corrupt):
@@ -508,8 +531,8 @@ def test_load_rejects_truncation(restaurant_catalog, tmp_path):
     path = tmp_path / "cut.jsonl"
     save_index(index, path)
     data = path.read_bytes()
-    head = len(data) - 8 * 128 * len(index.values)
-    # cut inside each JSON line, at each line end, or inside the signatures
+    head = len(data) - ROW_BYTES * len(index.values)
+    # cut inside each JSON line, at each line end, or inside the band hashes
     newlines = [i for i in range(head) if data[i] == ord("\n")]
     cuts = [0, *newlines, *(i + 1 for i in newlines),
             *(i - 5 for i in newlines), head + 8, len(data) - 1]
@@ -532,18 +555,18 @@ def test_empty_index_is_valid(tmp_path):
     index = ValueIndex(
         db_id="empty", params=params, columns=[],
         column_ids=np.empty(0, dtype=np.int32), values=[],
-        signatures=np.empty((0, params.num_permutations), dtype=np.uint64))
+        signatures=np.empty((0, params.bands), dtype=np.uint64))
     assert index.candidate_ids(signature("x", index.salts)) == []
     assert index.records == [] and index.buckets == {}
-    # the empty signature block: a zero-size array has no byte view
+    # the empty band-hash block: a zero-size array has no byte view
     # (memoryview(...).cast("B") raises TypeError), so it must round trip too
     with pytest.raises(TypeError):
         memoryview(index.signatures).cast("B")
     path = tmp_path / "empty.jsonl"
     save_index(index, path)
-    assert path.read_bytes().endswith(b"[]\n")  # four JSON lines, no signature byte
+    assert path.read_bytes().endswith(b"[]\n")  # four JSON lines, no band-hash byte
     loaded = load_index(path)
-    assert loaded.values == [] and loaded.signatures.shape == (0, 128)
+    assert loaded.values == [] and loaded.signatures.shape == (0, 16)
     assert loaded.candidate_ids(signature("x", index.salts)) == []
 
 
@@ -630,7 +653,7 @@ def test_lowercased_hashing_verbatim_storage(tmp_path):
     assert out[0].edit_sim == 1.0
 
 
-# ---- golden outputs: signatures, buckets and retrieval stay bit-identical ----
+# ---- golden outputs: signatures, band hashes, buckets and retrieval ----
 
 _GOLDEN_TOKENS = [
     "san", "pablo", "ave", "thai", "café", "straße", "İzmir", "İ", "ẞ",
@@ -685,10 +708,15 @@ def _golden_digests(index, embedder) -> dict[str, str]:
                               cfg_with(top_m_per_column=50))
         outs.append([(r.record.table, r.record.column, r.record.value,
                       r.edit_sim, r.semantic_sim) for r in out])
+    full = signatures([v.lower() for v in index.values], index.salts)
     return {
-        "signatures": _sha(index.signatures.astype("<u8").tobytes()),
-        # `buckets` is rebuilt from the sorted band-key arrays the lookup uses
-        "buckets": _sha(repr(sorted(index.buckets.items())).encode()),
+        # the MinHash signatures the stored band hashes come from
+        "signatures": _sha(full.astype("<u8").tobytes()),
+        "band_hashes": _sha(index.signatures.astype("<u8").tobytes()),
+        # `buckets` is rebuilt from the sorted band-key arrays the lookup uses;
+        # which records share a bucket is pinned, whatever its key is
+        "buckets": _sha(repr(sorted(
+            (band, ids) for (band, _), ids in index.buckets.items())).encode()),
         "retrieval": _sha(repr(outs).encode()),
     }
 
@@ -696,7 +724,8 @@ def _golden_digests(index, embedder) -> dict[str, str]:
 def test_golden_restaurant_index(restaurant_index, hash_embedder):
     assert _golden_digests(restaurant_index, hash_embedder) == {
         "signatures": "58e4bb70dbfb7cde473db233ebfdcfb94562829691a6586f35b7495d7a6348a0",
-        "buckets": "011fcdc0ad3e75cb428db7f4c3a322c54d30895aa9a5e7f39692ae7aa746628c",
+        "band_hashes": "f424523fb5c9bf77d1de88a4cac3d47db1955c542609b607a51d46215fc32862",
+        "buckets": "20639176a8c4d8d69d29484ee9b495dc627e4e5d19cc6c6d234a3ec3569c58ba",
         "retrieval": "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
     }
 
@@ -709,6 +738,7 @@ def test_golden_unicode_index(golden_index, hash_embedder):
     assert max(len(s) for t in texts for s in shingle_set(t)) == 12
     assert _golden_digests(golden_index, hash_embedder) == {
         "signatures": "f9868c602ca23d8debfc4894f564f95f51e14bcadc745ac192472a2008b13b2f",
-        "buckets": "d4054e4f4b1892af797b2bef3a98442a6d39defcb4a27ba24bbae2f09390915e",
+        "band_hashes": "66eb39f9e9691537442bf66836df7a7248f182e338d86546046ff96b92d9cc7b",
+        "buckets": "59f866256ab7438594bf6a233429fbd68ab8407fb2200139ed69bad1fd35c5ca",
         "retrieval": "f154d93aefb6d7b4bd194ab3c6f64ed47ec020806b2e4840083b8f7442bde6b3",
     }

@@ -18,31 +18,29 @@ VALUES = st.one_of(st.sampled_from([0, 1, 2, 2**64 - 1]),
                    st.integers(0, 2**64 - 1))
 
 
-def make_index(params: MinHashParams, sigs) -> ValueIndex:
+def hashes_of(params: MinHashParams, sigs) -> np.ndarray:
+    """(n, bands) band hashes of n signatures."""
     sigs = np.asarray(sigs, dtype=np.uint64).reshape(-1, params.num_permutations)
+    return index_mod.band_hashes(sigs, params)
+
+
+def make_index(params: MinHashParams, hashes) -> ValueIndex:
     return ValueIndex(
         db_id="lookup", params=params, columns=[("t", "c")],
-        column_ids=np.zeros(len(sigs), dtype=np.int32),
-        values=[f"v{i}" for i in range(len(sigs))], signatures=sigs)
+        column_ids=np.zeros(len(hashes), dtype=np.int32),
+        values=[f"v{i}" for i in range(len(hashes))], signatures=hashes)
 
 
-def bands_of(params: MinHashParams, sig) -> list[bytes]:
-    raw = np.asarray(sig, dtype=np.uint64).tobytes()
-    width = 8 * params.rows_per_band
-    return [raw[b * width: (b + 1) * width] for b in range(params.bands)]
+def brute_force_ids(hashes, want) -> list[int]:
+    """Ids of the records that share one band's hash with the query's."""
+    return [rid for rid, row in enumerate(hashes.tolist())
+            if any(a == b for a, b in zip(row, want.tolist()))]
 
 
-def brute_force_ids(params: MinHashParams, sigs, query) -> list[int]:
-    """Ids of the records that share one band's exact bytes with the query."""
-    want = bands_of(params, query)
-    return [rid for rid, sig in enumerate(sigs)
-            if any(a == b for a, b in zip(bands_of(params, sig), want))]
-
-
-def brute_force_buckets(params: MinHashParams, sigs) -> dict:
+def brute_force_buckets(hashes) -> dict:
     out: dict = {}
-    for rid, sig in enumerate(sigs):
-        for band, key in enumerate(bands_of(params, sig)):
+    for rid, row in enumerate(hashes.tolist()):
+        for band, key in enumerate(row):
             out.setdefault((band, key), []).append(rid)
     return out
 
@@ -81,30 +79,39 @@ def edge_lookup(n_records: int):
 def test_candidate_ids_equal_a_band_scan(lookup):
     (k, bands, rows), sigs, query = lookup
     params = MinHashParams(num_permutations=k, bands=bands, rows_per_band=rows)
-    index = make_index(params, sigs)
+    hashes = hashes_of(params, sigs)
+    index = make_index(params, hashes)
     got = index.candidate_ids(np.asarray(query, dtype=np.uint64))
-    assert got == brute_force_ids(params, sigs, query)
-    assert index.buckets == brute_force_buckets(params, sigs)
+    assert got == brute_force_ids(hashes, hashes_of(params, query)[0])
+    assert index.buckets == brute_force_buckets(hashes)
 
 
-def test_colliding_band_keys_return_only_exact_matches(monkeypatch):
-    monkeypatch.setattr(index_mod, "_band_hash",
-                        lambda blocks: np.zeros(blocks.shape[:-1], dtype=np.uint64))
+def test_colliding_band_keys_return_only_exact_matches():
     params = MinHashParams(num_permutations=8, bands=4, rows_per_band=2)
     rng = np.random.default_rng(3)
-    sigs = rng.integers(0, 4, size=(200, 8), dtype=np.uint64)
-    index = make_index(params, sigs)
-    words, shift = index._words, np.uint64(index_mod._band_shift(params.bands))
-    # the band field holds every record once per band, and with every hash
-    # equal, the band and hash fields together make one key per band
-    assert np.bincount((words >> shift).astype(np.intp)).tolist() == [len(sigs)] * params.bands
-    assert len(np.unique(words >> np.uint64(index._id_bits))) == params.bands
-    queries = [*sigs[:20], *rng.integers(0, 5, size=(20, 8), dtype=np.uint64)]
-    for query in queries:
-        got = index.candidate_ids(query)
-        assert got == brute_force_ids(params, sigs, query)
-        assert len(got) < len(sigs)
-    assert index.buckets == brute_force_buckets(params, sigs)
+    queries = rng.integers(0, 2**64, size=(20, 8), dtype=np.uint64)
+    hashes = hashes_of(params, queries)
+    # 40 records take 6 id bits and 4 bands 2 band bits, so a word keeps the
+    # hash's top 56 bits: records 20-39 differ from 0-19 in the low 8 only
+    low = rng.integers(1, 2**8, size=hashes.shape, dtype=np.uint64)
+    index = make_index(params, np.concatenate([hashes, hashes ^ low]))
+    assert index._id_bits == 6
+    keys = np.sort(index._words >> np.uint64(index._id_bits))
+    assert (keys[0::2] == keys[1::2]).all()  # every key is shared by two records
+    for rid, query in enumerate(queries):
+        assert index.candidate_ids(query) == [rid]
+    assert index.buckets == brute_force_buckets(index.signatures)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.lists(VALUES, min_size=2, max_size=2), st.integers(0, 1), VALUES)
+def test_bands_that_differ_in_one_value_never_share_a_hash(band, pos, value):
+    other = list(band)
+    other[pos] = value
+    hypothesis.assume(other != band)
+    params = MinHashParams(num_permutations=2, bands=1, rows_per_band=2)
+    first, second = hashes_of(params, [band, other])[:, 0].tolist()
+    assert first != second
 
 
 @pytest.mark.parametrize("n_values, n_column_ids, n_rows", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
@@ -114,12 +121,14 @@ def test_record_counts_that_disagree_are_rejected(n_values, n_column_ids, n_rows
         ValueIndex(db_id="lookup", params=params, columns=[("t", "c")],
                    column_ids=np.zeros(n_column_ids, dtype=np.int32),
                    values=[f"v{i}" for i in range(n_values)],
-                   signatures=np.zeros((n_rows, 8), dtype=np.uint64))
+                   signatures=np.zeros((n_rows, 4), dtype=np.uint64))
 
 
 def test_signatures_of_another_width_are_rejected():
     params = MinHashParams(num_permutations=8, bands=4, rows_per_band=2)
-    with pytest.raises(ContractViolation, match="need 8 columns"):
-        ValueIndex(db_id="lookup", params=params, columns=[("t", "c")],
-                   column_ids=np.zeros(3, dtype=np.int32), values=["a", "b", "c"],
-                   signatures=np.zeros((3, 6), dtype=np.uint64))
+    # one hash per band: a full signature's 8 columns are refused too
+    for width in (6, 8):
+        with pytest.raises(ContractViolation, match="need 4 columns"):
+            ValueIndex(db_id="lookup", params=params, columns=[("t", "c")],
+                       column_ids=np.zeros(3, dtype=np.int32), values=["a", "b", "c"],
+                       signatures=np.zeros((3, width), dtype=np.uint64))

@@ -1,15 +1,15 @@
-"""Print one digest per e2ebench input shape of a scripted benchmark round.
+"""Print two digests per e2ebench input shape of a scripted benchmark round.
 
     python3 tools/behaviour_digest.py --seed 0 [--scale full|tiny] [--against PATH]
 
 Each shape's inputs come from `e2ebench/inputs.py` and its answers from the
-simulated endpoint in `e2ebench/endpoint.py` (at zero latency). The digest
-covers the value-index file, then one `run_benchmark` round with traces: its
-records without `elapsed_secs`, traces, predictions and summary, and every
-question's endpoint call log (tag, prompt crc and length, temperature,
-sample index, executed SQL). Equal output from two trees means that they
-behave the same on these inputs; the program under test is imported from
-this checkout's `src`.
+simulated endpoint in `e2ebench/endpoint.py` (at zero latency). A shape has
+an `index` digest, of its value-index file, and a `run` digest, of one
+`run_benchmark` round with traces: its records without `elapsed_secs`,
+traces, predictions and summary, and every question's endpoint call log
+(tag, prompt crc and length, temperature, sample index, executed SQL).
+Equal output from two trees means that they behave the same on these
+inputs; the program under test is imported from this checkout's `src`.
 
 Every shape runs on `run_benchmark`'s worker pool, as every run does. The
 `narrow` shape keeps two workers, as the `search_latency` workload does, so
@@ -20,7 +20,8 @@ digest.
 
 `--against PATH` also runs the tool of the checkout at PATH, with the same
 seed and scale, and prints its digests on a second line. The exit status is
-1 if a shape's digests differ, and each such shape is named on stderr.
+1 if any digest differs, and each such shape and part is named on stderr.
+A checkout whose tool prints one digest per shape differs in both parts.
 """
 
 from __future__ import annotations
@@ -45,9 +46,17 @@ from sqlscout.value_index import build_value_index, save_index  # noqa: E402
 
 # harness workers per shape, as in the e2ebench workload that runs it
 WORKERS = {"narrow": 2}
+PARTS = ("index", "run")
 
 
-def shape_digest(shape: str, seed: int, scale: str, work: Path) -> str:
+def _sha(*parts: bytes) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(hashlib.sha256(part).digest())
+    return digest.hexdigest()
+
+
+def shape_digests(shape: str, seed: int, scale: str, work: Path) -> dict[str, str]:
     inputs = generate(SHAPES[shape](scale), seed, work)
     index_path = work / "indexes" / f"{inputs.db_id}.jsonl"
     catalog = load_catalog(inputs.db_path, db_id=inputs.db_id, value_examples=False)
@@ -63,16 +72,15 @@ def shape_digest(shape: str, seed: int, scale: str, work: Path) -> str:
     for record in records:
         del record["elapsed_secs"]
     calls = {key: [list(c[:6]) for c in log] for key, log in endpoint.calls.items()}
-    digest = hashlib.sha256()
-    for part in (json.dumps(sorted(records, key=lambda r: r["question_id"]),
-                            sort_keys=True).encode(),
-                 json.dumps(calls, sort_keys=True).encode(),
-                 *(p.read_bytes() for p in sorted((out / "traces").iterdir())),
-                 (out / "predictions.txt").read_bytes(),
-                 (out / "summary.json").read_bytes(),
-                 index_path.read_bytes()):
-        digest.update(hashlib.sha256(part).digest())
-    return digest.hexdigest()
+    return {
+        "index": _sha(index_path.read_bytes()),
+        "run": _sha(json.dumps(sorted(records, key=lambda r: r["question_id"]),
+                               sort_keys=True).encode(),
+                    json.dumps(calls, sort_keys=True).encode(),
+                    *(p.read_bytes() for p in sorted((out / "traces").iterdir())),
+                    (out / "predictions.txt").read_bytes(),
+                    (out / "summary.json").read_bytes()),
+    }
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -85,7 +93,7 @@ def main(argv: list[str] | None = None) -> None:
     digests = {}
     for shape in SHAPES:
         with tempfile.TemporaryDirectory() as work:
-            digests[shape] = shape_digest(shape, args.seed, args.scale, Path(work))
+            digests[shape] = shape_digests(shape, args.seed, args.scale, Path(work))
     print(json.dumps(digests, sort_keys=True))
     if args.against is None:
         return
@@ -94,12 +102,18 @@ def main(argv: list[str] | None = None) -> None:
          "--seed", str(args.seed), "--scale", args.scale],
         stdout=subprocess.PIPE, text=True, check=True).stdout)
     print(json.dumps(other, sort_keys=True))
-    differ = sorted(shape for shape in digests.keys() | other.keys()
-                    if digests.get(shape) != other.get(shape))
-    for shape in differ:
-        print(f"digest differs: {shape}", file=sys.stderr)
+    differ = [(shape, part) for shape in sorted(digests.keys() | other.keys())
+              for part in PARTS
+              if _part(digests, shape, part) != _part(other, shape, part)]
+    for shape, part in differ:
+        print(f"digest differs: {shape} {part}", file=sys.stderr)
     if differ:
         sys.exit(1)
+
+
+def _part(digests: dict, shape: str, part: str) -> str | None:
+    parts = digests.get(shape)
+    return parts.get(part) if isinstance(parts, dict) else None
 
 
 if __name__ == "__main__":
