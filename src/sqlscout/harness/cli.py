@@ -85,7 +85,40 @@ def index_build(db_root: str, db_ids: tuple[str, ...], out_dir: str) -> None:
         click.echo(f"{db_id}: {len(built.values)} values -> {target}")
 
 
-@main.command()
+class _RunCommand(click.Command):
+    """`run`, whose `--sds` is checked before click parses it.
+
+    After an option whose value is optional, click's parser takes a token
+    that starts with "-" for the next option, and it does the same with the
+    value of `--sds=-1`: both fail as "No such option '-1'". A number there
+    is handed to `--sds`'s own type first, whose error names the option.
+    """
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        for arg, after in zip(args, [*args[1:], None]):
+            if arg == "--":
+                break
+            if arg == "--sds":
+                value = after
+            elif arg.startswith("--sds="):
+                value = arg[len("--sds="):]
+            else:
+                continue
+            if value and value.startswith("-") and _is_number(value):
+                sds = next(param for param in self.params if param.name == "sds")
+                sds.type.convert(value, sds, ctx)
+        return super().parse_args(ctx, args)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@main.command(cls=_RunCommand)
 @click.option("--dataset", type=click.Path(exists=True, dir_okay=False),
               required=True, help="Benchmark question file (JSON or JSONL).")
 @click.option("--db-root", type=click.Path(exists=True, file_okay=False),

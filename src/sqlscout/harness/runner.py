@@ -148,6 +148,8 @@ def run_one_item(
 
     Never raises for model/SQL-level problems: any failure is folded into
     the record as EX=0 with the cause, so one bad item cannot sink a run.
+    An `EndpointUnavailable` that reaches it is raised: the embedder's, since
+    a model call folds its own into a lost sample.
     In `baseline` mode, and when the search yields no trajectory, one
     single-shot call answers; if that call is lost to a transport or
     protocol error, the item keeps no SQL and is flagged low-confidence,
@@ -251,6 +253,8 @@ def run_one_item(
             else:
                 record["ex"] = int(chosen_result.is_rows
                                    and chosen_result.rows == gold_result.rows)
+    except EndpointUnavailable:  # an outage, not this item's failure
+        raise
     except Exception as exc:  # per-item isolation: record and move on
         log.exception("item %s failed", item.question_id)
         record["error"] = f"{type(exc).__name__}: {exc}"
@@ -305,10 +309,11 @@ def run_benchmark(
     record written: recording it against every item would let a resumed
     run skip them all after the index is rebuilt. An endpoint outage stops
     the run the same way: an item whose every model call was lost to an
-    `EndpointUnavailable` is not journaled; no queued item starts, and once
-    the items in flight end the run raises one `EndpointUnavailable` naming
-    that item and the last error. A request the endpoint refuses (a prompt
-    over the context length, say) stays an EX 0 record of its item.
+    `EndpointUnavailable`, or whose embedder raised one, is not journaled;
+    no queued item starts, and once the items in flight end the run raises
+    one `EndpointUnavailable` naming that item and the last error. A
+    request the endpoint refuses (a prompt over the context length, say)
+    stays an EX 0 record of its item.
 
     Items run on a pool of `workers` threads, one worker included; fewer
     than one is a `ContractViolation` before the run directory is touched.
@@ -359,15 +364,21 @@ def run_benchmark(
             return
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
         calls = CountingModel(env.model)
-        record = run_one_item(item, env, cfg, mode=mode, trace_path=trace,
-                              sandbox=sandbox_for(item.db_id), calls=calls)
-        if calls.count and calls.lost == calls.count:
-            # an outage: journaled, its EX 0 would make every resume skip it
+        outage = ""
+        try:
+            record = run_one_item(item, env, cfg, mode=mode, trace_path=trace,
+                                  sandbox=sandbox_for(item.db_id), calls=calls)
+        except EndpointUnavailable as exc:  # the embedder's
+            outage = f"the embedding endpoint failed item {item.question_id} ({exc})"
+        else:
+            if calls.count and calls.lost == calls.count:
+                outage = (f"the endpoint answered no model call of item "
+                          f"{item.question_id} (last error: {calls.last_loss})")
+        if outage:
+            # journaled, its EX 0 would make every resume skip the item
             stop.set()
-            raise EndpointUnavailable(
-                f"the endpoint answered no model call of item {item.question_id} "
-                f"(last error: {calls.last_loss}); the run stopped without "
-                f"recording it, so a rerun resumes from it")
+            raise EndpointUnavailable(f"{outage}; the run stopped without "
+                                      "recording it, so a rerun resumes from it")
         with journal_lock:
             done[item.question_id] = record
             journal.write(json.dumps(record, sort_keys=True,

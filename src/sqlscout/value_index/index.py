@@ -23,6 +23,8 @@ import os
 import sqlite3
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from ..core.catalog import DatabaseCatalog
 from ..errors import ContractViolation, IngestionError
 from ..sql_exec import open_readonly, quote_ident
 from .minhash import MinHashParams, permutation_salts, signatures
+from .threads import on_threads
 
 DISTINCT_VALUE_CAP = 10_000
 _FORMAT = "sqlscout-value-index"
@@ -179,37 +182,39 @@ def build_value_index(
     each signature is reduced to its band hashes, and only those are kept.
     Scan order (and hence the serialized file) is deterministic: catalog
     table/column order, values ascending.
+
+    Tables are scanned on `on_threads`' threads, each with its own
+    read-only connection, and put back in catalog order, so the index does
+    not depend on the thread count. A failed scan raises the `IngestionError`
+    of the first failing column in catalog order, once every connection is
+    closed.
     """
     params = params or MinHashParams()
     salts = permutation_salts(params)
-    conn = open_readonly(catalog.db_path)
-    columns: list[tuple[str, str]] = []
-    column_ids: list[int] = []
-    values: list[str] = []
-    try:
-        for table, column in catalog.text_columns():
-            name = quote_ident(column)
-            try:
-                rows = conn.execute(
-                    f"SELECT v FROM (SELECT DISTINCT {name} AS v FROM "
-                    f"{quote_ident(table)} WHERE {name} IS NOT NULL) ORDER BY 1 LIMIT ?",
-                    (value_cap,),
-                ).fetchall()
-            except sqlite3.Error as exc:
-                raise IngestionError(
-                    f"cannot scan {table}.{column}: {exc}"
-                ) from exc
-            kept = [value for value in (str(raw) for (raw,) in rows) if value]
-            column_ids += [len(columns)] * len(kept)
-            values += kept
-            columns.append((table, column))
-    finally:
-        conn.close()
+    tables = [(table, [name for _, name in group])
+              for table, group in groupby(catalog.text_columns(), key=itemgetter(0))]
+    scanned: list[list[list[str]]] = [[] for _ in tables]  # per table, per column
+
+    def scan(ids):
+        conn = open_readonly(catalog.db_path)
+        try:
+            for at in ids:
+                table, names = tables[at]
+                scanned[at] = [_distinct_values(conn, table, name, value_cap)
+                               for name in names]
+        finally:
+            conn.close()
+
+    on_threads(len(tables), scan)
+    columns = [(table, name) for table, names in tables for name in names]
+    kept = [values for per_table in scanned for values in per_table]
+    values = [value for column in kept for value in column]
     return ValueIndex(
         db_id=catalog.db_id,
         params=params,
         columns=columns,
-        column_ids=np.asarray(column_ids, dtype=np.int32),
+        column_ids=np.repeat(np.arange(len(kept), dtype=np.int32),
+                             [len(column) for column in kept]),
         values=values,
         signatures=band_hashes(
             signatures([value.lower() for value in values], salts, params.shingle_size),
@@ -217,6 +222,21 @@ def build_value_index(
         ),
         salts=salts,
     )
+
+
+def _distinct_values(conn: sqlite3.Connection, table: str, column: str,
+                     value_cap: int) -> list[str]:
+    """A column's first `value_cap` distinct non-empty values, ascending."""
+    name = quote_ident(column)
+    try:
+        rows = conn.execute(
+            f"SELECT v FROM (SELECT DISTINCT {name} AS v FROM "
+            f"{quote_ident(table)} WHERE {name} IS NOT NULL) ORDER BY 1 LIMIT ?",
+            (value_cap,),
+        ).fetchall()
+    except sqlite3.Error as exc:
+        raise IngestionError(f"cannot scan {table}.{column}: {exc}") from exc
+    return [value for value in (str(raw) for (raw,) in rows) if value]
 
 
 def _json_line(obj) -> bytes:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractViolation
+from .threads import on_threads
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -26,6 +27,8 @@ _M2 = np.uint64(0xC4CEB9FE1A85EC53)
 _S33 = np.uint64(33)
 # texts per chunk of a batch, and shingles per step of the mix
 _BLOCK = 2048
+# salts per step of a chunk signed on a thread
+_SALT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -114,32 +117,55 @@ def signatures(
     leaves the minimum as it was. A text with more than _BLOCK shingles is
     signed alone instead, _BLOCK mixed shingles at a time: in a chunk it
     would take one step per shingle.
+
+    A batch of more than one chunk (a long text alone counting as one) is
+    signed on `on_threads`' threads, and each chunk then mixes and folds
+    _SALT_BLOCK salts at a time: a thread's freed memory stays in its own
+    malloc arena, so each thread's peak is kept small. One chunk, the case
+    of a query's keywords, starts no thread and takes every salt at once.
+    Each signature is the same whichever way it was made.
     """
     lens = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     counts = np.maximum(lens - (shingle_size - 1), 1)
     order = counts.argsort(kind="stable")
     n_short = int(counts[order].searchsorted(_BLOCK, side="right"))
+    n_chunks = -(-n_short // _BLOCK)
+    tasks = n_chunks + len(texts) - n_short
+    salt_block = len(salts) if tasks == 1 else _SALT_BLOCK
     out = np.empty((len(texts), len(salts)), dtype=np.uint64)
-    for lo in range(0, n_short, _BLOCK):
-        rows = order[lo : lo + _BLOCK]
-        n_shingles = counts[rows]
-        hashes = _shingle_hashes([texts[i] for i in rows.tolist()], lens[rows],
-                                 n_shingles, shingle_size)
-        offsets = n_shingles.cumsum() - n_shingles
-        used, local = np.unique(hashes, return_inverse=True)
-        mixed = _mix(used, salts)
-        sig = mixed[local[offsets]]
-        # the texts from tails[r - 1] on have more than r shingles
-        tails = n_shingles.searchsorted(np.arange(1, n_shingles[-1]), side="right")
-        for rank, tail in enumerate(tails.tolist(), start=1):
-            np.minimum(sig[tail:], mixed[local[offsets[tail:] + rank]], out=sig[tail:])
-        out[rows] = sig
-    for i in order[n_short:].tolist():
-        own = np.unique(_shingle_hashes([texts[i]], lens[i : i + 1], counts[i : i + 1],
-                                        shingle_size))
-        out[i] = np.min([_mix(own[lo : lo + _BLOCK], salts).min(axis=0)
-                         for lo in range(0, len(own), _BLOCK)], axis=0)
+
+    def sign(ids):
+        for task in ids:
+            if task < n_chunks:
+                rows = order[task * _BLOCK : min(n_short, (task + 1) * _BLOCK)]
+                _sign_chunk([texts[i] for i in rows.tolist()], lens[rows], counts[rows],
+                            salts, shingle_size, salt_block, out=out, rows=rows)
+            else:
+                i = int(order[n_short + task - n_chunks])
+                own = np.unique(_shingle_hashes([texts[i]], lens[i : i + 1],
+                                                counts[i : i + 1], shingle_size))
+                out[i] = np.min([_mix(own[lo : lo + _BLOCK], salts).min(axis=0)
+                                 for lo in range(0, len(own), _BLOCK)], axis=0)
+
+    on_threads(tasks, sign)
     return out
+
+
+def _sign_chunk(texts: list[str], lens: np.ndarray, n_shingles: np.ndarray,
+                salts: np.ndarray, shingle_size: int, salt_block: int,
+                out: np.ndarray, rows: np.ndarray) -> None:
+    """Sign a chunk of texts, in ascending order of shingle count, into out[rows]."""
+    hashes = _shingle_hashes(texts, lens, n_shingles, shingle_size)
+    offsets = n_shingles.cumsum() - n_shingles
+    used, local = np.unique(hashes, return_inverse=True)
+    # the texts from tails[r - 1] on have more than r shingles
+    tails = n_shingles.searchsorted(np.arange(1, n_shingles[-1]), side="right").tolist()
+    for lo in range(0, len(salts), salt_block):
+        mixed = _mix(used, salts[lo : lo + salt_block])
+        sig = mixed[local[offsets]]
+        for rank, tail in enumerate(tails, start=1):
+            np.minimum(sig[tail:], mixed[local[offsets[tail:] + rank]], out=sig[tail:])
+        out[rows, lo : lo + salt_block] = sig
 
 
 def signature(text: str, salts: np.ndarray, shingle_size: int = 3) -> np.ndarray:

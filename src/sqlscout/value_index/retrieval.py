@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.types import SearchConfig
+from ..errors import EndpointUnavailable
 from ..llm_client import Embedder
 from .index import ValueIndex, ValueRecord
 from .minhash import signatures
@@ -59,7 +60,8 @@ def retrieve_values(
     Output is deterministic: semantic similarity descending, edit similarity
     descending, then (table, column, value), capped at cfg.top_m_per_column
     rows per column. If the embedder fails (or is None), filtering degrades
-    to the edit gate alone with semantic_sim reported as 0. A keyword with
+    to the edit gate alone with semantic_sim reported as 0; an embedding
+    endpoint that is down raises its `EndpointUnavailable`. A keyword with
     no utf-8 form (one holding a lone surrogate) has no signature and is
     dropped.
     """
@@ -118,11 +120,17 @@ def _has_utf8(text: str) -> bool:
 def _semantic_sims(
     embedder: Embedder | None, keyword: str, values: list[str]
 ) -> list[float] | None:
-    """Cosine similarity of the keyword against each value; None means unavailable."""
+    """Cosine similarity of the keyword against each value; None means unavailable.
+
+    An outage is not degraded past: every later keyword would wait out the
+    same retries, and every question would lose its semantic gate unseen.
+    """
     if embedder is None:
         return None
     try:
         vectors = embedder.embed([keyword] + values)
+    except EndpointUnavailable:
+        raise
     except Exception as exc:
         log.warning("embedder failed (%s); falling back to edit-only filtering", exc)
         return None

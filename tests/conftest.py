@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 from functools import partial
 from pathlib import Path
@@ -102,6 +103,15 @@ def restaurant_question() -> NLQuestion:
 @pytest.fixture
 def restaurant_index(restaurant_catalog):
     return build_value_index(restaurant_catalog)
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Call with n: from then on the process seems to run on n CPUs."""
+    def set_to(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_to
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ versions a leak passes unseen; these tests record the connections instead.
 """
 
 import sqlite3
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -14,6 +15,7 @@ from sqlscout.core.types import SearchConfig
 from sqlscout.errors import IngestionError
 from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark, run_one_item
 from sqlscout.value_index import build_value_index, save_index
+from sqlscout.value_index import index as index_module
 
 from conftest import scripted_benchmark_model
 
@@ -105,6 +107,49 @@ def test_a_failed_scan_closes_its_connection(tmp_path, monkeypatch):
     with pytest.raises(IngestionError, match="cannot scan"):
         build_value_index(catalog)
     assert len(opened) == 1 and is_closed(opened[0])
+
+
+def test_a_scan_failing_on_a_helper_thread_closes_every_connection(
+        tmp_path, monkeypatch, set_cpus):
+    db_path = tmp_path / "t.sqlite"
+    conn = sqlite3.connect(db_path)
+    for t in range(3):
+        conn.execute(f"CREATE TABLE t{t} (name TEXT)")
+        conn.execute(f"INSERT INTO t{t} VALUES ('v{t}')")
+    conn.commit()
+    conn.close()
+    catalog = load_catalog(db_path)
+    conn = sqlite3.connect(db_path)
+    conn.execute("DROP TABLE t2")  # the last table the catalog names is gone
+    conn.commit()
+    conn.close()
+    set_cpus(1)
+    with pytest.raises(IngestionError) as serial:
+        build_value_index(catalog)
+
+    # this thread holds its first table until t2 has failed, so the other
+    # thread takes the second table and then t2
+    failed = threading.Event()
+    scan = index_module._distinct_values
+
+    def held_scan(conn, table, column, value_cap):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=30)
+        try:
+            return scan(conn, table, column, value_cap)
+        except IngestionError:
+            failed.set()
+            raise
+
+    monkeypatch.setattr(index_module, "_distinct_values", held_scan)
+    set_cpus(2)
+    opened = recorded_connections(monkeypatch)
+    with pytest.raises(IngestionError) as parallel:
+        build_value_index(catalog)
+    assert str(parallel.value) == str(serial.value) == (
+        "cannot scan t2.name: no such table: t2")
+    assert failed.is_set()
+    assert len(opened) == 2 and all(map(is_closed, opened))
 
 
 def test_is_closed_reads_a_connection_made_on_another_thread():

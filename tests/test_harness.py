@@ -1281,6 +1281,33 @@ def test_run_benchmark_keeps_the_finished_items_of_a_stopped_run(bird_dataset,
         items[0].question_id, items[1].question_id]
 
 
+def test_run_benchmark_stops_on_an_embedding_outage(bird_dataset, tmp_path):
+    # the chat endpoint answers; the embedding endpoint is down for good
+    dataset, db_root = bird_dataset
+    index_dir = tmp_path / "indexes"
+    catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
+                           db_id="restaurants")
+    save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
+
+    class Down:
+        def __init__(self):
+            self.calls = 0
+
+        def embed(self, texts):
+            self.calls += 1
+            raise EndpointUnavailable("retries exhausted: HTTP 503")
+
+    items, embedder = load_dataset(dataset), Down()
+    env = RunEnvironment(model=scripted_benchmark_model(), db_root=db_root,
+                         index_dir=index_dir, embedder=embedder)
+    out = tmp_path / "run"
+    with pytest.raises(EndpointUnavailable, match="HTTP 503") as stopped:
+        run_benchmark(items, env, bench_cfg(), out)
+    assert items[0].question_id in str(stopped.value)
+    assert embedder.calls == 1  # no later keyword or item waits on it
+    assert load_report_records(out / REPORT_NAME) == {}
+
+
 def test_run_benchmark_traces(bird_dataset, tmp_path):
     dataset, db_root = bird_dataset
     items = load_dataset(dataset)[:1]
@@ -1528,20 +1555,20 @@ def test_cli_report_empty_dir(tmp_path, cli_env):
     assert "no records" in result.output
 
 
-@pytest.mark.parametrize("value, code", [("nan", 1), ("5.0", 2), ("-1", 2), ("0", 2)])
+@pytest.mark.parametrize("value, code", [("nan", 1), ("5.0", 2), ("-1", 2), ("0", 2),
+                                         ("--sds=-1", 2)])
 def test_cli_run_rejects_a_subsample_fraction_outside_zero_to_one(
         bird_dataset, tmp_path, cli_env, value, code):
     dataset, db_root = bird_dataset
     out_dir = tmp_path / "run"
+    sds = [value] if value.startswith("--sds=") else ["--sds", value]
     result = cli_env.invoke(cli_main, [
         "run", "--dataset", str(dataset), "--db-root", str(db_root),
-        "--out-dir", str(out_dir), "--mode", "baseline", "--sds", value,
+        "--out-dir", str(out_dir), "--mode", "baseline", *sds,
     ])
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit), result.exception  # no traceback
-    # click reads a token that starts with "-" after an option whose value
-    # is optional as the next option, so it names "-1" as an unknown one
-    assert ("-1" if value == "-1" else "--sds") in result.output
+    assert "--sds" in result.output and "No such option" not in result.output
     assert not (out_dir / REPORT_NAME).exists()
 
 

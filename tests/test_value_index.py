@@ -6,6 +6,8 @@ import json
 import random
 import sqlite3
 import string
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from sqlscout.value_index import (
     load_index,
     save_index,
 )
-from sqlscout.value_index import minhash
+from sqlscout.value_index import minhash, threads
 from sqlscout.value_index.index import band_hashes
 from sqlscout.value_index.minhash import (
     estimate_jaccard,
@@ -383,6 +385,110 @@ def test_scan_matches_one_statement_distinct_order_by(tmp_path):
         # numbers before text before blobs; 1 and 1.0 are one value, "1" another
         (3, "-3"), (3, "1"), (3, "2.5"), (3, "10"), (3, "1"), (3, "a"), (3, "b'blob'"),
     ]
+
+
+def multi_table_db(path, seed: int = 7):
+    """Five tables of text, one with none; about 2,700 values in all, so
+    that they are signed in two chunks and one value alone."""
+    rng = random.Random(seed)
+    conn = sqlite3.connect(path)
+    for t in range(5):
+        conn.execute(f"CREATE TABLE t{t} (id INTEGER, name TEXT, kind TEXT)")
+        conn.executemany(f"INSERT INTO t{t} VALUES (?, ?, ?)", [
+            (i, "".join(rng.choice("abcdé中😀 ") for _ in range(rng.randint(1, 30))),
+             rng.choice(["x", "yy", None, ""])) for i in range(600)])
+    conn.execute("INSERT INTO t3 VALUES (0, ?, 'long')", ("ab" * 3000,))
+    conn.execute("CREATE TABLE counts (id INTEGER, n REAL)")
+    conn.commit()
+    conn.close()
+    return path
+
+
+def test_build_does_not_depend_on_the_cpu_count(tmp_path, set_cpus, monkeypatch):
+    catalog = load_catalog(multi_table_db(tmp_path / "multi.sqlite"))
+    connects = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *a, **k: connects.append(1) or connect(*a, **k))
+    files, sigs = [], []
+    for cpus in (1, 4):
+        set_cpus(cpus)
+        del connects[:]
+        index = build_value_index(catalog)
+        assert len(connects) == cpus  # one connection per thread, five tables
+        save_index(index, tmp_path / f"{cpus}.jsonl")
+        files.append((tmp_path / f"{cpus}.jsonl").read_bytes())
+        sigs.append(signatures([v.lower() for v in index.values], index.salts))
+    assert files[0] == files[1]
+    np.testing.assert_array_equal(sigs[0], sigs[1])
+    assert len(index.values) > minhash._BLOCK and "ab" * 3000 in index.values
+    assert [t for t, _ in index.columns] == ["t0", "t0", "t1", "t1", "t2", "t2",
+                                             "t3", "t3", "t4", "t4"]
+    for row, value in zip(sigs[1][::97], index.values[::97]):
+        assert row.tolist() == oracle_signature(value.lower(), index.salts)
+
+
+def test_only_a_batch_of_several_chunks_is_signed_on_threads(set_cpus, monkeypatch):
+    salts = permutation_salts(MinHashParams())
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    set_cpus(4)
+    texts = [text for text in _mixed_width_texts(3, 40) if len(text) < 100]  # none alone
+    one = signatures(texts, salts)
+    assert started == []  # the path a query's keywords take
+    monkeypatch.setattr(minhash, "_BLOCK", 8)
+    several = signatures(texts, salts)
+    assert len(started) == 3  # three helpers: the calling thread is the fourth
+    np.testing.assert_array_equal(one, several)
+
+
+def test_threads_raise_the_failure_of_the_lowest_task(set_cpus):
+    set_cpus(4)
+    done = []
+
+    def work(ids):
+        for task in ids:
+            if task in (3, 5):
+                raise IngestionError(f"task {task}")
+            done.append(task)
+
+    # whichever thread took task 3, it was handed out before task 5
+    with pytest.raises(IngestionError, match="task 3"):
+        threads.on_threads(40, work)
+    assert {0, 1, 2} <= set(done) and not {3, 5} & set(done)
+
+
+def test_threads_hand_out_every_task_once(set_cpus):
+    set_cpus(8)  # more threads than this machine has CPUs
+    runs = []
+
+    def work(ids):
+        mine = list(ids)
+        assert mine == sorted(mine)  # each thread takes ids in queue order
+        runs.append(mine)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads.on_threads(5000, work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 8
+    assert sorted(task for run in runs for task in run) == list(range(5000))
+
+
+def test_usable_cpus_falls_back_to_the_machine_count(monkeypatch):
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert threads.usable_cpus() == 3
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert threads.usable_cpus() == 1
 
 
 def test_save_load_roundtrip(restaurant_catalog, tmp_path):
