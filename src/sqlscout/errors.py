@@ -17,11 +17,13 @@ class TransportError(SqlScoutError):
     """The chat/embedding endpoint refused a request or could not be reached."""
 
 
-class EndpointUnavailable(TransportError):
+class EndpointUnavailable(SqlScoutError):
     """The endpoint can answer no request: it stayed unreachable (no
-    connection, HTTP 429 or 5xx) through the whole retry budget, or it
-    refused the API key, model or URL (HTTP 401, 403 or 404, not retried).
-    An outage, not one request it refused."""
+    connection, HTTP 429 or 5xx) through the whole retry budget, it refused
+    the API key, model or URL (HTTP 401, 403 or 404, not retried), or no
+    request to it could be built (a malformed URL or API key). An outage,
+    not one request it refused, so not a `TransportError`: the search's
+    lost-sample handlers let it through and it ends the item at once."""
 
 
 class ProtocolError(SqlScoutError):

@@ -17,7 +17,7 @@ from ..llm_client import (
     ResponseCache,
 )
 from ..core.catalog import load_catalog
-from ..errors import ContractViolation, IngestionError, TransportError
+from ..errors import ContractViolation, EndpointUnavailable, IngestionError
 from ..value_index import build_value_index, save_index
 from .config import load_config
 from .dataset import (
@@ -198,7 +198,7 @@ def run(dataset: str, db_root: str, fmt: str, mode: str, index_dir: str | None,
             resume=resume, write_traces=traces,
         )
     # an unreadable value index, say, or an endpoint that answers nothing
-    except (IngestionError, TransportError) as exc:
+    except (IngestionError, EndpointUnavailable) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(json.dumps(summary["ex_by_difficulty"], indent=1, sort_keys=True))
     click.echo(f"EX overall: {summary['ex_overall']:.4f} "

@@ -142,14 +142,15 @@ def run_one_item(
     mode: str = "mcts",
     trace_path: Path | None = None,
     sandbox: Sandbox | None = None,
-    calls: CountingModel | None = None,
 ) -> dict:
     """Process a single benchmark item into a report record.
 
     Never raises for model/SQL-level problems: any failure is folded into
     the record as EX=0 with the cause, so one bad item cannot sink a run.
-    An `EndpointUnavailable` that reaches it is raised: the embedder's, since
-    a model call folds its own into a lost sample.
+    An `EndpointUnavailable`, the chat model's or the embedder's, is an
+    outage, not the item's failure: no search step takes it for a lost
+    sample, so the item ends at the first call that raises one, and it is
+    raised with no record.
     In `baseline` mode, and when the search yields no trajectory, one
     single-shot call answers; if that call is lost to a transport or
     protocol error, the item keeps no SQL and is flagged low-confidence,
@@ -169,9 +170,7 @@ def run_one_item(
     item's database that the caller keeps for its thread. Without one, the
     item opens its own and closes it when the item ends, also on an error.
 
-    Every model call goes through `calls`, a fresh `CountingModel` over
-    `env.model` that the caller keeps to read after the item (one is made
-    when none is given); `model_calls` is its count.
+    `model_calls` counts the item's calls to `env.model`.
     """
     started = time.time()
     record = {
@@ -188,7 +187,7 @@ def run_one_item(
         "model_calls": 0,
         "error": None,
     }
-    model = calls if calls is not None else CountingModel(env.model)
+    model = CountingModel(env.model)
     own_sandbox = None
     try:
         if mode not in ("mcts", "baseline"):
@@ -308,10 +307,11 @@ def run_benchmark(
     stale format version, say) raises `IngestionError` then, once, with no
     record written: recording it against every item would let a resumed
     run skip them all after the index is rebuilt. An endpoint outage stops
-    the run the same way: an item whose every model call was lost to an
-    `EndpointUnavailable`, or whose embedder raised one, is not journaled;
-    no queued item starts, and once the items in flight end the run raises
-    one `EndpointUnavailable` naming that item and the last error. A
+    the run the same way: an item whose model or embedder raised
+    `EndpointUnavailable` is not journaled; no queued item starts, and once
+    the items in flight end the run raises one `EndpointUnavailable` naming
+    that item and the endpoint's error. An item in flight that meets the
+    outage too ends at its first call and is not journaled either. A
     request the endpoint refuses (a prompt over the context length, say)
     stays an EX 0 record of its item.
 
@@ -363,22 +363,15 @@ def run_benchmark(
         if stop.is_set():
             return
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
-        calls = CountingModel(env.model)
-        outage = ""
         try:
             record = run_one_item(item, env, cfg, mode=mode, trace_path=trace,
-                                  sandbox=sandbox_for(item.db_id), calls=calls)
-        except EndpointUnavailable as exc:  # the embedder's
-            outage = f"the embedding endpoint failed item {item.question_id} ({exc})"
-        else:
-            if calls.count and calls.lost == calls.count:
-                outage = (f"the endpoint answered no model call of item "
-                          f"{item.question_id} (last error: {calls.last_loss})")
-        if outage:
+                                  sandbox=sandbox_for(item.db_id))
+        except EndpointUnavailable as exc:
             # journaled, its EX 0 would make every resume skip the item
             stop.set()
-            raise EndpointUnavailable(f"{outage}; the run stopped without "
-                                      "recording it, so a rerun resumes from it")
+            raise EndpointUnavailable(
+                f"the endpoint failed item {item.question_id} ({exc}); the run "
+                "stopped without recording it, so a rerun resumes from it") from exc
         with journal_lock:
             done[item.question_id] = record
             journal.write(json.dumps(record, sort_keys=True,

@@ -116,6 +116,11 @@ def _post_with_retries(session: requests.Session, url: str, payload: dict,
             resp = session.post(url, json=payload, headers=headers,
                                 timeout=HTTP_TIMEOUT_SECS)
         except requests.RequestException as exc:
+            if isinstance(exc, ValueError):
+                # no request can be built (a malformed URL, a line break in
+                # the API key): every attempt would fail the same way
+                raise EndpointUnavailable(
+                    f"no request can be sent to {url}: {exc}") from exc
             last_err = exc
             continue
         if resp.status_code == 429 or resp.status_code >= 500:
@@ -374,23 +379,14 @@ class ScriptedModel:
 
 class CountingModel:
     """Pass-through wrapper that counts the samples that reach the inner
-    model and the ones lost to an `EndpointUnavailable`, whose last message
-    it keeps (as text: the exception would hold its frames alive). A
-    request the endpoint refuses (a 4xx other than 401, 403, 404 and 429)
-    is not counted as lost."""
+    model, answered or not."""
 
     def __init__(self, inner: ChatModel):
         self.inner = inner
-        self.count = self.lost = 0
-        self.last_loss = ""
+        self.count = 0
 
     def sample(self, prompt: str, temperature: float, max_tokens: int,
                sample_index: int, tag: str = "") -> str:
         self.count += 1
-        try:
-            return self.inner.sample(prompt, temperature, max_tokens,
-                                     sample_index, tag=tag)
-        except EndpointUnavailable as exc:
-            self.lost += 1
-            self.last_loss = str(exc)
-            raise
+        return self.inner.sample(prompt, temperature, max_tokens,
+                                 sample_index, tag=tag)

@@ -62,7 +62,7 @@ class ValueIndex:
     # (n, bands) uint64, rows parallel to values: each record's band hashes
     # (`band_hashes` of its MinHash signature), not the signature itself
     signatures: np.ndarray
-    salts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    salts: np.ndarray = field(init=False)  # the hash family `params` fixes
 
     def __post_init__(self):
         shape = self.signatures.shape
@@ -74,8 +74,7 @@ class ValueIndex:
             raise ContractViolation(
                 f"{len(self.values)} values, {len(self.column_ids)} column ids "
                 f"and {n} band-hash rows must agree")
-        if self.salts is None:
-            self.salts = permutation_salts(self.params)
+        self.salts = permutation_salts(self.params)
         self._id_bits = max(1, (n - 1).bit_length())
         self._id_mask = np.uint64((1 << self._id_bits) - 1)
         words = _band_keys(self.signatures, self._id_bits)
@@ -190,7 +189,6 @@ def build_value_index(
     closed.
     """
     params = params or MinHashParams()
-    salts = permutation_salts(params)
     tables = [(table, [name for _, name in group])
               for table, group in groupby(catalog.text_columns(), key=itemgetter(0))]
     scanned: list[list[list[str]]] = [[] for _ in tables]  # per table, per column
@@ -217,10 +215,10 @@ def build_value_index(
                              [len(column) for column in kept]),
         values=values,
         signatures=band_hashes(
-            signatures([value.lower() for value in values], salts, params.shingle_size),
+            signatures([value.lower() for value in values], permutation_salts(params),
+                       params.shingle_size),
             params,
         ),
-        salts=salts,
     )
 
 
@@ -341,5 +339,4 @@ def load_index(path: str | Path) -> ValueIndex:
         column_ids=column_ids.astype(np.int32),
         values=values,
         signatures=sigs.astype(np.uint64, copy=False),
-        salts=permutation_salts(params),
     )

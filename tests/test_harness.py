@@ -1170,19 +1170,19 @@ def test_run_benchmark_stops_on_an_endpoint_outage_and_records_nothing(
     monkeypatch.setattr(llm_module.time, "sleep", naps.append)
     client = OpenAIChatClient(EndpointConfig(chat_model="m",
                                              base_url="http://x/v1"))
-    alone = run_one_item(items[0], bench_env(db_root, client), bench_cfg())
-    # what the outage costs one item, which run_one_item folds into EX 0
-    one_item = len(naps)
-    assert one_item and alone["model_calls"] and alone["error"] is None
+    # the outage is not a lost sample: the item ends at its first call
+    with pytest.raises(EndpointUnavailable, match="HTTP 503"):
+        run_one_item(items[0], bench_env(db_root, client), bench_cfg())
+    assert len(posts) == 1 + llm_module.MAX_RETRIES
+    assert naps == list(llm_module.BACKOFF_SECS)
     del posts[:], naps[:]
 
     out = tmp_path / "run"
-    with pytest.raises(TransportError, match="answered no model call") as stopped:
+    with pytest.raises(EndpointUnavailable, match="HTTP 503") as stopped:
         run_benchmark(items, bench_env(db_root, client), bench_cfg(), out)
     client.close()
-    assert items[0].question_id in str(stopped.value)
-    assert "HTTP 503" in str(stopped.value)  # the last error
-    assert len(naps) <= one_item
+    assert f"item {items[0].question_id} " in str(stopped.value)
+    assert naps == list(llm_module.BACKOFF_SECS)  # one call's retries, no more
     assert load_report_records(out / REPORT_NAME) == {}
     # with the endpoint back, the default resume runs every item
     summary = run_benchmark(items, bench_env(db_root), bench_cfg(), out)
@@ -1248,46 +1248,127 @@ def test_run_benchmark_stops_when_the_endpoint_refuses_the_api_key(
                           bench_cfg(), out)
     finally:
         client.close()
-    assert "answered no model call of item" in str(stopped.value)
-    assert posts and naps == []  # the refusals were not retried
+    assert "failed item 0 " in str(stopped.value)
+    assert posts == [1] and naps == []  # one refusal, not retried
     assert load_report_records(out / REPORT_NAME) == {}
+
+
+class GoesDown:
+    """The scripted model, until its endpoint goes down for good after
+    `after` calls; the calls it saw are kept, per question marker."""
+
+    def __init__(self, after: int):
+        self.inner = scripted_benchmark_model()
+        self.after = after
+        self.asked: list[str] = []  # the marker of each call's question
+        self.lock = threading.Lock()
+
+    def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+        with self.lock:
+            self.asked.append(next((q["marker"] for q in BENCH_QUESTIONS
+                                    if q["marker"] in prompt.lower()), ""))
+            if len(self.asked) > self.after:
+                raise EndpointUnavailable("retries exhausted")
+        return self.inner.sample(prompt, temperature, max_tokens,
+                                 sample_index, tag)
 
 
 def test_run_benchmark_keeps_the_finished_items_of_a_stopped_run(bird_dataset,
                                                                  tmp_path):
     dataset, db_root = bird_dataset
     items = load_dataset(dataset)
-
-    class GoesDown:
-        """The scripted model, until its endpoint goes down for good."""
-
-        def __init__(self, after: int):
-            self.inner = scripted_benchmark_model()
-            self.after = after
-            self.calls = 0
-
-        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
-            self.calls += 1
-            if self.calls > self.after:
-                raise EndpointUnavailable("retries exhausted")
-            return self.inner.sample(prompt, temperature, max_tokens,
-                                     sample_index, tag)
-
     out = tmp_path / "run"
-    with pytest.raises(TransportError, match=items[2].question_id):
+    with pytest.raises(EndpointUnavailable, match=f"item {items[2].question_id} "):
         run_benchmark(items, bench_env(db_root, GoesDown(after=2)), bench_cfg(),
                       out, mode="baseline")
     assert list(load_report_records(out / REPORT_NAME)) == [
         items[0].question_id, items[1].question_id]
 
 
-def test_run_benchmark_stops_on_an_embedding_outage(bird_dataset, tmp_path):
-    # the chat endpoint answers; the embedding endpoint is down for good
+@pytest.mark.parametrize("after", [0, 3, 30])
+def test_an_endpoint_outage_ends_the_item_at_its_first_lost_call(
+        bird_dataset, tmp_path, after):
     dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+    model = GoesDown(after)
+    out = tmp_path / "run"
+    with pytest.raises(EndpointUnavailable, match=f"item {items[0].question_id} "):
+        run_benchmark(items, bench_env(db_root, model), bench_cfg(), out)
+    # no search step takes the outage for a lost sample and asks again
+    assert len(model.asked) == after + 1
+    assert load_report_records(out / REPORT_NAME) == {}
+
+
+def test_an_endpoint_outage_journals_neither_item_in_flight(bird_dataset,
+                                                            tmp_path):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+
+    class BothInFlight(GoesDown):
+        """Each worker's first call waits for the other's, so the endpoint
+        goes down with both workers' items in flight."""
+
+        def __init__(self, after: int):
+            super().__init__(after)
+            self.started = threading.Barrier(2, timeout=10)
+            self.local = threading.local()
+
+        def sample(self, *args, **kwargs):
+            if not getattr(self.local, "started", False):
+                self.local.started = True
+                self.started.wait()
+            return super().sample(*args, **kwargs)
+
+    after = 20
+    model = BothInFlight(after)
+    out = tmp_path / "run"
+    with pytest.raises(EndpointUnavailable, match="retries exhausted"):
+        run_benchmark(items, bench_env(db_root, model), bench_cfg(), out,
+                      workers=2)
+    assert load_report_records(out / REPORT_NAME) == {}
+    # each item in flight lost one call; the queued ones never started
+    lost = sorted(model.asked[after:])
+    assert lost == sorted(q["marker"] for q in BENCH_QUESTIONS[:2])
+
+
+def restaurants_index_dir(db_root: Path, tmp_path: Path) -> Path:
+    """A directory holding the value index of the restaurants database."""
     index_dir = tmp_path / "indexes"
     catalog = load_catalog(db_root / "restaurants" / "restaurants.sqlite",
                            db_id="restaurants")
     save_index(build_value_index(catalog), index_dir / "restaurants.jsonl")
+    return index_dir
+
+
+def test_an_outage_on_the_keyword_call_stops_the_item(bird_dataset, tmp_path):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+
+    class KeywordsDown:
+        def __init__(self):
+            self.inner, self.tags = scripted_benchmark_model(), []
+
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            self.tags.append(tag)
+            if tag == "keywords":
+                raise EndpointUnavailable("retries exhausted: HTTP 503")
+            return self.inner.sample(prompt, temperature, max_tokens,
+                                     sample_index, tag)
+
+    model = KeywordsDown()
+    env = RunEnvironment(model=model, db_root=db_root,
+                         index_dir=restaurants_index_dir(db_root, tmp_path))
+    out = tmp_path / "run"
+    with pytest.raises(EndpointUnavailable, match=f"item {items[0].question_id} "):
+        run_benchmark(items, env, bench_cfg(), out)
+    assert model.tags == ["keywords"]  # no search ran without its values
+    assert load_report_records(out / REPORT_NAME) == {}
+
+
+def test_run_benchmark_stops_on_an_embedding_outage(bird_dataset, tmp_path):
+    # the chat endpoint answers; the embedding endpoint is down for good
+    dataset, db_root = bird_dataset
+    index_dir = restaurants_index_dir(db_root, tmp_path)
 
     class Down:
         def __init__(self):

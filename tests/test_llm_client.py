@@ -132,6 +132,27 @@ def test_a_refused_key_model_or_url_is_an_outage_at_once(monkeypatch, no_sleep,
     assert len(calls) == 1 and no_sleep == []
 
 
+@pytest.mark.parametrize("base_url, api_key, error", [
+    ("localhost:8000/v1", "", "InvalidSchema"),   # no scheme: no adapter for it
+    ("http//localhost:8000/v1", "", "MissingSchema"),
+    ("http://", "", "InvalidURL"),                # no host
+    ("http://x/v1", "sk-key\n", "InvalidHeader"),  # a key read with its newline
+])
+def test_a_request_that_cannot_be_built_is_an_outage_at_once(
+        monkeypatch, no_sleep, base_url, api_key, error):
+    def send(*a, **k):
+        raise AssertionError("the request was built and sent")
+
+    monkeypatch.setattr(llm.requests.adapters.HTTPAdapter, "send", send)
+    client = OpenAIChatClient(EndpointConfig(chat_model="m", base_url=base_url,
+                                             api_key=api_key))
+    with pytest.raises(EndpointUnavailable, match="no request can be sent") as down:
+        client.sample("p", 0.0, 64, 0)
+    assert type(down.value.__cause__).__name__ == error
+    # every attempt would fail alike: no retry, no sleep
+    assert no_sleep == []
+
+
 def test_network_exception_retried(monkeypatch, no_sleep):
     attempts = []
 

@@ -676,6 +676,17 @@ def test_empty_index_is_valid(tmp_path):
     assert loaded.candidate_ids(signature("x", index.salts)) == []
 
 
+def test_the_salts_follow_the_params():
+    params = MinHashParams(seed=7)
+    fields = dict(db_id="empty", params=params, columns=[],
+                  column_ids=np.empty(0, dtype=np.int32), values=[],
+                  signatures=np.empty((0, params.bands), dtype=np.uint64))
+    assert (ValueIndex(**fields).salts == permutation_salts(params)).all()
+    # salts of another seed would make every lookup miss: none can be passed
+    with pytest.raises(TypeError):
+        ValueIndex(**fields, salts=permutation_salts(MinHashParams()))
+
+
 # ---- retrieval ----
 
 def cfg_with(**kw) -> SearchConfig:
