@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -34,8 +35,9 @@ from ..errors import (
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..mcts import prepare_context, run_search, serialize_tree
 from ..reward_select import select_final
-from ..sql_exec import Sandbox, execute_sql, same_rows_sql
+from ..sql_exec import Sandbox, SqlHelper, execute_sql, same_rows_sql
 from ..value_index import ValueIndex, load_index
+from ..value_index.threads import usable_cpus
 from .baseline import baseline_generate
 from .dataset import BenchmarkItem
 
@@ -45,6 +47,16 @@ REPORT_NAME = "report.jsonl"
 SUMMARY_NAME = "summary.json"
 PREDICTIONS_NAME = "predictions.txt"
 TRACES_DIR = "traces"
+# a database file at least this large runs a search's statements on a second
+# connection too (see `run_benchmark`). Measured on a 2-vCPU host: handing a
+# statement off and taking its result costs about 17 us, and a statement of
+# the e2ebench `large` shape scans about 0.4 ms per MB of file (0.27 ms at
+# 0.83 MB, 8.4 ms at 16.7 MB), so the two break even near 0.05 MB. A file's
+# size bounds its scans only loosely, though: the 0.28 MB `wide` database
+# holds 32 tables of 25 rows, its statements take 10 us, and a helper cost
+# its questions about 3% more time. So the threshold sits far above
+# break-even.
+HELPER_MIN_DB_BYTES = 4 << 20
 
 
 def database_path(db_root: Path, db_id: str) -> Path:
@@ -142,6 +154,7 @@ def run_one_item(
     mode: str = "mcts",
     trace_path: Path | None = None,
     sandbox: Sandbox | None = None,
+    helper: SqlHelper | None = None,
 ) -> dict:
     """Process a single benchmark item into a report record.
 
@@ -169,6 +182,11 @@ def run_one_item(
     Every statement of the item runs on `sandbox`, an open `Sandbox` on the
     item's database that the caller keeps for its thread. Without one, the
     item opens its own and closes it when the item ends, also on an error.
+    With a `sandbox`, a `helper` the caller keeps for its thread runs the
+    search's statements ahead, on the helper's own sandbox on the database:
+    each as soon as the search knows it, none past the search's end (see
+    `RolloutContext`). Results are the same either way. Without a
+    `sandbox`, the helper is not used.
 
     `model_calls` counts the item's calls to `env.model`.
     """
@@ -193,8 +211,12 @@ def run_one_item(
         if mode not in ("mcts", "baseline"):
             raise IngestionError(f"unknown run mode: {mode!r}")
         catalog = env.catalog(item.db_id)
+        ahead = None
         if sandbox is None:
             sandbox = own_sandbox = Sandbox(env.db_path(item.db_id))
+        elif helper is not None and mode == "mcts":
+            ahead = helper.hand_off(env.db_path(item.db_id),
+                                    partial(env.executor, item.db_id, cfg))
         item_cfg = dataclasses.replace(
             cfg, rng_seed=item_seed(cfg.rng_seed, item.question_id)
         )
@@ -202,6 +224,7 @@ def run_one_item(
             item.question, item_cfg, model, catalog,
             env.executor(item.db_id, cfg, sandbox), embedder=env.embedder,
             value_index=env.value_index(item.db_id) if mode == "mcts" else None,
+            ahead=ahead,
         )
         chosen = ""
         trajectories = run_search(ctx) if mode == "mcts" else []
@@ -322,8 +345,12 @@ def run_benchmark(
     one `Sandbox` per database on its first item there and runs every later
     item of that database on it, so SQLite reads each schema once per
     worker, not once per question. A worker only ever gets the sandboxes it
-    opened. All of them are closed once no worker is left running, before
-    the run returns or raises.
+    opened. In `mcts` mode, on a database file of at least
+    HELPER_MIN_DB_BYTES and when the process may use at least two CPUs per
+    worker, each worker also keeps a `SqlHelper`, a thread with a second
+    sandbox per database, which runs its items' statements ahead of need
+    (see `run_one_item`). All of them are closed once no worker is left
+    running, before the run returns or raises.
     """
     if mode not in ("mcts", "baseline"):
         raise IngestionError(f"unknown run mode: {mode!r}")
@@ -345,6 +372,19 @@ def run_benchmark(
 
     # by (worker thread, db_id); a worker reads and writes only its own keys
     sandboxes: dict[tuple[int, str], Sandbox] = {}
+    # by worker thread, as above; none when the workers would leave the
+    # helpers no CPU of their own
+    helpers: dict[int, SqlHelper] = {}
+    use_helpers = mode == "mcts" and 2 * workers <= usable_cpus()
+
+    def helper_for(db_id: str) -> SqlHelper | None:
+        if (not use_helpers
+                or os.path.getsize(env.db_path(db_id)) < HELPER_MIN_DB_BYTES):
+            return None
+        key = threading.get_ident()
+        if key not in helpers:
+            helpers[key] = SqlHelper()  # its thread starts with its first sandbox
+        return helpers[key]
 
     def sandbox_for(db_id: str) -> Sandbox | None:
         key = (threading.get_ident(), db_id)
@@ -363,9 +403,11 @@ def run_benchmark(
         if stop.is_set():
             return
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
+        sandbox = sandbox_for(item.db_id)
+        helper = helper_for(item.db_id) if sandbox is not None else None
         try:
             record = run_one_item(item, env, cfg, mode=mode, trace_path=trace,
-                                  sandbox=sandbox_for(item.db_id))
+                                  sandbox=sandbox, helper=helper)
         except EndpointUnavailable as exc:
             # journaled, its EX 0 would make every resume skip the item
             stop.set()
@@ -390,8 +432,11 @@ def run_benchmark(
             try:
                 pool.shutdown(cancel_futures=True)
             finally:
-                for sandbox in sandboxes.values():  # no worker is left to run a statement
+                # no worker is left to run a statement or hand one off
+                for sandbox in sandboxes.values():
                     sandbox.close()
+                for helper in helpers.values():
+                    helper.close()
     summary = summarize(items, done, cfg, mode=mode, endpoint=env.endpoint)
     (out / SUMMARY_NAME).write_text(
         json.dumps(summary, indent=1, sort_keys=True, ensure_ascii=False) + "\n",

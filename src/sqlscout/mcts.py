@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,7 +34,7 @@ from .core.types import (
 from .errors import ContractViolation, ParseError, ProtocolError, TransportError
 from .llm_client import ChatModel, Embedder
 from .reward_select import compute_reward
-from .sql_exec import ExecutionResult
+from .sql_exec import ExecutionResult, HandOff
 from .value_index import ValueIndex, as_retrieved_map, retrieve_values
 
 log = logging.getLogger(__name__)
@@ -48,7 +49,11 @@ class RolloutContext:
     memos are never shared across questions or `--workers` threads.
     `results` holds each SQL string's result from `run_sql`, so `execute`
     runs a string once and a repeat returns the very same object (a
-    truncated result equals only itself under `results_equal`).
+    truncated result equals only itself under `results_equal`). With
+    `ahead`, a second connection on its own thread, `hand_off` starts a
+    string there as soon as the search knows it, and `handed` holds it until
+    `execute` takes its result; `recall` takes back every string still
+    handed off. Only the question's own thread reads or writes the memos.
     `schema_cache` holds the rendered schema text per slice (None for the
     full catalog, else the selection as the state holds it), so
     every prompt built from the same slice renders it once; it is valid
@@ -68,20 +73,53 @@ class RolloutContext:
     model: ChatModel
     catalog: DatabaseCatalog
     run_sql: Callable[[str], ExecutionResult]
+    ahead: HandOff | None = None
     retrieved_map: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     keywords: list[str] = field(default_factory=list)
     schema_cache: dict[SchemaKey | None, str] = field(default_factory=dict)
     samples: dict[tuple[str, float, int], str] = field(default_factory=dict)
     results: dict[str, ExecutionResult] = field(default_factory=dict)
+    handed: dict[str, Future] = field(default_factory=dict)
     answers: dict[tuple[ActionKind, str], Answer | None] = field(default_factory=dict)
     fingerprints: dict[tuple[ActionKind, Answer | None], str] = field(default_factory=dict)
 
     def execute(self, sql: str) -> ExecutionResult:
-        """`run_sql(sql)`, run once per distinct string of the question."""
+        """`run_sql(sql)`, run once per distinct string of the question.
+
+        A string handed off and still queued is taken back and run here. One
+        the second connection is running is awaited, and meanwhile the
+        strings still queued there are taken back and run here, the latest
+        handed first, as the other end of the queue from the helper's.
+        """
         result = self.results.get(sql)
         if result is None:
-            result = self.results[sql] = self.run_sql(sql)
+            future = self.handed.get(sql)
+            if future is None or future.cancel():
+                result = self.run_sql(sql)
+            else:
+                for queued in reversed(list(self.handed)):
+                    if future.done():
+                        break
+                    if self.handed[queued].cancel():
+                        del self.handed[queued]
+                        self.results[queued] = self.run_sql(queued)
+                result = future.result()
+            self.handed.pop(sql, None)
+            self.results[sql] = result
         return result
+
+    def hand_off(self, sql: str) -> None:
+        """Start `sql` on the second connection, if there is one and the
+        string has neither run nor been handed off."""
+        if not (self.ahead is None or sql in self.results or sql in self.handed):
+            self.handed[sql] = self.ahead.start(sql)
+
+    def recall(self) -> None:
+        """Cancel the strings still queued on the second connection, and
+        interrupt and await the one it is running; their results are dropped."""
+        if self.handed:
+            self.ahead.recall(self.handed.values())
+            self.handed.clear()
 
     def sample(self, prompt: str, temperature: float, index: int, tag: str) -> str:
         """The index-th completion for the prompt, asked of the model once.
@@ -177,6 +215,7 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> None:
     Actions run in canonical order; randomness enters only at selection. A
     transport or protocol failure on one action drops that action for this
     expansion. A node no action can extend is dead (terminal with reward 0).
+    The query of each new generation child is handed off to run ahead.
     """
     if node.is_terminal:
         raise ContractViolation("cannot expand a terminal node")
@@ -194,6 +233,8 @@ def expand_node(node: SearchNode, ctx: RolloutContext) -> None:
                     state=advance(node.state, action, step.answer),
                     prompt=step.prompt,
                 )
+                if action is ActionKind.SQL_GENERATE:
+                    ctx.hand_off(step.answer)
     node.expanded = True
     if node.dead:
         log.warning("node with history %s is dead: no action produced children",
@@ -231,18 +272,23 @@ def run_search(ctx: RolloutContext) -> list[Trajectory]:
     Keywords and retrieved values come from `prepare_context` and feed every
     prompt. Rewards are computed once per terminal and cached on the node;
     a terminal joins the trajectories when its reward is first computed.
+    When the search returns or raises, no statement it handed off is left
+    queued or running.
     """
     cfg = ctx.cfg
     rng = random.Random(cfg.rng_seed)
     root = SearchNode.root()
     trajectories: list[Trajectory] = []
-    for _ in range(cfg.n_rollout):
-        path = rollout_path(root, ctx, rng)
-        terminal = path[-1]
-        if not terminal.dead and terminal.reward is None:
-            terminal.reward = compute_reward(ctx, path)
-            trajectories.append(Trajectory(nodes=tuple(path)))
-        backpropagate(path, 0.0 if terminal.dead else terminal.reward)
+    try:
+        for _ in range(cfg.n_rollout):
+            path = rollout_path(root, ctx, rng)
+            terminal = path[-1]
+            if not terminal.dead and terminal.reward is None:
+                terminal.reward = compute_reward(ctx, path)
+                trajectories.append(Trajectory(nodes=tuple(path)))
+            backpropagate(path, 0.0 if terminal.dead else terminal.reward)
+    finally:
+        ctx.recall()
     audit_tree(root)
     return trajectories
 
@@ -251,16 +297,18 @@ def prepare_context(q: NLQuestion, cfg: SearchConfig, model: ChatModel,
                     catalog: DatabaseCatalog,
                     run_sql: Callable[[str], ExecutionResult],
                     embedder: Embedder | None = None,
-                    value_index: ValueIndex | None = None) -> RolloutContext:
+                    value_index: ValueIndex | None = None,
+                    ahead: HandOff | None = None) -> RolloutContext:
     """The question's context, with the once-per-question steps run.
 
     With a value index, the keywords are extracted and their values
     retrieved; without one, no model call is made. A keyword call lost to a
     transport or protocol error leaves the search without keywords and
-    retrieved values, with a warning.
+    retrieved values, with a warning. With `ahead`, the search hands
+    statements off to a second connection.
     """
     ctx = RolloutContext(q=q, cfg=cfg, model=model, catalog=catalog,
-                         run_sql=run_sql)
+                         run_sql=run_sql, ahead=ahead)
     if value_index is not None:
         try:
             ctx.keywords = extract_keywords(q, model)

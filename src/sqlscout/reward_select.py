@@ -29,9 +29,11 @@ def compute_reward(ctx, path: Sequence[SearchNode]) -> float:
 
     `ctx` is the per-question search context (question, config, model,
     catalog, memoized execute and parse). A final SQL that fails to execute
-    scores 0 outright. Samples that fail to parse count as mismatches;
-    samples lost to transport or protocol errors shrink the denominator, and
-    zero obtainable samples scores 0 with a warning.
+    scores 0 outright, with no sample drawn. Samples that fail to parse
+    count as mismatches; samples lost to transport or protocol errors shrink
+    the denominator, and zero obtainable samples scores 0 with a warning.
+    Every sample is drawn and parsed, and its query handed off to run ahead
+    (`ctx.hand_off`), before any sample's result is compared.
 
     Termination only follows generation or revision, so the producer of the
     final SQL is the terminal's parent, `path[-2]`, and the samples re-issue
@@ -68,8 +70,7 @@ def compute_reward(ctx, path: Sequence[SearchNode]) -> float:
             schema_cache=ctx.schema_cache,
         )
     cfg = ctx.cfg
-    obtained = 0
-    matched = 0
+    obtained: list[str | None] = []  # None: a sample that did not parse
     for i in range(cfg.n_reward):
         try:
             raw = ctx.model.sample(prompt, cfg.t_reward, cfg.max_tokens,
@@ -77,16 +78,16 @@ def compute_reward(ctx, path: Sequence[SearchNode]) -> float:
         except (TransportError, ProtocolError) as exc:
             log.warning("reward sample %d lost: %s: %s", i, type(exc).__name__, exc)
             continue
-        obtained += 1
         sql = ctx.parse(producer.producing_action, raw)
-        if sql is None:
-            continue  # counted in the denominator, never matches
-        if results_equal(ctx.execute(sql), final_result):
-            matched += 1
-    if obtained == 0:
+        if sql is not None:
+            ctx.hand_off(sql)
+        obtained.append(sql)
+    if not obtained:
         log.warning("no reward samples obtained; scoring 0")
         return 0.0
-    return matched / obtained
+    matched = sum(1 for sql in obtained
+                  if sql is not None and results_equal(ctx.execute(sql), final_result))
+    return matched / len(obtained)
 
 
 class _TrajectoryLike(Protocol):

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import sqlite3
 import time
+from collections.abc import Callable, Iterable
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import quote
 
 from .errors import ContractViolation, IngestionError
@@ -189,13 +192,14 @@ class Sandbox:
     database's schema once per worker, and the run closes them all when it
     ends. `run_one_item` called without one opens one for its question and
     closes it when the question ends; `execute_sql` without one opens one
-    for its single statement.
+    for its single statement. On a large database a worker may also have a
+    `SqlHelper`, whose thread keeps a second sandbox per database.
 
     Only the thread that opened a sandbox runs statements on it. sqlite3
     enforces that unless `check_same_thread` is False, which `run_benchmark`
     passes so that the thread ending the run can close its workers'
     sandboxes once they have all stopped; each worker there only ever gets
-    the sandboxes it opened.
+    the sandboxes it opened. Another thread may only `interrupt` it.
 
     Statements stay isolated on the shared connection, across the questions
     of a run as within one, because none can change its state: the
@@ -208,13 +212,15 @@ class Sandbox:
         path = Path(db_path)
         self._conn = conn = open_readonly(path, check_same_thread)
         self._deadline = 0.0
+        self._halted = False
         try:
             conn.execute("PRAGMA query_only = ON")
             conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
             conn.set_authorizer(_authorize_read)
             conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, CELL_BYTE_CAP)
-            conn.set_progress_handler(lambda: time.monotonic() > self._deadline,
-                                      DEADLINE_CHECK_STEPS)
+            conn.set_progress_handler(
+                lambda: self._halted or time.monotonic() > self._deadline,
+                DEADLINE_CHECK_STEPS)
         except sqlite3.Error as exc:
             conn.close()
             raise IngestionError(f"cannot configure {path}: {exc}") from exc
@@ -249,6 +255,19 @@ class Sandbox:
         finally:
             cursor.close()  # resets a statement left mid-result
 
+    def interrupt(self) -> None:
+        """Abort the statement running here, asked from any thread.
+
+        Every statement then ends as a timeout until `resume`: SQLite drops
+        an interrupt that comes before a statement's first step, so the
+        progress handler checks for one too.
+        """
+        self._halted = True
+        self._conn.interrupt()
+
+    def resume(self) -> None:
+        self._halted = False
+
     def close(self) -> None:
         self._conn.close()
 
@@ -257,6 +276,71 @@ class Sandbox:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class SqlHelper:
+    """A thread of its own that runs statements handed to it, on one
+    `Sandbox` per database that it opens on that thread.
+
+    `run_benchmark` keeps one per worker, when the run may use it, and
+    closes it with the workers' sandboxes. An item hands statements to it
+    through a `HandOff`, and only the worker's own thread does that, so it
+    runs one item's statements at a time. No thread starts before the
+    first sandbox opens.
+    """
+
+    def __init__(self) -> None:
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="sqlscout-sql")
+        self._sandboxes: dict[Path, Sandbox] = {}
+
+    def hand_off(self, db_path: str | Path,
+                 bind: Callable[[Sandbox], Callable[[str], ExecutionResult]],
+                 ) -> HandOff:
+        """How to run statements on its sandbox on `db_path`, opened on its
+        thread at first use: `bind` makes the sandbox a statement runner."""
+        path = Path(db_path)
+        sandbox = self._sandboxes.get(path)
+        if sandbox is None:
+            sandbox = self._sandboxes[path] = self._pool.submit(Sandbox, path).result()
+        return HandOff(self._pool, sandbox, bind(sandbox))
+
+    def close(self) -> None:
+        """Close its sandboxes on its thread and end the thread; nothing
+        handed to it may still be queued or running."""
+        try:
+            if self._sandboxes:
+                self._pool.submit(self._close_sandboxes).result()
+        finally:
+            self._pool.shutdown()
+
+    def _close_sandboxes(self) -> None:
+        for sandbox in self._sandboxes.values():
+            sandbox.close()
+
+
+class HandOff(NamedTuple):
+    """One item's way onto a `SqlHelper`: `run_sql` on the helper's
+    `sandbox`, run on its thread by `pool`."""
+
+    pool: ThreadPoolExecutor
+    sandbox: Sandbox
+    run_sql: Callable[[str], ExecutionResult]
+
+    def start(self, sql: str) -> Future:
+        """`run_sql(sql)`, queued on the helper's thread."""
+        return self.pool.submit(self.run_sql, sql)
+
+    def recall(self, futures: Iterable[Future]) -> None:
+        """Cancel those of `futures` still queued; interrupt the one running
+        and wait for it, so that none runs once this returns."""
+        left = [f for f in futures if not f.cancel()]
+        if any(not f.done() for f in left):
+            self.sandbox.interrupt()
+            try:
+                wait(left)
+            finally:
+                self.sandbox.resume()
 
 
 def execute_sql(

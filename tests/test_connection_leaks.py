@@ -6,18 +6,21 @@ versions a leak passes unseen; these tests record the connections instead.
 
 import sqlite3
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from sqlscout.core.catalog import load_catalog
 from sqlscout.core.types import SearchConfig
-from sqlscout.errors import IngestionError
+from sqlscout.errors import EndpointUnavailable, IngestionError
 from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark, run_one_item
+from sqlscout.harness import runner as runner_module
+from sqlscout.sql_exec import Sandbox, SqlHelper
 from sqlscout.value_index import build_value_index, save_index
 from sqlscout.value_index import index as index_module
 
-from conftest import scripted_benchmark_model
+from conftest import scripted_benchmark_model, sql_json
 
 
 def recorded_connections(monkeypatch) -> list[sqlite3.Connection]:
@@ -53,17 +56,18 @@ def is_closed(conn: sqlite3.Connection) -> bool:
 
 
 class FailsMidSearch:
-    """The scripted model, until a call past the first `after` raises."""
+    """The scripted model, until a call past the first `after` raises `error`."""
 
-    def __init__(self, after: int):
+    def __init__(self, after: int, error: type[Exception] = RuntimeError):
         self.inner = scripted_benchmark_model()
         self.after = after
+        self.error = error
         self.calls = 0
 
     def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
         self.calls += 1
         if self.calls > self.after:
-            raise RuntimeError("model lost mid-search")
+            raise self.error("model lost mid-search")
         return self.inner.sample(prompt, temperature, max_tokens, sample_index, tag)
 
 
@@ -173,3 +177,89 @@ def test_a_pooled_run_closes_the_connections_its_workers_open(
                             tmp_path / "run", workers=2)
     assert summary["item_errors"] == 0 and summary["ex_overall"] == 1.0
     assert opened and all(map(is_closed, opened))
+
+
+@pytest.mark.parametrize("ending", ["normal", "item error", "outage"])
+def test_every_helper_connection_is_closed_when_the_run_ends(
+        bird_dataset, tmp_path, monkeypatch, set_cpus, ending):
+    dataset, db_root = bird_dataset
+    set_cpus(4)
+    monkeypatch.setattr(runner_module, "HELPER_MIN_DB_BYTES", 0)
+    model = {"normal": scripted_benchmark_model(),
+             "item error": FailsMidSearch(after=40),
+             "outage": FailsMidSearch(after=40, error=EndpointUnavailable)}[ending]
+    env = RunEnvironment(model=model, db_root=db_root)
+    env.catalog("restaurants")  # loaded first, so that only sandboxes connect below
+    opened = recorded_connections(monkeypatch)
+    cfg = SearchConfig(n_rollout=6, sql_timeout_secs=5.0)
+    if ending == "outage":
+        with pytest.raises(EndpointUnavailable):
+            run_benchmark(load_dataset(dataset), env, cfg, tmp_path / "run")
+    else:
+        summary = run_benchmark(load_dataset(dataset), env, cfg, tmp_path / "run")
+        assert summary["item_errors"] == (ending == "item error") * 4
+    assert len(opened) == 2  # the worker's sandbox and its helper's
+    assert all(map(is_closed, opened))
+
+
+SPIN_SQL = ("WITH RECURSIVE spin(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM spin) "
+            "SELECT COUNT(*) FROM spin")
+
+
+def test_a_statement_still_running_when_its_item_ends_is_interrupted_and_awaited(
+        bird_dataset, monkeypatch):
+    dataset, db_root = bird_dataset
+    spin_started = threading.Event()
+    ended = []  # (thread name, end time, outcome) of the spin query
+    execute_sql = runner_module.execute_sql
+
+    def recording(sql, *args, **kwargs):
+        if sql == SPIN_SQL:
+            spin_started.set()
+        result = execute_sql(sql, *args, **kwargs)
+        if sql == SPIN_SQL:
+            ended.append((threading.current_thread().name, time.monotonic(),
+                          result.kind))
+        return result
+
+    class SpinsThenFails:
+        """Reward sample 0 answers the query that never ends; sample 1,
+        asked once the helper runs that query, raises."""
+
+        inner = scripted_benchmark_model()
+
+        def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+            if tag == "reward" and sample_index == 0:
+                return sql_json(SPIN_SQL)
+            if tag == "reward" and sample_index == 1:
+                assert spin_started.wait(timeout=30)
+                raise RuntimeError("model lost mid-reward")
+            return self.inner.sample(prompt, temperature, max_tokens,
+                                     sample_index, tag)
+
+    monkeypatch.setattr(runner_module, "execute_sql", recording)
+    items = load_dataset(dataset)
+    # long enough that only an interrupt ends the spin query in time
+    cfg = SearchConfig(n_rollout=6, sql_timeout_secs=30.0)
+    spinning, scripted = (RunEnvironment(model=model, db_root=db_root)
+                          for model in (SpinsThenFails(), scripted_benchmark_model()))
+    for env in (spinning, scripted):
+        env.catalog("restaurants")  # loaded first, so that only sandboxes connect below
+    opened = recorded_connections(monkeypatch)
+    helper = SqlHelper()
+    try:
+        with Sandbox(db_root / "restaurants" / "restaurants.sqlite") as sandbox:
+            start = time.monotonic()
+            failed = run_one_item(items[0], spinning, cfg, sandbox=sandbox,
+                                  helper=helper)
+            returned = time.monotonic()
+            assert failed["error"] == "RuntimeError: model lost mid-reward"
+            [(thread, spin_end, outcome)] = ended
+            assert thread.startswith("sqlscout-sql") and outcome == "timeout"
+            assert spin_end <= returned and returned - start < 15
+            # the helper's sandbox runs the next item's statements in full
+            ok = run_one_item(items[1], scripted, cfg, sandbox=sandbox, helper=helper)
+            assert ok["error"] is None and ok["ex"] == 1
+    finally:
+        helper.close()
+    assert len(opened) == 2 and all(map(is_closed, opened))

@@ -63,7 +63,12 @@ from sqlscout.mcts import audit_tree, prepare_context, run_search
 from sqlscout.sql_exec import Sandbox, results_equal
 from sqlscout.value_index import build_value_index, save_index
 
-from test_connection_leaks import FailsMidSearch, is_closed, recorded_connections
+from test_connection_leaks import (
+    SPIN_SQL,
+    FailsMidSearch,
+    is_closed,
+    recorded_connections,
+)
 from test_llm_client import FakeResponse, chat_payload
 
 from conftest import (
@@ -578,10 +583,6 @@ def test_an_item_on_a_missing_database_is_recorded_and_the_run_goes_on(
     alone = run_one_item(absent, bench_env(db_root), bench_cfg())
     assert record["error"] == alone["error"]
     assert record["error"].startswith("IngestionError: no database file for 'absent'")
-
-
-SPIN_SQL = ("WITH RECURSIVE spin(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM spin) "
-            "SELECT COUNT(*) FROM spin")
 
 
 class WatchedSandbox(Sandbox):
