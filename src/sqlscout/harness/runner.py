@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import re
 import threading
 import time
@@ -35,7 +34,7 @@ from ..errors import (
 from ..llm_client import ChatModel, CountingModel, Embedder, EndpointConfig
 from ..mcts import prepare_context, run_search, serialize_tree
 from ..reward_select import select_final
-from ..sql_exec import Sandbox, SqlHelper, execute_sql, same_rows_sql
+from ..sql_exec import HandOff, Sandbox, execute_sql, same_rows_sql
 from ..value_index import ValueIndex, load_index
 from ..value_index.threads import usable_cpus
 from .baseline import baseline_generate
@@ -53,9 +52,9 @@ TRACES_DIR = "traces"
 # the e2ebench `large` shape scans about 0.4 ms per MB of file (0.27 ms at
 # 0.83 MB, 8.4 ms at 16.7 MB), so the two break even near 0.05 MB. A file's
 # size bounds its scans only loosely, though: the 0.28 MB `wide` database
-# holds 32 tables of 25 rows, its statements take 10 us, and a helper cost
-# its questions about 3% more time. So the threshold sits far above
-# break-even.
+# holds 32 tables of 25 rows, its statements take 10 us, and a second
+# connection cost its questions about 3% more time. So the threshold sits far
+# above break-even.
 HELPER_MIN_DB_BYTES = 4 << 20
 
 
@@ -154,7 +153,7 @@ def run_one_item(
     mode: str = "mcts",
     trace_path: Path | None = None,
     sandbox: Sandbox | None = None,
-    helper: SqlHelper | None = None,
+    ahead: HandOff | None = None,
 ) -> dict:
     """Process a single benchmark item into a report record.
 
@@ -182,11 +181,10 @@ def run_one_item(
     Every statement of the item runs on `sandbox`, an open `Sandbox` on the
     item's database that the caller keeps for its thread. Without one, the
     item opens its own and closes it when the item ends, also on an error.
-    With a `sandbox`, a `helper` the caller keeps for its thread runs the
-    search's statements ahead, on the helper's own sandbox on the database:
-    each as soon as the search knows it, none past the search's end (see
-    `RolloutContext`). Results are the same either way. Without a
-    `sandbox`, the helper is not used.
+    With `ahead`, a `HandOff` to a second sandbox on the item's database,
+    the search also runs its statements there, each as soon as it knows
+    it, none past the search's end (see `RolloutContext`). Results are the
+    same either way.
 
     `model_calls` counts the item's calls to `env.model`.
     """
@@ -211,12 +209,8 @@ def run_one_item(
         if mode not in ("mcts", "baseline"):
             raise IngestionError(f"unknown run mode: {mode!r}")
         catalog = env.catalog(item.db_id)
-        ahead = None
         if sandbox is None:
             sandbox = own_sandbox = Sandbox(env.db_path(item.db_id))
-        elif helper is not None and mode == "mcts":
-            ahead = helper.hand_off(env.db_path(item.db_id),
-                                    partial(env.executor, item.db_id, cfg))
         item_cfg = dataclasses.replace(
             cfg, rng_seed=item_seed(cfg.rng_seed, item.question_id)
         )
@@ -321,9 +315,10 @@ def run_benchmark(
     """Run every item, journal records as they finish, and summarize.
 
     With resume on, items already present in `report.jsonl` are skipped, so
-    an interrupted run picks up where it stopped. Records append in
-    completion order; the summary and predictions files are rebuilt from
-    the full journal at the end and are order-independent.
+    an interrupted run picks up where it stopped. A journaled record of
+    another mode raises `IngestionError` before any item runs. Records
+    append in completion order; the summary and predictions files are
+    rebuilt from the full journal at the end and are order-independent.
 
     In `mcts` mode the value index of every database a pending item needs
     is loaded before the first item runs. An index that cannot be read (a
@@ -347,10 +342,11 @@ def run_benchmark(
     worker, not once per question. A worker only ever gets the sandboxes it
     opened. In `mcts` mode, on a database file of at least
     HELPER_MIN_DB_BYTES and when the process may use at least two CPUs per
-    worker, each worker also keeps a `SqlHelper`, a thread with a second
-    sandbox per database, which runs its items' statements ahead of need
-    (see `run_one_item`). All of them are closed once no worker is left
-    running, before the run returns or raises.
+    worker, the worker also opens a second sandbox there, and its items run
+    their statements ahead of need on it (`run_one_item`'s `ahead`), on one
+    thread per worker that starts at its first statement. Once no worker is
+    left running, before the run returns or raises, those threads end and
+    every sandbox is closed.
     """
     if mode not in ("mcts", "baseline"):
         raise IngestionError(f"unknown run mode: {mode!r}")
@@ -361,6 +357,12 @@ def run_benchmark(
     report_path = out / REPORT_NAME
 
     done = load_report_records(report_path) if resume else {}
+    for qid, record in done.items():
+        if record.get("mode") != mode:
+            raise IngestionError(
+                f"{report_path} holds question {qid} run in "
+                f"{record.get('mode')!r} mode, not {mode!r}; resume it in that "
+                "mode, or start over with --no-resume")
     if not resume and report_path.exists():
         report_path.unlink()
     pending = [item for item in items if item.question_id not in done]
@@ -370,31 +372,32 @@ def run_benchmark(
         for db_id in sorted({item.db_id for item in pending}):
             env.value_index(db_id)
 
-    # by (worker thread, db_id); a worker reads and writes only its own keys
-    sandboxes: dict[tuple[int, str], Sandbox] = {}
-    # by worker thread, as above; none when the workers would leave the
-    # helpers no CPU of their own
-    helpers: dict[int, SqlHelper] = {}
-    use_helpers = mode == "mcts" and 2 * workers <= usable_cpus()
+    # by (worker thread, db_id): the worker's sandbox there and its hand-off
+    # to a second one, if any. A worker reads and writes only its own keys;
+    # the thread that ends the run closes both, once the workers stop
+    connections: dict[tuple[int, str], tuple[Sandbox, HandOff | None]] = {}
+    # by worker thread: the one thread its hand-offs run on
+    pools: dict[int, ThreadPoolExecutor] = {}
+    # none when the workers would leave the second connections no CPU
+    use_ahead = mode == "mcts" and 2 * workers <= usable_cpus()
 
-    def helper_for(db_id: str) -> SqlHelper | None:
-        if (not use_helpers
-                or os.path.getsize(env.db_path(db_id)) < HELPER_MIN_DB_BYTES):
-            return None
-        key = threading.get_ident()
-        if key not in helpers:
-            helpers[key] = SqlHelper()  # its thread starts with its first sandbox
-        return helpers[key]
-
-    def sandbox_for(db_id: str) -> Sandbox | None:
-        key = (threading.get_ident(), db_id)
-        if key not in sandboxes:
+    def connections_for(db_id: str) -> tuple[Sandbox | None, HandOff | None]:
+        worker = threading.get_ident()
+        if (worker, db_id) not in connections:
             try:
-                # closed by the thread that ends the run, once workers stop
-                sandboxes[key] = Sandbox(env.db_path(db_id), check_same_thread=False)
+                path = env.db_path(db_id)
+                sandbox = Sandbox(path, check_same_thread=False)
             except IngestionError:
-                return None  # the item opens its own and records the failure
-        return sandboxes[key]
+                return None, None  # the item opens its own and records the failure
+            connections[worker, db_id] = sandbox, None
+            if use_ahead and path.stat().st_size >= HELPER_MIN_DB_BYTES:
+                if worker not in pools:  # its thread starts at the first statement
+                    pools[worker] = ThreadPoolExecutor(
+                        max_workers=1, thread_name_prefix="sqlscout-sql")
+                second = Sandbox(path, check_same_thread=False)
+                connections[worker, db_id] = sandbox, HandOff(
+                    pools[worker], second, env.executor(db_id, cfg, second))
+        return connections[worker, db_id]
 
     stop = threading.Event()  # once set, a queued item returns without running
     journal_lock = threading.Lock()
@@ -403,11 +406,10 @@ def run_benchmark(
         if stop.is_set():
             return
         trace = (out / TRACES_DIR / f"{item.question_id}.json") if write_traces else None
-        sandbox = sandbox_for(item.db_id)
-        helper = helper_for(item.db_id) if sandbox is not None else None
+        sandbox, ahead = connections_for(item.db_id)
         try:
             record = run_one_item(item, env, cfg, mode=mode, trace_path=trace,
-                                  sandbox=sandbox, helper=helper)
+                                  sandbox=sandbox, ahead=ahead)
         except EndpointUnavailable as exc:
             # journaled, its EX 0 would make every resume skip the item
             stop.set()
@@ -433,10 +435,12 @@ def run_benchmark(
                 pool.shutdown(cancel_futures=True)
             finally:
                 # no worker is left to run a statement or hand one off
-                for sandbox in sandboxes.values():
+                for ahead_pool in pools.values():
+                    ahead_pool.shutdown()
+                for sandbox, ahead in connections.values():
                     sandbox.close()
-                for helper in helpers.values():
-                    helper.close()
+                    if ahead is not None:
+                        ahead.sandbox.close()
     summary = summarize(items, done, cfg, mode=mode, endpoint=env.endpoint)
     (out / SUMMARY_NAME).write_text(
         json.dumps(summary, indent=1, sort_keys=True, ensure_ascii=False) + "\n",

@@ -89,7 +89,7 @@ class RolloutContext:
         A string handed off and still queued is taken back and run here. One
         the second connection is running is awaited, and meanwhile the
         strings still queued there are taken back and run here, the latest
-        handed first, as the other end of the queue from the helper's.
+        handed first, as the other end of the queue from that connection's.
         """
         result = self.results.get(sql)
         if result is None:

@@ -190,16 +190,18 @@ class Sandbox:
     included, and keeps one sandbox per worker thread and database for the
     whole run, in one map keyed by (thread id, db_id). SQLite so reads a
     database's schema once per worker, and the run closes them all when it
-    ends. `run_one_item` called without one opens one for its question and
-    closes it when the question ends; `execute_sql` without one opens one
-    for its single statement. On a large database a worker may also have a
-    `SqlHelper`, whose thread keeps a second sandbox per database.
+    ends. On a large database a worker also keeps a second sandbox there,
+    which its `HandOff` runs statements on ahead of need. `run_one_item`
+    called without a sandbox opens one for its question and closes it when
+    the question ends; `execute_sql` without one opens one for its single
+    statement.
 
-    Only the thread that opened a sandbox runs statements on it. sqlite3
-    enforces that unless `check_same_thread` is False, which `run_benchmark`
-    passes so that the thread ending the run can close its workers'
-    sandboxes once they have all stopped; each worker there only ever gets
-    the sandboxes it opened. Another thread may only `interrupt` it.
+    One thread at a time runs statements on a sandbox. sqlite3 enforces
+    that only the opening thread does, unless `check_same_thread` is False,
+    which `run_benchmark` passes: its worker's second sandbox runs on the
+    worker's `HandOff` thread, and the thread ending the run closes every
+    sandbox once the workers have all stopped. Another thread may only
+    `interrupt` it.
 
     Statements stay isolated on the shared connection, across the questions
     of a run as within one, because none can change its state: the
@@ -278,57 +280,21 @@ class Sandbox:
         self.close()
 
 
-class SqlHelper:
-    """A thread of its own that runs statements handed to it, on one
-    `Sandbox` per database that it opens on that thread.
-
-    `run_benchmark` keeps one per worker, when the run may use it, and
-    closes it with the workers' sandboxes. An item hands statements to it
-    through a `HandOff`, and only the worker's own thread does that, so it
-    runs one item's statements at a time. No thread starts before the
-    first sandbox opens.
-    """
-
-    def __init__(self) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=1,
-                                        thread_name_prefix="sqlscout-sql")
-        self._sandboxes: dict[Path, Sandbox] = {}
-
-    def hand_off(self, db_path: str | Path,
-                 bind: Callable[[Sandbox], Callable[[str], ExecutionResult]],
-                 ) -> HandOff:
-        """How to run statements on its sandbox on `db_path`, opened on its
-        thread at first use: `bind` makes the sandbox a statement runner."""
-        path = Path(db_path)
-        sandbox = self._sandboxes.get(path)
-        if sandbox is None:
-            sandbox = self._sandboxes[path] = self._pool.submit(Sandbox, path).result()
-        return HandOff(self._pool, sandbox, bind(sandbox))
-
-    def close(self) -> None:
-        """Close its sandboxes on its thread and end the thread; nothing
-        handed to it may still be queued or running."""
-        try:
-            if self._sandboxes:
-                self._pool.submit(self._close_sandboxes).result()
-        finally:
-            self._pool.shutdown()
-
-    def _close_sandboxes(self) -> None:
-        for sandbox in self._sandboxes.values():
-            sandbox.close()
-
-
 class HandOff(NamedTuple):
-    """One item's way onto a `SqlHelper`: `run_sql` on the helper's
-    `sandbox`, run on its thread by `pool`."""
+    """A way to run statements ahead of need: `run_sql` on a second
+    `sandbox`, on the one thread of `pool`.
+
+    `run_benchmark` builds one per worker and large database and passes it
+    to each of the worker's items there; only the worker's own thread
+    starts or recalls statements, so `pool` runs one item's at a time.
+    """
 
     pool: ThreadPoolExecutor
     sandbox: Sandbox
     run_sql: Callable[[str], ExecutionResult]
 
     def start(self, sql: str) -> Future:
-        """`run_sql(sql)`, queued on the helper's thread."""
+        """`run_sql(sql)`, queued on `pool`'s thread."""
         return self.pool.submit(self.run_sql, sql)
 
     def recall(self, futures: Iterable[Future]) -> None:
@@ -383,12 +349,23 @@ def same_rows_sql(a: str, b: str) -> str:
 
     This is BIRD's execution-accuracy rule, `set(pred) == set(gold)` over
     the raw rows, decided by SQLite, so it also holds for results too large
-    to fetch. A trailing `;` is stripped, and each subquery closes on a new
-    line, so that a trailing `--` comment cannot swallow the parenthesis.
-    Queries of different arity make it an error.
+    to fetch. Each query is cut before the `;` that ends its first complete
+    statement, so a comment after it goes too, and each subquery closes on
+    a new line, so that a trailing `--` comment cannot swallow the
+    parenthesis. Queries of different arity make it an error.
     """
-    a, b = (f"SELECT * FROM ({sql.strip().rstrip(';')}\n)" for sql in (a, b))
+    a, b = (f"SELECT * FROM ({_first_statement(sql)}\n)" for sql in (a, b))
     return f"SELECT NOT EXISTS ({a} EXCEPT {b}) AND NOT EXISTS ({b} EXCEPT {a})"
+
+
+def _first_statement(sql: str) -> str:
+    """`sql` up to the `;` that ends its first complete statement, as
+    `sqlite3.complete_statement` finds it past quotes and comments; all of
+    `sql` when none does."""
+    for end, char in enumerate(sql):
+        if char == ";" and sqlite3.complete_statement(sql[:end + 1]):
+            return sql[:end]
+    return sql
 
 
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:

@@ -16,7 +16,7 @@ from sqlscout.core.types import SearchConfig
 from sqlscout.errors import EndpointUnavailable, IngestionError
 from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark, run_one_item
 from sqlscout.harness import runner as runner_module
-from sqlscout.sql_exec import Sandbox, SqlHelper
+from sqlscout.sql_exec import HandOff, Sandbox
 from sqlscout.value_index import build_value_index, save_index
 from sqlscout.value_index import index as index_module
 
@@ -246,20 +246,19 @@ def test_a_statement_still_running_when_its_item_ends_is_interrupted_and_awaited
     for env in (spinning, scripted):
         env.catalog("restaurants")  # loaded first, so that only sandboxes connect below
     opened = recorded_connections(monkeypatch)
-    helper = SqlHelper()
-    try:
-        with Sandbox(db_root / "restaurants" / "restaurants.sqlite") as sandbox:
-            start = time.monotonic()
-            failed = run_one_item(items[0], spinning, cfg, sandbox=sandbox,
-                                  helper=helper)
-            returned = time.monotonic()
-            assert failed["error"] == "RuntimeError: model lost mid-reward"
-            [(thread, spin_end, outcome)] = ended
-            assert thread.startswith("sqlscout-sql") and outcome == "timeout"
-            assert spin_end <= returned and returned - start < 15
-            # the helper's sandbox runs the next item's statements in full
-            ok = run_one_item(items[1], scripted, cfg, sandbox=sandbox, helper=helper)
-            assert ok["error"] is None and ok["ex"] == 1
-    finally:
-        helper.close()
+    db_path = db_root / "restaurants" / "restaurants.sqlite"
+    with (Sandbox(db_path) as sandbox,
+          Sandbox(db_path, check_same_thread=False) as second,
+          ThreadPoolExecutor(max_workers=1, thread_name_prefix="sqlscout-sql") as pool):
+        ahead = HandOff(pool, second, spinning.executor("restaurants", cfg, second))
+        start = time.monotonic()
+        failed = run_one_item(items[0], spinning, cfg, sandbox=sandbox, ahead=ahead)
+        returned = time.monotonic()
+        assert failed["error"] == "RuntimeError: model lost mid-reward"
+        [(thread, spin_end, outcome)] = ended
+        assert thread.startswith("sqlscout-sql") and outcome == "timeout"
+        assert spin_end <= returned and returned - start < 15
+        # the second sandbox runs the next item's statements in full
+        ok = run_one_item(items[1], scripted, cfg, sandbox=sandbox, ahead=ahead)
+        assert ok["error"] is None and ok["ex"] == 1
     assert len(opened) == 2 and all(map(is_closed, opened))

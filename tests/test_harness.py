@@ -854,6 +854,8 @@ def large_result_item(root: Path, rows: int) -> tuple[BenchmarkItem, Path]:
     ("SELECT x FROM t", 1),
     ("SELECT x FROM t ORDER BY x DESC;", 1),           # order and `;` ignored
     ("SELECT x FROM t UNION ALL SELECT 0 -- twice", 1),  # a set, as in BIRD
+    ("SELECT x FROM t; -- every x", 1),                # cut at the statement's end
+    ("SELECT x FROM t WHERE 'a; -- b' <> '' ; /* ; */", 1),
     ("SELECT x FROM t WHERE x > 0", 0),
     ("SELECT x FROM t LIMIT 5", 0),                    # not truncated itself
     ("SELECT x, x FROM t", 0),                         # other arity: an error
@@ -980,6 +982,25 @@ def test_run_benchmark_no_resume_restarts(bird_dataset, tmp_path):
     run_benchmark(items, env, bench_cfg(), out, mode="baseline", resume=False)
     assert len(model.calls) == 2  # both items rerun
     assert len(load_report_records(out / REPORT_NAME)) == 2
+
+
+def test_run_benchmark_refuses_to_resume_a_run_of_another_mode(bird_dataset,
+                                                              tmp_path):
+    dataset, db_root = bird_dataset
+    items = load_dataset(dataset)
+    out = tmp_path / "run"
+    run_benchmark(items[:2], bench_env(db_root), bench_cfg(), out, mode="baseline")
+    model = scripted_benchmark_model()
+    env = RunEnvironment(model=model, db_root=db_root)
+    with pytest.raises(IngestionError,
+                       match="question 0 run in 'baseline' mode, not 'mcts'"):
+        run_benchmark(items, env, bench_cfg(n_rollout=24), out, mode="mcts")
+    assert model.calls == []  # no item ran
+    assert set(load_report_records(out / REPORT_NAME)) == {"0", "1"}
+    summary = run_benchmark(items, env, bench_cfg(), out, mode="mcts", resume=False)
+    assert summary["completed"] == 4
+    records = load_report_records(out / REPORT_NAME).values()
+    assert {record["mode"] for record in records} == {"mcts"}
 
 
 def stale_index_dir(tmp_path, db_root):
@@ -1548,6 +1569,20 @@ def test_cli_run_reports_a_stale_index(bird_dataset, tmp_path, cli_env):
     error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
     assert len(error) == 1 and "sqlscout index build" in error[0], result.output
     assert load_report_records(out_dir / REPORT_NAME) == {}
+
+
+def test_cli_run_refuses_to_resume_a_run_of_another_mode(bird_dataset, tmp_path,
+                                                         cli_env):
+    dataset, db_root = bird_dataset
+    out_dir = tmp_path / "run"
+    args = ["run", "--dataset", str(dataset), "--db-root", str(db_root),
+            "--out-dir", str(out_dir), "--limit", "2"]
+    assert cli_env.invoke(cli_main, [*args, "--mode", "baseline"]).exit_code == 0
+    result = cli_env.invoke(cli_main, [*args, "--mode", "mcts"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    error = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+    assert len(error) == 1 and "'baseline' mode, not 'mcts'" in error[0], result.output
 
 
 def test_cli_run_stops_on_an_endpoint_outage(bird_dataset, tmp_path, cli_env,

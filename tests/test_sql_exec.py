@@ -446,6 +446,10 @@ def test_same_rows_sql_fails_on_other_arity_and_survives_comments(restaurant_db)
     with Sandbox(restaurant_db) as sandbox:
         assert sandbox.run(same_rows_sql("SELECT 1 -- one", " SELECT 1.0 ;\n"),
                            row_cap=1).rows == {(1,)}
+        # cut at the end of the statement: a `--` in a literal stays
+        assert sandbox.run(same_rows_sql("SELECT 'a -- b;'; -- one",
+                                         "SELECT 'a -- b;' /* ; */ ;;")
+                           ).rows == {(1,)}
         assert sandbox.run(same_rows_sql("SELECT 1", "SELECT 2")).rows == {(0,)}
         assert sandbox.run(same_rows_sql("SELECT 1", "SELECT 1, 1")).kind == "error"
         cte = "WITH c(n) AS (SELECT 1 UNION SELECT 2) SELECT n FROM c"

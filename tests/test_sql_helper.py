@@ -6,20 +6,25 @@ byte for byte the run without it, model calls included. Off, it must not
 start a thread or open a connection.
 """
 
+import json
+import shutil
+import sqlite3
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from sqlscout.core.types import SearchConfig
-from sqlscout.errors import TransportError
-from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark, run_one_item
+from sqlscout.errors import EndpointUnavailable, TransportError
+from sqlscout.harness import RunEnvironment, load_dataset, run_benchmark
 from sqlscout.harness import runner as runner_module
-from sqlscout.sql_exec import Sandbox, SqlHelper
+from sqlscout.harness.runner import REPORT_NAME, load_report_records
+from sqlscout.sql_exec import Sandbox
 
 from conftest import make_bird_dataset, scripted_benchmark_model
-from test_connection_leaks import SPIN_SQL, recorded_connections
+from test_connection_leaks import SPIN_SQL, is_closed, recorded_connections
 from test_golden_runs import scripted_run
 
 HELPER_THREAD = "sqlscout-sql"
@@ -148,20 +153,95 @@ def test_each_worker_has_one_helper_when_the_gates_are_open(tmp_path, monkeypatc
     assert len(opened) == 2
 
 
-def test_run_one_item_without_a_sandbox_uses_no_helper(tmp_path, monkeypatch, set_cpus):
-    env, items = restaurant_env(tmp_path)
-    force_helper(monkeypatch, set_cpus, True)
-    opened = recorded_connections(monkeypatch)
-    threads = started_threads(monkeypatch)
-    helper = SqlHelper()
-    try:
-        record = run_one_item(items[0], env, SearchConfig(n_rollout=6,
-                                                          sql_timeout_secs=5.0),
-                              helper=helper)
-    finally:
-        helper.close()
-    assert record["error"] is None and record["ex"] == 1
-    assert threads == [] and len(opened) == 1
+def two_database_dataset(root: Path) -> tuple[Path, Path]:
+    """The four benchmark questions, the last two on `eateries`, a copy of
+    the restaurants database."""
+    dataset, db_root = make_bird_dataset(root)
+    (db_root / "eateries").mkdir()
+    shutil.copyfile(db_root / "restaurants" / "restaurants.sqlite",
+                    db_root / "eateries" / "eateries.sqlite")
+    questions = json.loads(dataset.read_text(encoding="utf-8"))
+    for question in questions[2:]:
+        question["db_id"] = "eateries"
+    dataset.write_text(json.dumps(questions), encoding="utf-8")
+    return dataset, db_root
+
+
+class FailsOnTheLastQuestion(PacedModel):
+    """The paced scripted model; every call about the last question raises
+    `error`."""
+
+    def __init__(self, error: type[Exception]):
+        super().__init__(scripted_benchmark_model())
+        self.error = error
+
+    def sample(self, prompt, temperature, max_tokens, sample_index, tag=""):
+        if "highest review" in prompt.lower():
+            raise self.error("model lost on the last question")
+        return super().sample(prompt, temperature, max_tokens, sample_index, tag)
+
+
+def databases_connected(monkeypatch) -> list[tuple[str, sqlite3.Connection]]:
+    """The database file's stem and the connection of every
+    `sqlite3.connect` from now on."""
+    opened = []
+    connect = sqlite3.connect
+
+    def recording(database, *args, **kwargs):
+        conn = connect(database, *args, **kwargs)
+        opened.append((Path(database.split("?")[0]).stem, conn))
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", recording)
+    return opened
+
+
+def run_artifacts(out: Path) -> dict:
+    """Every file a run wrote; its records without `elapsed_secs`."""
+    records = load_report_records(out / REPORT_NAME)
+    for record in records.values():
+        del record["elapsed_secs"]
+    files = {path.relative_to(out).as_posix(): path.read_bytes()
+             for path in out.rglob("*") if path.is_file()}
+    del files[REPORT_NAME]
+    return {"records": records, **files}
+
+
+@pytest.mark.parametrize("ending", ["normal", "item error", "outage"])
+def test_a_worker_keeps_two_connections_per_database_and_closes_them(
+        tmp_path, monkeypatch, set_cpus, ending):
+    runs, calls = {}, {}
+    for on in (False, True):
+        with monkeypatch.context() as patch:
+            force_helper(patch, set_cpus, on)
+            dataset, db_root = two_database_dataset(tmp_path / f"helper-{on}")
+            model = {"normal": PacedModel(scripted_benchmark_model()),
+                     "item error": FailsOnTheLastQuestion(RuntimeError),
+                     "outage": FailsOnTheLastQuestion(EndpointUnavailable)}[ending]
+            env = RunEnvironment(model=model, db_root=db_root)
+            for db_id in ("restaurants", "eateries"):
+                env.catalog(db_id)  # loaded first, so that only sandboxes connect below
+            opened = databases_connected(patch)
+            threads = started_threads(patch)
+            out = tmp_path / f"run-{on}"
+            cfg = SearchConfig(n_rollout=6, sql_timeout_secs=5.0)
+            if ending == "outage":
+                with pytest.raises(EndpointUnavailable):
+                    run_benchmark(load_dataset(dataset), env, cfg, out,
+                                  write_traces=True)
+            else:
+                summary = run_benchmark(load_dataset(dataset), env, cfg, out,
+                                        write_traces=True)
+                assert summary["item_errors"] == (ending == "item error")
+        runs[on], calls[on] = run_artifacts(out), model.calls
+        assert Counter(db for db, _ in opened) == {"restaurants": 1 + on,
+                                                   "eateries": 1 + on}
+        assert all(is_closed(conn) for _, conn in opened)
+        assert [name for name in threads if name.startswith(HELPER_THREAD)] == (
+            [f"{HELPER_THREAD}_0"] if on else [])
+    assert len(runs[False]["records"]) == (3 if ending == "outage" else 4)
+    assert runs[True] == runs[False]
+    assert calls[True] == calls[False]
 
 
 def test_an_interrupt_before_the_statement_starts_still_stops_it(tmp_path):
