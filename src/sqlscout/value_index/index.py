@@ -5,14 +5,15 @@ of `rows_per_band` values; records sharing any band's values land in the same
 bucket, so lookup gathers near-duplicates without scanning every value.
 
 The index is columnar: parallel arrays of column ids, values and band hashes,
-with no Python object per record. A record keeps only its signature's band
-hashes, one 64-bit hash of each band's values; the full signature is not
-stored. The buckets are one sorted array of packed 64-bit words, one per
-(record, band): the band number in the top bits, the high bits of the band
-hash in the middle, and the record id in the low bits. A lookup finds a
-band's run of words with equal band and hash bits by binary search, reads
-the ids from the low bits and keeps those whose full band hash equals the
-query's.
+with no Python object per record. A record keeps only the high 32 bits of
+its signature's band hashes (one 64-bit hash of each band's values); neither
+the full hashes nor the signature are stored. The buckets are one sorted
+array of packed 64-bit words, one per (record, band): the band number in the
+top bits, the stored hash's bits in the middle, and the record id in the low
+bits. A lookup finds a band's run of words with equal band and hash bits by
+binary search and reads the ids from the low bits. Those are coarse
+candidates: each is confirmed on the full band hash, recomputed from its
+value, and kept only if that hash equals the query's.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .threads import on_threads
 
 DISTINCT_VALUE_CAP = 10_000
 _FORMAT = "sqlscout-value-index"
-_VERSION = 5
+_VERSION = 6
 _BAND_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd: times an odd number stays odd
+_HALF = np.uint64(32)  # a stored band hash is the full one shifted right by this
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,10 @@ class ValueIndex:
     db_id: str
     params: MinHashParams
     columns: list[tuple[str, str]]  # (table, column) per column id
-    column_ids: np.ndarray  # (n,) int32, index into columns
+    column_ids: np.ndarray  # (n,) int32, index into columns, never decreasing
     values: list[str]  # n non-empty values, stored verbatim
-    # (n, bands) uint64, rows parallel to values: each record's band hashes
-    # (`band_hashes` of its MinHash signature), not the signature itself
+    # (n, bands) uint32, rows parallel to values: the high 32 bits of each
+    # record's band hashes (`band_hashes` of its MinHash signature)
     signatures: np.ndarray
     salts: np.ndarray = field(init=False)  # the hash family `params` fixes
 
@@ -74,6 +76,14 @@ class ValueIndex:
             raise ContractViolation(
                 f"{len(self.values)} values, {len(self.column_ids)} column ids "
                 f"and {n} band-hash rows must agree")
+        if self.signatures.dtype != np.uint32:
+            raise ContractViolation(f"band hashes of dtype {self.signatures.dtype} "
+                                    "need uint32, the high half of each hash")
+        ids = self.column_ids
+        if n and not (ids[0] >= 0 and ids[-1] < len(self.columns)
+                      and (ids[1:] >= ids[:-1]).all()):
+            raise ContractViolation("column ids must not decrease and must "
+                                    f"index the {len(self.columns)} columns")
         self.salts = permutation_salts(self.params)
         self._id_bits = max(1, (n - 1).bit_length())
         self._id_mask = np.uint64((1 << self._id_bits) - 1)
@@ -87,9 +97,15 @@ class ValueIndex:
         return ValueRecord(table=table, column=column, value=self.values[rid])
 
     def candidate_ids(self, sig: np.ndarray) -> list[int]:
-        """Ids of the records sharing one LSH band's hash with the signature."""
+        """Ids of the records sharing one LSH band's hash with the signature.
+
+        A word matches on the stored high bits only, so each distinct
+        candidate's band hashes are recomputed from its value, in one
+        `signatures` call, and a candidate is kept only if the full 64-bit
+        hash of a band it matched on equals the query's.
+        """
         hashes = band_hashes(sig, self.params)
-        keys = _band_keys(hashes, self._id_bits)  # id field 0
+        keys = _band_keys((hashes >> _HALF).astype(np.uint32), self._id_bits)
         lo = np.searchsorted(self._words, keys, side="left")
         counts = np.searchsorted(self._words, keys | self._id_mask, side="right") - lo
         total = int(counts.sum())
@@ -98,10 +114,11 @@ class ValueIndex:
         offsets = np.cumsum(counts) - counts
         positions = np.repeat(lo - offsets, counts) + np.arange(total)
         bands = np.repeat(np.arange(self.params.bands), counts)
-        rids = self._words[positions] & self._id_mask
-        # a word keeps only the hash's high bits: compare the whole hash
-        exact = self.signatures[rids, bands] == hashes[bands]
-        return np.unique(rids[exact]).tolist()
+        ids, at = np.unique(self._words[positions] & self._id_mask, return_inverse=True)
+        full = band_hashes(signatures([self.values[rid].lower() for rid in ids.tolist()],
+                                      self.salts, self.params.shingle_size), self.params)
+        exact = full[at, bands] == hashes[bands]
+        return ids[np.unique(at[exact])].tolist()
 
     @cached_property
     def records(self) -> list[ValueRecord]:
@@ -110,12 +127,14 @@ class ValueIndex:
 
     @cached_property
     def buckets(self) -> dict[tuple[int, int], list[int]]:
-        """(band, band hash) -> record ids ascending, for inspection.
+        """(band, stored 32-bit band hash) -> record ids ascending, for inspection.
 
-        Derived on first access from the sorted words; lookups do not use it.
-        It allocates one list per bucket, so the cyclic collector is paused
-        while it is built: its passes over the growing dict would double the
-        time and could find no cycle to free.
+        Records whose full hashes differ but share the stored high half share
+        a bucket here; a lookup tells them apart. Derived on first access
+        from the sorted words; lookups do not use it. It allocates one list
+        per bucket, so the cyclic collector is paused while it is built: its
+        passes over the growing dict would double the time and could find
+        no cycle to free.
         """
         shift = np.uint64(_band_shift(self.params.bands))
         bounds = np.searchsorted(self._words >> shift,
@@ -153,16 +172,18 @@ def band_hashes(sigs: np.ndarray, params: MinHashParams) -> np.ndarray:
     return blocks @ (_BAND_MUL * np.arange(1, 2 * params.rows_per_band, 2, dtype=np.uint64))
 
 
-def _band_keys(hashes: np.ndarray, id_bits: int) -> np.ndarray:
-    """Packed word of each band hash with the id field 0: (..., bands) uint64.
+def _band_keys(stored: np.ndarray, id_bits: int) -> np.ndarray:
+    """Packed word of each stored band hash with the id field 0: (..., bands) uint64.
 
-    The band number fills the top bits, the hash's high bits the middle,
-    and the low `id_bits` bits are left for a record id.
+    The band number fills the top bits, the stored hash's bits the middle
+    (its high bits only, if the id field leaves fewer than 32), and the low
+    `id_bits` bits are left for a record id.
     """
-    shift = _band_shift(hashes.shape[-1])
-    keys = hashes >> np.uint64(64 - shift + id_bits)
+    shift = _band_shift(stored.shape[-1])
+    keys = stored.astype(np.uint64) << _HALF
+    keys >>= np.uint64(64 - shift + id_bits)
     keys <<= np.uint64(id_bits)
-    keys |= np.arange(hashes.shape[-1], dtype=np.uint64) << np.uint64(shift)
+    keys |= np.arange(stored.shape[-1], dtype=np.uint64) << np.uint64(shift)
     return keys
 
 
@@ -178,7 +199,8 @@ def build_value_index(
     would sort every row of the table to group it. The first `value_cap`
     values in the column's own collation are kept. Values are lowercased for
     hashing but stored verbatim, and are signed in one `signatures` batch;
-    each signature is reduced to its band hashes, and only those are kept.
+    each signature is reduced to its band hashes, and only their high 32
+    bits are kept.
     Scan order (and hence the serialized file) is deterministic: catalog
     table/column order, values ascending.
 
@@ -214,11 +236,11 @@ def build_value_index(
         column_ids=np.repeat(np.arange(len(kept), dtype=np.int32),
                              [len(column) for column in kept]),
         values=values,
-        signatures=band_hashes(
+        signatures=(band_hashes(
             signatures([value.lower() for value in values], permutation_salts(params),
                        params.shingle_size),
             params,
-        ),
+        ) >> _HALF).astype(np.uint32),
     )
 
 
@@ -245,10 +267,12 @@ def _json_line(obj) -> bytes:
 def save_index(index: ValueIndex, path: str | Path) -> None:
     """Write the index as four lines of JSON, then the raw band-hash bytes.
 
-    The lines are: the header; the [table, column] list; each record's column
-    id; and each record's value. The band hashes follow, row after row, as
-    little-endian uint64s: exactly n_records * bands * 8 bytes, up to the
-    end of the file. The name keeps its historical `.jsonl`.
+    The lines are: the header; the [table, column] list; the number of
+    records of each column, in that list's order (column ids never
+    decrease, so these counts give every record's id); and each record's
+    value. The stored band hashes follow, row after row, as little-endian
+    uint32s: exactly n_records * bands * 4 bytes, up to the end of the file.
+    The name keeps its historical `.jsonl`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -263,12 +287,13 @@ def save_index(index: ValueIndex, path: str | Path) -> None:
         "seed": index.params.seed,
         "n_records": len(index.values),
     }
-    sigs = np.ascontiguousarray(index.signatures, dtype="<u8")  # no copy if already so
+    counts = np.bincount(index.column_ids, minlength=len(index.columns))
+    sigs = np.ascontiguousarray(index.signatures, dtype="<u4")  # no copy if already so
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(_json_line(header))
         fh.write(_json_line([list(col) for col in index.columns]))
-        fh.write(_json_line(index.column_ids.tolist()))
+        fh.write(_json_line(counts.tolist()))
         fh.write(_json_line(index.values))
         fh.write(sigs)  # the array's own buffer; an empty one writes nothing
     tmp.replace(path)
@@ -304,27 +329,27 @@ def load_index(path: str | Path) -> ValueIndex:
             lines = [fh.readline() for _ in range(3)]
             if not all(line.endswith(b"\n") for line in lines):
                 raise IngestionError(f"truncated index file: {path}")
-            columns, column_ids, values = (json.loads(line) for line in lines)
-            column_ids = np.asarray(column_ids)
+            columns, counts, values = (json.loads(line) for line in lines)
         except (ValueError, KeyError, TypeError, ContractViolation) as exc:
             raise IngestionError(f"malformed value index {path}: {exc!r}") from exc
         n = header.get("n_records")
-        if not (isinstance(n, int) and isinstance(values, list) and column_ids.ndim == 1):
-            raise IngestionError(f"malformed record count, values or column ids in {path}")
-        if not len(values) == len(column_ids) == n:
+        if not (isinstance(n, int) and isinstance(values, list)):
+            raise IngestionError(f"malformed record count or values in {path}")
+        if len(values) != n:
             raise IngestionError(
-                f"record count mismatch in {path}: header {n!r}, {len(values)} values, "
-                f"{len(column_ids)} column ids")
+                f"record count mismatch in {path}: header {n!r}, {len(values)} values")
         if not (isinstance(columns, list) and all(
                 isinstance(col, list) and len(col) == 2
                 and all(isinstance(name, str) for name in col) for col in columns)):
             raise IngestionError(f"malformed column list in {path}")
-        if n and not (column_ids.dtype.kind == "i" and column_ids.min() >= 0
-                      and column_ids.max() < len(columns)):
-            raise IngestionError(f"column id out of range in {path}")
+        if not (isinstance(counts, list) and len(counts) == len(columns)
+                and all(type(count) is int and count >= 0 for count in counts)
+                and sum(counts) == n):
+            raise IngestionError(f"column record counts of {path} do not cover "
+                                 f"its {len(columns)} columns and {n} records")
         if not (set(map(type, values)) <= {str} and all(values)):  # loops in C
             raise IngestionError(f"empty or non-text value in {path}")
-        sigs = np.empty((n, params.bands), dtype="<u8")
+        sigs = np.empty((n, params.bands), dtype="<u4")
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left != sigs.nbytes:  # checked before reading: no short read, no tail
             raise IngestionError(
@@ -336,7 +361,7 @@ def load_index(path: str | Path) -> ValueIndex:
         db_id=header.get("db_id", ""),
         params=params,
         columns=[(table, column) for table, column in columns],
-        column_ids=column_ids.astype(np.int32),
+        column_ids=np.repeat(np.arange(len(columns), dtype=np.int32), counts),
         values=values,
-        signatures=sigs.astype(np.uint64, copy=False),
+        signatures=sigs.astype(np.uint32, copy=False),
     )

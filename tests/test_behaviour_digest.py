@@ -29,8 +29,10 @@ def test_behaviour_digest_repeats_across_runs_and_hash_seeds():
     assert first == second
     digests = json.loads(first)
     assert sorted(digests) == ["large", "narrow", "wide"]
-    assert all(sorted(parts) == ["index", "run"] for parts in digests.values())
-    flat = [d for parts in digests.values() for d in parts.values()]
+    assert all(sorted(parts) == ["index", "index_bytes", "run"]
+               for parts in digests.values())
+    assert all(parts["index_bytes"] > 0 for parts in digests.values())
+    flat = [parts[part] for parts in digests.values() for part in ("index", "run")]
     assert len(set(flat)) == 6
     assert all(len(d) == 64 for d in flat)
 

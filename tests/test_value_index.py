@@ -519,27 +519,31 @@ def _parts(path) -> tuple[list[bytes], bytes]:
     return lines, sigs
 
 
-# bytes of one record's band hashes: 16 bands of 8 bytes
-ROW_BYTES = 16 * 8
+# bytes of one record's stored band hashes: 16 bands of 4 bytes
+ROW_BYTES = 16 * 4
 
 
 def test_index_file_stores_signatures_as_raw_bytes(restaurant_index, tmp_path):
     path = tmp_path / "restaurants.jsonl"
     save_index(restaurant_index, path)
     lines, sigs = _parts(path)
-    header, columns, column_ids, values = (json.loads(line) for line in lines)
-    assert header["version"] == 5
+    header, columns, counts, values = (json.loads(line) for line in lines)
+    assert header["version"] == 6
     assert header["n_records"] == len(restaurant_index.values)
     assert [tuple(c) for c in columns] == restaurant_index.columns
-    assert column_ids == restaurant_index.column_ids.tolist()
+    # one record count per column: the column ids as run lengths
+    assert len(counts) == len(columns)
+    assert [i for i, count in enumerate(counts) for _ in range(count)] == \
+        restaurant_index.column_ids.tolist()
     assert values == restaurant_index.values
-    # n_records x bands little-endian uint64s, up to end of file: each
-    # record's band hashes of its MinHash signature, not the signature
+    # n_records x bands little-endian uint32s, up to end of file: the high
+    # half of each band hash of each record's MinHash signature
     assert len(sigs) == ROW_BYTES * len(restaurant_index.values)
     full = signatures([v.lower() for v in restaurant_index.values],
                       restaurant_index.salts)
-    np.testing.assert_array_equal(np.frombuffer(sigs, dtype="<u8").reshape(-1, 16),
-                                  band_hashes(full, restaurant_index.params))
+    np.testing.assert_array_equal(
+        np.frombuffer(sigs, dtype="<u4").reshape(-1, 16),
+        band_hashes(full, restaurant_index.params) >> np.uint64(32))
 
 
 def test_load_rejects_version_1_with_rebuild_hint(tmp_path):
@@ -592,8 +596,24 @@ def test_load_rejects_version_4_with_rebuild_hint(restaurant_index, tmp_path):
         load_index(path)
 
 
+def test_load_rejects_version_5_with_rebuild_hint(restaurant_index, tmp_path):
+    # version 5 stored one column id per record and each band hash whole
+    path = tmp_path / "old.jsonl"
+    save_index(restaurant_index, path)
+    lines, _ = _parts(path)
+    header = {**json.loads(lines[0]), "version": 5}
+    full = signatures([v.lower() for v in restaurant_index.values],
+                      restaurant_index.salts)
+    column_ids = json.dumps(restaurant_index.column_ids.tolist()).encode()
+    path.write_bytes(b"".join(line + b"\n" for line in [json.dumps(header).encode(),
+                                                        lines[1], column_ids, lines[3]])
+                     + band_hashes(full, restaurant_index.params).astype("<u8").tobytes())
+    with pytest.raises(IngestionError, match="rerun `sqlscout index build`"):
+        load_index(path)
+
+
 def _edit(lines, i, edit):
-    """The file's JSON lines (0 header, 1 columns, 2 column ids, 3 values)
+    """The file's JSON lines (0 header, 1 columns, 2 column counts, 3 values)
     with line i replaced by edit(its JSON)."""
     lines = list(lines)
     lines[i] = edit(json.loads(lines[i])).encode()
@@ -612,6 +632,14 @@ def _edit(lines, i, edit):
     lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps([-1] + ids[1:])), sigs),
     lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps([0.5] + ids[1:])), sigs),
     lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps([[0]] + ids[1:])), sigs),
+    # counts that still sum to n_records (one column too many, a bool, a
+    # negative count), and an object in place of the list
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps(ids + [0])), sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps(
+        [True, ids[0] + ids[1] - 1] + ids[2:])), sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps(
+        [ids[0] + ids[1] + 1, -1] + ids[2:])), sigs),
+    lambda lines, sigs: (_edit(lines, 2, lambda ids: json.dumps({"0": ids})), sigs),
     lambda lines, sigs: (_edit(lines, 1, lambda cols: json.dumps(["ab"] + cols[1:])), sigs),
     lambda lines, sigs: (_edit(lines, 3, lambda vs: json.dumps([7] + vs[1:])), sigs),
     lambda lines, sigs: (_edit(lines, 0, lambda h: json.dumps(  # one record too many
@@ -661,7 +689,7 @@ def test_empty_index_is_valid(tmp_path):
     index = ValueIndex(
         db_id="empty", params=params, columns=[],
         column_ids=np.empty(0, dtype=np.int32), values=[],
-        signatures=np.empty((0, params.bands), dtype=np.uint64))
+        signatures=np.empty((0, params.bands), dtype=np.uint32))
     assert index.candidate_ids(signature("x", index.salts)) == []
     assert index.records == [] and index.buckets == {}
     # the empty band-hash block: a zero-size array has no byte view
@@ -680,7 +708,7 @@ def test_the_salts_follow_the_params():
     params = MinHashParams(seed=7)
     fields = dict(db_id="empty", params=params, columns=[],
                   column_ids=np.empty(0, dtype=np.int32), values=[],
-                  signatures=np.empty((0, params.bands), dtype=np.uint64))
+                  signatures=np.empty((0, params.bands), dtype=np.uint32))
     assert (ValueIndex(**fields).salts == permutation_salts(params)).all()
     # salts of another seed would make every lookup miss: none can be passed
     with pytest.raises(TypeError):
@@ -829,7 +857,9 @@ def _golden_digests(index, embedder) -> dict[str, str]:
     return {
         # the MinHash signatures the stored band hashes come from
         "signatures": _sha(full.astype("<u8").tobytes()),
-        "band_hashes": _sha(index.signatures.astype("<u8").tobytes()),
+        "band_hashes": _sha(band_hashes(full, index.params).astype("<u8").tobytes()),
+        # the high half of each band hash: what the index stores
+        "stored": _sha(index.signatures.astype("<u4").tobytes()),
         # `buckets` is rebuilt from the sorted band-key arrays the lookup uses;
         # which records share a bucket is pinned, whatever its key is
         "buckets": _sha(repr(sorted(
@@ -842,6 +872,7 @@ def test_golden_restaurant_index(restaurant_index, hash_embedder):
     assert _golden_digests(restaurant_index, hash_embedder) == {
         "signatures": "58e4bb70dbfb7cde473db233ebfdcfb94562829691a6586f35b7495d7a6348a0",
         "band_hashes": "f424523fb5c9bf77d1de88a4cac3d47db1955c542609b607a51d46215fc32862",
+        "stored": "a71ab019aee72c297166b020d267873782143a16a3c67597594394f5da61bf0e",
         "buckets": "20639176a8c4d8d69d29484ee9b495dc627e4e5d19cc6c6d234a3ec3569c58ba",
         "retrieval": "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
     }
@@ -856,6 +887,7 @@ def test_golden_unicode_index(golden_index, hash_embedder):
     assert _golden_digests(golden_index, hash_embedder) == {
         "signatures": "f9868c602ca23d8debfc4894f564f95f51e14bcadc745ac192472a2008b13b2f",
         "band_hashes": "66eb39f9e9691537442bf66836df7a7248f182e338d86546046ff96b92d9cc7b",
+        "stored": "7452edbab5017904bfbcaf5a001d280b07560c96aaa42dc9a260c8bcac3e55d3",
         "buckets": "59f866256ab7438594bf6a233429fbd68ab8407fb2200139ed69bad1fd35c5ca",
         "retrieval": "f154d93aefb6d7b4bd194ab3c6f64ed47ec020806b2e4840083b8f7442bde6b3",
     }

@@ -1,4 +1,4 @@
-"""Print two digests per e2ebench input shape of a scripted benchmark round.
+"""Print two digests and the index size per e2ebench input shape of a scripted round.
 
     python3 tools/behaviour_digest.py --seed 0 [--scale full|tiny] [--against PATH]
 
@@ -8,7 +8,9 @@ an `index` digest, of its value-index file, and a `run` digest, of one
 `run_benchmark` round with traces: its records without `elapsed_secs`,
 traces, predictions and summary, and every question's endpoint call log
 (tag, prompt crc and length, temperature, sample index, executed SQL).
-Equal output from two trees means that they behave the same on these
+Beside them, `index_bytes` is the size of the index file; it is printed
+for reading and not compared, since a file of another size has another
+digest. Equal output from two trees means that they behave the same on these
 inputs; the program under test is imported from this checkout's `src`.
 
 Every shape runs on `run_benchmark`'s worker pool, as every run does. The
@@ -56,7 +58,7 @@ def _sha(*parts: bytes) -> str:
     return digest.hexdigest()
 
 
-def shape_digests(shape: str, seed: int, scale: str, work: Path) -> dict[str, str]:
+def shape_digests(shape: str, seed: int, scale: str, work: Path) -> dict[str, str | int]:
     inputs = generate(SHAPES[shape](scale), seed, work)
     index_path = work / "indexes" / f"{inputs.db_id}.jsonl"
     catalog = load_catalog(inputs.db_path, db_id=inputs.db_id, value_examples=False)
@@ -74,6 +76,7 @@ def shape_digests(shape: str, seed: int, scale: str, work: Path) -> dict[str, st
     calls = {key: [list(c[:6]) for c in log] for key, log in endpoint.calls.items()}
     return {
         "index": _sha(index_path.read_bytes()),
+        "index_bytes": index_path.stat().st_size,
         "run": _sha(json.dumps(sorted(records, key=lambda r: r["question_id"]),
                                sort_keys=True).encode(),
                     json.dumps(calls, sort_keys=True).encode(),
